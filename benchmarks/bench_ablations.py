@@ -17,10 +17,10 @@ from __future__ import annotations
 import pytest
 
 from conftest import subject_program
-from repro.bench.metrics import time_only
 from repro.bench.tables import render_table
 from repro.core.engine import EngineConfig, Pinpoint
 from repro.core.checkers import UseAfterFreeChecker
+from repro.obs.measure import time_only
 from repro.synth.generator import GeneratorConfig, classify_reports, generate_program
 
 

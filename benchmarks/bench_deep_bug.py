@@ -17,10 +17,10 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.fitting import fit_power
-from repro.bench.metrics import time_only
 from repro.bench.tables import render_table
 from repro.core.engine import Pinpoint
 from repro.core.checkers import UseAfterFreeChecker
+from repro.obs.measure import time_only
 from repro.synth.deepbug import build_deep_bug
 
 DEPTHS = [6, 12, 24, 36, 48]

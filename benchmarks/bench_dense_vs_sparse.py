@@ -19,10 +19,10 @@ import pytest
 
 from repro.baselines.ifds import IFDSBaseline
 from repro.bench.fitting import fit_power
-from repro.bench.metrics import time_only
 from repro.bench.tables import render_table
 from repro.core.engine import Pinpoint
 from repro.core.checkers import UseAfterFreeChecker
+from repro.obs.measure import time_only
 from repro.synth.generator import GeneratorConfig, generate_program
 
 SIZES = [400, 800, 1600, 3200]

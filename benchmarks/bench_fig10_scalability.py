@@ -12,10 +12,10 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.fitting import fit_linear, fit_power
-from repro.bench.metrics import measure
 from repro.bench.tables import render_table
 from repro.core.engine import Pinpoint
 from repro.core.checkers import UseAfterFreeChecker
+from repro.obs.measure import measure
 from repro.synth.generator import GeneratorConfig, generate_program
 
 SIZES = [400, 800, 1600, 3200, 6400, 12800]

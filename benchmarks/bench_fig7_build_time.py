@@ -21,9 +21,9 @@ import pytest
 from conftest import SVF_TIMEOUT_SECONDS, fig7_program
 from repro.baselines.svf import SVFBaseline
 from repro.bench.fitting import fit_power
-from repro.bench.metrics import time_only
 from repro.bench.tables import render_table
 from repro.core.engine import Pinpoint
+from repro.obs.measure import time_only
 
 
 def build_seg(source: str) -> Pinpoint:

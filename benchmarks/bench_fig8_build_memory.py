@@ -14,9 +14,9 @@ import pytest
 from conftest import fig7_program
 from repro.baselines.svf import SVFBaseline
 from repro.bench.fitting import fit_power
-from repro.bench.metrics import measure
 from repro.bench.tables import render_table
 from repro.core.engine import Pinpoint
+from repro.obs.measure import measure
 
 # Memory measurement is slow under tracemalloc; sweep a size-ladder
 # subset of the catalog rather than all 30 subjects.

@@ -12,10 +12,10 @@ import pytest
 
 from conftest import fig7_program
 from repro.baselines.svf import SVFBaseline
-from repro.bench.metrics import measure
 from repro.bench.tables import render_table
 from repro.core.engine import Pinpoint
 from repro.core.checkers import UseAfterFreeChecker
+from repro.obs.measure import measure
 
 SWEEP = ["gap", "perkbmk", "gcc", "git", "vim", "libicu", "php", "mysql"]
 

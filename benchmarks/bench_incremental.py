@@ -12,9 +12,9 @@ from __future__ import annotations
 import pytest
 
 from conftest import subject_program
-from repro.bench.metrics import time_only
 from repro.bench.tables import render_table
 from repro.core.incremental import IncrementalAnalyzer
+from repro.obs.measure import time_only
 
 
 def _edit_body(source: str) -> str:

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.metrics import time_only
 from repro.bench.tables import render_table
 from repro.core.engine import Pinpoint
 from repro.core.checkers import DoubleFreeChecker, UseAfterFreeChecker
+from repro.obs.measure import time_only
 from repro.synth.juliet import (
     generate_full_scale_suite,
     generate_juliet_suite,

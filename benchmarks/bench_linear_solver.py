@@ -19,9 +19,9 @@ from __future__ import annotations
 import pytest
 
 from conftest import subject_program
-from repro.bench.metrics import time_only
 from repro.bench.tables import render_table
 from repro.core.pipeline import prepare_source
+from repro.obs.measure import time_only
 from repro.smt.linear_solver import LinearSolver
 from repro.smt.solver import Result, SMTSolver
 

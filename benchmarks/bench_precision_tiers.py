@@ -22,11 +22,11 @@ from __future__ import annotations
 import pytest
 
 from conftest import subject_program
-from repro.bench.metrics import time_only
 from repro.bench.tables import render_table
 from repro.core.checkers import DoubleFreeChecker, UseAfterFreeChecker
 from repro.core.engine import EngineConfig, Pinpoint
 from repro.core.pipeline import prepare_source
+from repro.obs.measure import time_only
 from repro.synth.juliet import generate_juliet_suite, suite_source as juliet_source
 from repro.synth.precision import (
     generate_precision_suite,

@@ -15,7 +15,6 @@ from __future__ import annotations
 import pytest
 
 from conftest import subject_program
-from repro.bench.metrics import measure
 from repro.bench.tables import render_table
 from repro.core.engine import Pinpoint
 from repro.core.checkers import (
@@ -23,6 +22,7 @@ from repro.core.checkers import (
     PathTraversalChecker,
     UseAfterFreeChecker,
 )
+from repro.obs.measure import measure
 
 
 def test_table2_taint_checkers(record_result):

@@ -20,10 +20,10 @@ import pytest
 
 from conftest import subject_program
 from repro.baselines.intraunit import IntraUnitBaseline
-from repro.bench.metrics import time_only
 from repro.bench.tables import render_table
 from repro.core.engine import Pinpoint
 from repro.core.checkers import UseAfterFreeChecker
+from repro.obs.measure import time_only
 from repro.synth.generator import classify_reports
 
 SWEEP = ["tmux", "transmission", "git", "vim", "libicu", "php", "mysql"]

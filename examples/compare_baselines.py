@@ -17,8 +17,8 @@ from repro import Pinpoint, UseAfterFreeChecker
 from repro.baselines.ifds import IFDSBaseline
 from repro.baselines.intraunit import IntraUnitBaseline
 from repro.baselines.svf import SVFBaseline
-from repro.bench.metrics import time_only
 from repro.bench.tables import render_table
+from repro.obs.measure import time_only
 from repro.synth.generator import (
     GeneratorConfig,
     classify_reports,

@@ -22,19 +22,13 @@ directories are pruned the first time a store is opened by a newer
 schema, and every unreadable/corrupt entry is evicted on read instead
 of crashing the run.
 
+:class:`~repro.cache.store.MemoryTier` puts a live-object tier with the
+same keys in front of a store for long-lived incremental sessions.
+
 Metrics (merged into the ``repro.obs`` registry): ``cache.hits``,
 ``cache.misses``, ``cache.writes``, ``cache.evictions``.
 """
 
-from repro.cache.journal import (
-    JOURNAL_FILE,
-    JOURNAL_SCHEMA,
-    RESUME_ENV,
-    JournalState,
-    RunJournal,
-    open_journal,
-    resolve_resume,
-)
 from repro.cache.keys import (
     SCHEMA_VERSION,
     ast_fingerprint,
@@ -42,23 +36,23 @@ from repro.cache.keys import (
     prepare_cache_key,
     signature_fingerprint,
 )
-from repro.cache.store import CACHE_DIR_ENV, SummaryStore, open_store, resolve_cache_dir
+from repro.cache.store import (
+    CACHE_DIR_ENV,
+    MemoryTier,
+    SummaryStore,
+    open_store,
+    resolve_cache_dir,
+)
 
 __all__ = [
     "SCHEMA_VERSION",
     "CACHE_DIR_ENV",
-    "JOURNAL_FILE",
-    "JOURNAL_SCHEMA",
-    "JournalState",
-    "RESUME_ENV",
-    "RunJournal",
+    "MemoryTier",
     "SummaryStore",
     "ast_fingerprint",
     "key_digest",
-    "open_journal",
     "open_store",
     "prepare_cache_key",
     "resolve_cache_dir",
-    "resolve_resume",
     "signature_fingerprint",
 ]

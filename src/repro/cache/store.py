@@ -236,3 +236,47 @@ class SummaryStore:
             "bytes": total_bytes,
             "pruned_stale_versions": self.pruned_versions,
         }
+
+
+class MemoryTier:
+    """In-process artifact tier in front of an optional :class:`SummaryStore`.
+
+    Same ``get``/``put`` surface and the same digests as the disk store,
+    but entries stay live objects — never pickled — and a lookup that
+    misses here falls through to ``backing``.  :meth:`end_run` keeps only
+    the entries the run just finished touched, so the tier holds at most
+    one program version (what a long-lived
+    :class:`~repro.core.incremental.IncrementalAnalyzer` needs for its
+    next edit)."""
+
+    def __init__(self, backing: Optional[SummaryStore] = None) -> None:
+        self.backing = backing
+        self._entries: Dict[str, Tuple[str, Any, Any]] = {}
+        self._touched: Dict[str, Tuple[str, Any, Any]] = {}
+
+    def get(self, digest: str) -> Optional[Tuple[str, Any, Any]]:
+        entry = self._entries.get(digest)
+        if entry is None and self.backing is not None:
+            entry = self.backing.get(digest)
+        if entry is not None:
+            self._touched[digest] = entry
+        return entry
+
+    def put(self, digest: str, name: str, prepared: Any, seg: Any = None) -> None:
+        self._touched[digest] = (name, prepared, seg)
+        if self.backing is not None:
+            self.backing.put(digest, name, prepared, seg)
+
+    def end_run(self) -> None:
+        """Drop every entry the last run did not touch."""
+        self._entries, self._touched = self._touched, {}
+
+    def discard(self, digest: str) -> None:
+        self._entries.pop(digest, None)
+
+    def clear(self) -> None:
+        self._entries.clear()
+        self._touched.clear()
+
+    def __len__(self) -> int:
+        return len(self._entries)

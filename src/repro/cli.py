@@ -31,7 +31,6 @@ from repro import (
     Pinpoint,
     UseAfterFreeChecker,
 )
-from repro.cache import open_journal, resolve_cache_dir, resolve_resume
 from repro.lang.parser import ParseError
 from repro.obs import (
     atomic_write,
@@ -255,27 +254,11 @@ def _print_stats(stats) -> None:
     )
     if any(data[k] for k in robust_keys):
         print("  [robust] " + " ".join(f"{k}={data[k]}" for k in robust_keys))
-    from repro.obs.metrics import Counter, Gauge
+    from repro.obs.metrics import Counter
 
-    registry = get_registry()
-
-    def _total(name: str) -> int:
-        metric = registry.get(name)
-        return int(metric.total()) if isinstance(metric, Counter) else 0
-
-    retries = _total("sched.retries")
-    skips = _total("journal.skips")
-    resumed_gauge = registry.get("sched.resumed")
-    resumed = bool(
-        isinstance(resumed_gauge, Gauge)
-        and resumed_gauge.items()
-        and resumed_gauge.items()[-1][1]
-    )
-    if retries or skips or resumed:
-        print(
-            f"  [sched] retries={retries} journal_skips={skips} "
-            f"resumed={'yes' if resumed else 'no'}"
-        )
+    retries = get_registry().get("sched.retries")
+    if isinstance(retries, Counter) and retries.total():
+        print(f"  [sched] retries={int(retries.total())}")
     from repro.obs import Histogram
 
     smt_hist = get_registry().get("smt.solve_seconds")
@@ -306,21 +289,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     monitor = _start_monitor(args)
     get_progress().begin_run("check", label=args.file)
 
-    # The run journal lives under the cache dir (the artifacts a resume
-    # replays live there too), falling back to the history dir; with
-    # neither configured there is nowhere durable to journal to.
-    journal = open_journal(
-        resolve_cache_dir(args.cache_dir),
-        resolve_history_dir(getattr(args, "history_dir", "")),
-    )
-    resume = resolve_resume(getattr(args, "resume", False))
-    if resume and journal is None:
-        print(
-            "[resume] no journal location (pass --cache-dir or "
-            "--history-dir); running fresh",
-            file=sys.stderr,
-        )
-
     def analyze():
         slow_point()
         engine = Pinpoint.from_source(
@@ -331,8 +299,6 @@ def cmd_check(args: argparse.Namespace) -> int:
             jobs=args.jobs or None,
             cache_dir=args.cache_dir or None,
             worker_timeout=args.worker_timeout,
-            journal=journal,
-            resume=resume,
         )
         return engine, [engine.check(CHECKERS[name]()) for name in names]
 
@@ -452,7 +418,6 @@ def cmd_check(args: argparse.Namespace) -> int:
             "smt": not args.no_smt,
             "verify": args.verify,
             "fault": args.fault,
-            "resume": resume,
             "pta": engine.pta_tier,
         },
         wall_seconds=wall_seconds,
@@ -1349,17 +1314,9 @@ def cmd_history_diff(args: argparse.Namespace) -> int:
             "same_fingerprint": old["fingerprint"] == new["fingerprint"],
             "same_findings_digest": old["findings"].get("digest")
             == new["findings"].get("digest"),
-            "resumed": [
-                bool(old.get("sched", {}).get("resumed")),
-                bool(new.get("sched", {}).get("resumed")),
-            ],
             "retries": [
                 int(old.get("sched", {}).get("retries", 0)),
                 int(new.get("sched", {}).get("retries", 0)),
-            ],
-            "journal_skips": [
-                int(old.get("sched", {}).get("journal_skips", 0)),
-                int(new.get("sched", {}).get("journal_skips", 0)),
             ],
             "attr": {
                 "critical_path_seconds": [
@@ -1440,24 +1397,8 @@ def cmd_history_diff(args: argparse.Namespace) -> int:
         print(f"  pta[{old_tier} -> {new_tier}] " + "; ".join(pta_bits))
     old_s = old.get("sched", {})
     new_s = new.get("sched", {})
-    flags = []
-    if old_s.get("resumed") or new_s.get("resumed"):
-        flags.append(
-            "resumed "
-            f"{'yes' if old_s.get('resumed') else 'no'} -> "
-            f"{'yes' if new_s.get('resumed') else 'no'}"
-        )
-    if old_s.get("journal_skips") or new_s.get("journal_skips"):
-        flags.append(
-            f"journal_skips {old_s.get('journal_skips', 0)} -> "
-            f"{new_s.get('journal_skips', 0)}"
-        )
     if old_s.get("retries") or new_s.get("retries"):
-        flags.append(
-            f"retries {old_s.get('retries', 0)} -> {new_s.get('retries', 0)}"
-        )
-    if flags:
-        print("  " + "; ".join(flags))
+        print(f"  retries {old_s.get('retries', 0)} -> {new_s.get('retries', 0)}")
     # Cost attribution (parallel runs): the dispatch-overhead share and
     # critical path, so "did the perf PR move the split" is one diff.
     if old_s.get("critical_path_seconds") or new_s.get("critical_path_seconds"):
@@ -1619,15 +1560,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-function ceiling for worker tasks under --jobs; a task "
         "past it walks the retry ladder (backoff, isolation) and is "
         "quarantined (exit 3) only when that is exhausted",
-    )
-    par.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume a crashed run from the write-ahead journal under "
-        "the cache/history dir: journaled functions load from the "
-        "artifact cache, only the rest recompute, and the report is "
-        "byte-identical to an uninterrupted run (default: the "
-        "REPRO_RESUME environment variable, else off)",
     )
 
     check = sub.add_parser(

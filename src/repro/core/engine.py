@@ -314,20 +314,16 @@ class Pinpoint:
         jobs: Optional[int] = None,
         cache_dir: Optional[str] = None,
         worker_timeout: float = 0.0,
-        journal=None,
-        resume: bool = False,
     ) -> "Pinpoint":
         """Parse, prepare and index a program.
 
         ``jobs > 1`` prepares call-graph waves on a process pool;
-        ``cache_dir`` persists per-function artifacts across runs.
-        When either is left unset, the ``REPRO_JOBS`` /
+        ``cache_dir`` persists per-function artifacts across runs, so a
+        rerun after a crash recomputes only what the killed run had not
+        stored.  When either is left unset, the ``REPRO_JOBS`` /
         ``REPRO_CACHE_DIR`` environment variables apply (an explicit
-        ``jobs=1`` wins over the environment).  ``journal`` (a
-        :class:`repro.cache.RunJournal`) makes the preparation phase
-        crash-durable and ``resume=True`` replays a previous run's
-        journaled prefix.  Reports are byte-identical to a serial,
-        uncached, uninterrupted run."""
+        ``jobs=1`` wins over the environment).  Reports are
+        byte-identical to a serial, uncached, uninterrupted run."""
         from repro.cache import open_store
         from repro.sched import resolve_jobs
 
@@ -345,8 +341,6 @@ class Pinpoint:
                 jobs=resolve_jobs(jobs),
                 store=store,
                 worker_timeout=worker_timeout,
-                journal=journal,
-                resume=resume,
             ),
             config,
             budget,
@@ -709,6 +703,7 @@ class _CheckerRun:
         vertices, edges = self.engine.seg_size()
         self.stats.seg_vertices = vertices
         self.stats.seg_edges = edges
+        self.stats.seconds_prepare = self.module.seconds
         self.stats.seconds_seg = self.engine.seg_seconds
         self.stats.seconds_search = time.perf_counter() - self._search_start
         self.stats.smt_queries = self.smt.queries

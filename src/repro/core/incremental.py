@@ -18,23 +18,13 @@ while a body-only edit re-analyzes just the one function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional
 
-from repro.cache.keys import key_digest, prepare_cache_key
+from repro.cache.store import MemoryTier
 from repro.core.engine import CheckMemo, EngineConfig, Pinpoint
-from repro.core.pipeline import (
-    PreparedFunction,
-    PreparedModule,
-    prepare_function,
-)
-from repro.ir.callgraph import CallGraph
-from repro.ir.lower import lower_program
 from repro.lang import ast
 from repro.lang.parser import parse_program
-from repro.obs.metrics import get_registry
-from repro.obs.trace import trace
-from repro.transform.connectors import ConnectorSignature
 
 
 @dataclass
@@ -47,25 +37,17 @@ class IncrementalStats:
         return self.analyzed + self.reused
 
 
-@dataclass
-class _CacheEntry:
-    key: Tuple
-    prepared: PreparedFunction
-    # The SEG the engine built from these artifacts, harvested after
-    # engine construction so the next warm run skips the rebuild (same
-    # contract as the on-disk store's seg column: purely derived data,
-    # keyed by the same fingerprints).
-    seg: Optional[object] = None
-
-
 class IncrementalAnalyzer:
     """Analyzes successive versions of a program, reusing artifacts.
 
-    ``store`` (a :class:`repro.cache.SummaryStore`) adds a second,
-    persistent tier: artifacts missing from the in-memory cache are
-    looked up on disk before being recomputed, and fresh computations
-    are written back, so a brand-new analyzer warm-starts from a cache
-    directory populated by a previous process.
+    Preparation runs through the one bottom-up driver
+    (:func:`repro.sched.scheduler.prepare_program`) against a
+    :class:`~repro.cache.store.MemoryTier`: unchanged functions come back
+    from memory by their content address, and only what the last run
+    touched stays resident.  ``store`` (a :class:`repro.cache.SummaryStore`)
+    backs that tier, so a brand-new analyzer warm-starts from a cache
+    directory populated by a previous process and fresh results are
+    written back to it.
     """
 
     def __init__(
@@ -73,11 +55,13 @@ class IncrementalAnalyzer:
     ) -> None:
         self.config = config
         self.store = store
-        self._cache: Dict[str, _CacheEntry] = {}
+        self._tier = MemoryTier(store)
+        # Function name -> content address, from the last run.
+        self._digests: Dict[str, str] = {}
         # Check-phase memo: per-checker, per-function summaries/reports
         # recorded by the engine so warm re-checks replay unchanged
         # functions instead of re-searching them (see
-        # :class:`repro.core.engine.CheckMemo`).  The prepare cache
+        # :class:`repro.core.engine.CheckMemo`).  The memory tier
         # bounds re-*preparation* to the edit's invalidation cone; this
         # bounds the *checker pass* the same way.
         self.check_memo = CheckMemo()
@@ -92,110 +76,43 @@ class IncrementalAnalyzer:
     def warm(self) -> bool:
         """Has this analyzer prepared at least one program already?
         (The service layer uses this to classify requests cold/warm.)"""
-        return bool(self._cache)
+        return bool(self._tier)
 
     @property
     def cached_functions(self) -> int:
-        return len(self._cache)
+        return len(self._tier)
 
     def analyze_program(self, program: ast.Program, budget=None) -> Pinpoint:
-        from repro.pta.flowsense import resolve_pta_tier
+        """Prepare ``program`` the way :meth:`Pinpoint.from_source` does —
+        on the fi tier (``--pta=fs`` escalates per function at check
+        time), under ``budget``, with the config's IR verification — but
+        against this analyzer's memory tier."""
+        from repro.sched.scheduler import prepare_program
 
-        tier = resolve_pta_tier(
-            self.config.pta_tier if self.config is not None else ""
+        prepared = prepare_program(
+            program,
+            budget=budget,
+            verify=self.config.verify if self.config is not None else "",
+            store=self._tier,
         )
-        stats = IncrementalStats()
-        prepared = PreparedModule()
-        module = lower_program(program)
-        callgraph = CallGraph(module)
-        prepared.callgraph = callgraph
-        order = callgraph.bottom_up_order()
-        prepared.order = order
-
-        ast_by_name = {f.name: f for f in program.functions}
-        prepared.asts = dict(ast_by_name)
-        scc_of: Dict[str, int] = {}
-        for index, scc in enumerate(callgraph.sccs()):
-            for member in scc:
-                scc_of[member] = index
-
-        signatures: Dict[str, ConnectorSignature] = {}
-        next_cache: Dict[str, _CacheEntry] = {}
-        for name in order:
-            func_ast = ast_by_name[name]
-            usable = {
-                callee: sig
-                for callee, sig in signatures.items()
-                if scc_of.get(callee) != scc_of.get(name)
-            }
-            own_callees = callgraph.callees.get(name, set())
-            key = prepare_cache_key(func_ast, usable, own_callees, pta_tier=tier)
-            cached = self._cache.get(name)
-            registry = get_registry()
-            if cached is not None and cached.key == key:
-                result = cached.prepared
-                if cached.seg is not None:
-                    prepared.segs[name] = cached.seg
-                stats.reused += 1
-                registry.counter(
-                    "engine.prepare_cache.hit",
-                    "Incremental runs reusing a function's prepared artifacts",
-                ).inc()
-            else:
-                result = None
-                if self.store is not None:
-                    entry = self.store.get(key_digest(key))
-                    if entry is not None:
-                        _stored_name, result, seg = entry
-                        if seg is not None:
-                            prepared.segs[name] = seg
-                        stats.reused += 1
-                        registry.counter(
-                            "engine.prepare_cache.hit",
-                            "Incremental runs reusing a function's"
-                            " prepared artifacts",
-                        ).inc()
-                if result is None:
-                    with trace("prepare.fn", unit=name, incremental=True):
-                        result = prepare_function(
-                            func_ast, usable, prepared.linear, pta_tier=tier
-                        )
-                    stats.analyzed += 1
-                    registry.counter(
-                        "engine.prepare_cache.miss",
-                        "Incremental runs re-preparing a function",
-                    ).inc()
-                    if self.store is not None:
-                        self.store.put(key_digest(key), name, result)
-            next_cache[name] = _CacheEntry(
-                key, result, seg=prepared.segs.get(name)
-            )
-            signatures[name] = result.signature
-            prepared.functions[name] = result
-        self._cache = next_cache
-        self.last_stats = stats
-        self.check_memo.prune(set(next_cache))
+        self._tier.end_run()
+        self._digests = prepared.digests
+        reused = len(prepared.cached)
+        self.last_stats = IncrementalStats(
+            analyzed=len(prepared.digests) - reused, reused=reused
+        )
+        self.check_memo.prune(set(prepared.digests))
         engine = Pinpoint(prepared, self.config, budget)
         engine.check_memo = self.check_memo
-        engine.prepare_digests = {
-            name: key_digest(entry.key) for name, entry in next_cache.items()
-        }
-        # Harvest the SEGs this engine just built (before any check-time
-        # fs escalation can swap functions to the precise tier, so the
-        # cached SEG always matches the cached fi artifacts).
-        for name, entry in next_cache.items():
-            if entry.seg is None:
-                pf = engine.functions.get(name)
-                if pf is not None:
-                    entry.seg = pf.seg
+        engine.prepare_digests = prepared.digests
         return engine
 
     def invalidate(self, name: Optional[str] = None) -> None:
-        """Drop one function's cache entry, or everything."""
+        """Drop one function's cached artifacts, or everything."""
         if name is None:
-            self._cache.clear()
-        else:
-            self._cache.pop(name, None)
+            self._tier.clear()
+        elif name in self._digests:
+            self._tier.discard(self._digests[name])
         self.check_memo.invalidate(name)
 
 

@@ -16,36 +16,30 @@ transformed against its callees' already-computed connector signatures:
 Calls to functions in the same call-graph SCC (recursion) are left
 untransformed — the paper unrolls call-graph cycles once; such calls are
 treated as opaque external calls.
+
+This module holds the per-function unit of work (:func:`prepare_function`)
+and the parse front end; the bottom-up loop over the call graph is
+:func:`repro.sched.scheduler.prepare_program`, which every entry point
+here calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.ir import cfg
 from repro.ir.callgraph import CallGraph
 from repro.ir.controldep import control_dependence
 from repro.ir.gating import GateInfo
-from repro.ir.lower import lower_program
 from repro.ir.ssa import to_ssa
 from repro.lang import ast
 from repro.lang.parser import parse_program, parse_program_tolerant
-from repro.obs.log import get_logger
 from repro.obs.progress import get_progress
 from repro.obs.trace import trace
 from repro.pta.intraproc import PointsToAnalysis, PointsToResult
 from repro.robust.budget import ResourceBudget
-from repro.robust.diagnostics import (
-    REASON_BUDGET,
-    REASON_PARSE_ERROR,
-    STAGE_PARSE,
-    STAGE_PREPARE,
-    STAGE_PTA,
-    DiagnosticLog,
-)
-from repro.robust.faults import fault_point
-from repro.robust.quarantine import Quarantine
+from repro.robust.diagnostics import REASON_PARSE_ERROR, STAGE_PARSE, DiagnosticLog
 from repro.smt.linear_solver import LinearSolver
 from repro.transform.connectors import (
     ConnectorSignature,
@@ -53,8 +47,6 @@ from repro.transform.connectors import (
     transform_function_interface,
 )
 from repro.transform.modref import ModRefSummary, compute_modref
-
-_log = get_logger("pipeline")
 
 
 @dataclass
@@ -105,6 +97,13 @@ class PreparedModule:
     # engine's per-function escalation path (--pta=fs) can re-prepare a
     # candidate function under the precise tier without re-parsing.
     asts: Dict[str, ast.FuncDef] = field(default_factory=dict)
+    # Filled when preparation ran against an artifact store: each
+    # function's content address (repro.cache.keys) and the functions
+    # whose artifacts the store served instead of recomputing them.
+    digests: Dict[str, str] = field(default_factory=dict)
+    cached: Set[str] = field(default_factory=set)
+    # Wall seconds the prepare driver spent on this module.
+    seconds: float = 0.0
 
     def __getitem__(self, name: str) -> PreparedFunction:
         return self.functions[name]
@@ -123,98 +122,23 @@ def prepare_module(
     verify: str = "",
     pta_tier: str = "fi",
 ) -> PreparedModule:
-    """Run the preparation pipeline on a whole program.
+    """Prepare a parsed program serially, without an artifact store.
 
     A function whose preparation raises is *quarantined*: it is dropped
     from the prepared module (recorded as a diagnostic) and its callers
     treat calls to it as opaque external calls — exactly the treatment
-    same-SCC callees already get.  Nothing short of a fatal signal
-    aborts the whole module.
+    same-SCC callees already get.  ``verify`` runs the IR verifier on
+    each prepared function; a violating function is quarantined too.
+    See :func:`repro.sched.scheduler.prepare_program`."""
+    from repro.sched.scheduler import prepare_program
 
-    ``verify`` (``off``/``fast``/``full``, defaulting to the
-    ``REPRO_VERIFY`` environment variable) runs the IR verifier on each
-    prepared function; a function violating a structural invariant is
-    quarantined just like one whose preparation crashed."""
-    from repro.verify import MODE_OFF, record_violations, resolve_mode, timed_verify
-    from repro.verify.ir_verifier import verify_function_ir
-
-    verify_mode = resolve_mode(verify)
-    prepared = PreparedModule()
-    if diagnostics is not None:
-        prepared.diagnostics = diagnostics
-    linear = prepared.linear
-
-    # Lower twice is avoided: we lower once for the call graph shape, then
-    # re-lower per function for the throwaway Mod/Ref copy (lowering is
-    # deterministic, but instruction uids differ; only the final SSA
-    # function's uids matter downstream).
-    with trace("lower", unit="<module>"):
-        module = lower_program(program)
-        callgraph = CallGraph(module)
-    prepared.callgraph = callgraph
-    order = callgraph.bottom_up_order()
-
-    ast_by_name = {f.name: f for f in program.functions}
-    prepared.asts = dict(ast_by_name)
-    signatures: Dict[str, ConnectorSignature] = {}
-    scc_of: Dict[str, int] = {}
-    for index, scc in enumerate(callgraph.sccs()):
-        for member in scc:
-            scc_of[member] = index
-
-    progress = get_progress()
-    progress.set_stage("prepare", functions=len(order))
-    progress.set_functions_total(len(order))
-
-    log = prepared.diagnostics
-    for name in order:
-        func_ast = ast_by_name[name]
-
-        # Signatures usable at this function's call sites: all known ones
-        # except same-SCC members (recursion unrolled once).
-        usable = {
-            callee: sig
-            for callee, sig in signatures.items()
-            if scc_of.get(callee) != scc_of.get(name)
-        }
-        zone = Quarantine(log, STAGE_PREPARE, name, line=func_ast.line)
-        with zone, trace("prepare.fn", unit=name):
-            fault_point("prepare", name)
-            result = prepare_function(
-                func_ast, usable, linear, budget=budget, pta_tier=pta_tier
-            )
-        if zone.tripped:
-            progress.tick(quarantined=1)
-            continue
-        if verify_mode != MODE_OFF:
-            with timed_verify("ir"), trace("verify.ir", unit=name):
-                violations = verify_function_ir(
-                    result.function, result.control_deps, dom=result.gates.dom
-                )
-            if violations:
-                errors = record_violations(violations, log)
-                if errors:
-                    prepared.verify_failures[name] = ("cfg", result.function)
-                    progress.tick(quarantined=1)
-                    continue
-        if result.points_to.degraded:
-            log.record(
-                STAGE_PTA,
-                name,
-                REASON_BUDGET,
-                detail="points-to conditions degraded to TRUE",
-                line=func_ast.line,
-            )
-        signatures[name] = result.signature
-        prepared.functions[name] = result
-        prepared.order.append(name)
-        progress.tick(prepared=1)
-    _log.info(
-        "module prepared",
-        functions=len(prepared.functions),
-        quarantined=len(order) - len(prepared.functions),
+    return prepare_program(
+        program,
+        budget=budget,
+        diagnostics=diagnostics,
+        verify=verify,
+        pta_tier=pta_tier,
     )
-    return prepared
 
 
 def prepare_function(
@@ -320,8 +244,6 @@ def prepare_source(
     jobs: int = 1,
     store=None,
     worker_timeout: float = 0.0,
-    journal=None,
-    resume: bool = False,
     pta_tier: str = "fi",
 ) -> PreparedModule:
     """Parse and prepare a program given as source text.
@@ -332,68 +254,36 @@ def prepare_source(
 
     ``jobs > 1`` prepares call-graph waves on a process pool and
     ``store`` (a :class:`repro.cache.SummaryStore`) persists/loads
-    per-function artifacts; both route through the wave scheduler,
-    which guarantees results identical to the serial path.  ``journal``
-    (a :class:`repro.cache.RunJournal`) write-ahead-logs per-function
-    completion for crash durability, and ``resume=True`` replays the
-    journaled prefix of a previous run from the store."""
+    per-function artifacts; results are identical either way."""
+    from repro.sched.scheduler import prepare_program
+
     if budget is not None:
         budget.start()
     get_progress().set_stage("parse")
     if not recover:
         with trace("parse", unit="<module>"):
             program = parse_program(source)
-        return _prepare(
-            program, budget, diagnostics, verify, jobs, store, worker_timeout,
-            journal, resume, pta_tier,
-        )
-    log = diagnostics if diagnostics is not None else DiagnosticLog()
-    with trace("parse", unit="<module>") as span:
-        program, errors = parse_program_tolerant(source)
-        span.set(functions=len(program.functions), parse_errors=len(errors))
-    for error in errors:
-        log.record(
-            STAGE_PARSE,
-            getattr(error, "unit", "") or "<module>",
-            REASON_PARSE_ERROR,
-            detail=error.message,
-            line=error.line,
-        )
-    return _prepare(
-        program, budget, log, verify, jobs, store, worker_timeout, journal,
-        resume, pta_tier,
-    )
-
-
-def _prepare(
-    program: ast.Program,
-    budget: Optional[ResourceBudget],
-    diagnostics: Optional[DiagnosticLog],
-    verify: str,
-    jobs: int,
-    store,
-    worker_timeout: float,
-    journal=None,
-    resume: bool = False,
-    pta_tier: str = "fi",
-) -> PreparedModule:
-    """Serial pipeline, or the wave scheduler when parallelism, the
-    artifact cache, or the run journal is requested."""
-    if jobs and jobs > 1 or store is not None or journal is not None:
-        from repro.sched.scheduler import prepare_program
-
-        return prepare_program(
-            program,
-            jobs=jobs or 1,
-            budget=budget,
-            diagnostics=diagnostics,
-            verify=verify,
-            store=store,
-            worker_timeout=worker_timeout,
-            journal=journal,
-            resume=resume,
-            pta_tier=pta_tier,
-        )
-    return prepare_module(
-        program, budget, diagnostics, verify=verify, pta_tier=pta_tier
+    else:
+        if diagnostics is None:
+            diagnostics = DiagnosticLog()
+        with trace("parse", unit="<module>") as span:
+            program, errors = parse_program_tolerant(source)
+            span.set(functions=len(program.functions), parse_errors=len(errors))
+        for error in errors:
+            diagnostics.record(
+                STAGE_PARSE,
+                getattr(error, "unit", "") or "<module>",
+                REASON_PARSE_ERROR,
+                detail=error.message,
+                line=error.line,
+            )
+    return prepare_program(
+        program,
+        jobs=jobs or 1,
+        budget=budget,
+        diagnostics=diagnostics,
+        verify=verify,
+        store=store,
+        worker_timeout=worker_timeout,
+        pta_tier=pta_tier,
     )

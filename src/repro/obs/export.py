@@ -26,8 +26,8 @@ def ensure_parent_dir(path: str) -> None:
 def append_line(path: str, line: str, fsync: bool = False) -> None:
     """Append one line to ``path`` with a single ``os.write``.
 
-    The companion of :func:`atomic_write` for append-only logs (the run
-    journal, history ``runs.jsonl``): a whole-file rewrite per record
+    The companion of :func:`atomic_write` for append-only logs (history
+    ``runs.jsonl``): a whole-file rewrite per record
     would be quadratic, so appends go through one ``write(2)`` on an
     ``O_APPEND`` descriptor instead.  A crash (SIGKILL, OOM-kill) can
     tear at most the final line — page-cache writes survive process

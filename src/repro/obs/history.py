@@ -191,12 +191,7 @@ def collect_run_record(
             "jobs": int(_gauge_value(registry, "sched.jobs")),
             "waves": int(_gauge_value(registry, "sched.waves")),
             "tasks": int(_counter_total(registry, "sched.tasks")),
-            # Crash-durability annotations: did this run resume from a
-            # write-ahead journal, how much did the journal save, and
-            # how hard did the supervision policy have to work?
-            "resumed": bool(_gauge_value(registry, "sched.resumed")),
-            "resume_wave": int(_gauge_value(registry, "sched.resume_wave")),
-            "journal_skips": int(_counter_total(registry, "journal.skips")),
+            # How hard did the supervision policy have to work?
             "retries": int(_counter_total(registry, "sched.retries")),
             # Cost attribution (repro.obs.attr): the scheduler's own
             # answer to "where did the time go", regression-gated by

@@ -1,8 +1,7 @@
 """Wall-time and peak-memory measurement (nesting-safe).
 
 This is the home of the ``Measurement`` machinery the benchmark harness
-and ``repro profile`` share; :mod:`repro.bench.metrics` re-exports it for
-backward compatibility.
+and ``repro profile`` share.
 
 Peak memory is tracemalloc's high-water mark over the call — the same
 "how much memory does building this graph take" question the paper's

@@ -2,8 +2,8 @@
 
 A process-global :class:`ProgressTracker` receives coarse progress
 signals from the pipeline — stage transitions (parse → prepare → seg →
-checker), wave boundaries from the parallel scheduler, per-function
-ticks — and turns them into
+checker), wave boundaries from the prepare driver, checker completions —
+and turns them into
 
 - a point-in-time :meth:`~ProgressTracker.snapshot` (the monitor's
   ``/status`` endpoint), and
@@ -121,16 +121,6 @@ class ProgressTracker:
             cached=cached,
             quarantined=quarantined,
         )
-
-    def tick(self, prepared: int = 0, cached: int = 0, quarantined: int = 0) -> None:
-        """Per-function progress from the serial pipeline (no event, so
-        a 10k-function module does not flood the stream)."""
-        if not self.enabled:
-            return
-        with self._lock:
-            self.functions_prepared += prepared
-            self.functions_cached += cached
-            self.functions_quarantined += quarantined
 
     def checker_done(self, name: str, reports: int) -> None:
         if not self.enabled:

@@ -41,7 +41,6 @@ from repro.robust.faults import (
     fault_point,
     install_faults,
     reset_faults,
-    torn_write_armed,
 )
 from repro.robust.quarantine import Quarantine
 from repro.robust.retry import (
@@ -71,6 +70,5 @@ __all__ = [
     "fault_point",
     "install_faults",
     "reset_faults",
-    "torn_write_armed",
     "with_retries",
 ]

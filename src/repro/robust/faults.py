@@ -40,20 +40,16 @@ ENV_VAR = "REPRO_FAULTS"
 #: the CLI's measured region, so perf-regression detection can be
 #: exercised deterministically.
 #:
-#: The crash-durability sites (ISSUE 6):
+#: The crash-durability sites:
 #: - ``kill-worker:<wave>`` kills any worker process the moment it
 #:   picks up a task of that call-graph wave (``os._exit``, like
 #:   ``sched`` but keyed by wave index instead of function name), so
 #:   tests can SIGKILL-like interrupt a run mid-wave deterministically;
-#: - ``torn-journal`` makes the run journal's next append write only a
-#:   truncated prefix and then go silent — the on-disk shape a real
-#:   mid-append crash leaves (consumed by :func:`torn_write_armed`,
-#:   non-raising);
-#: - ``disk-full`` raises ``OSError(ENOSPC)`` from cache/journal write
-#:   paths (consumed by :func:`disk_full_point`) to exercise the
+#: - ``disk-full`` raises ``OSError(ENOSPC)`` from the artifact store's
+#:   write path (consumed by :func:`disk_full_point`) to exercise the
 #:   supervised I/O retry path in ``repro.robust.retry``.
 SITES = ("parse", "prepare", "seg", "smt", "sched", "slow",
-         "kill-worker", "torn-journal", "disk-full")
+         "kill-worker", "disk-full")
 
 
 class InjectedFault(RuntimeError):
@@ -203,26 +199,15 @@ def slow_point() -> None:
 def disk_full_point(unit: str = "") -> None:
     """Raise ``OSError(ENOSPC)`` if a ``disk-full`` fault is armed.
 
-    Sits on the cache-store and journal write paths, *inside* the
+    Sits on the artifact store's write path, *inside* the
     supervised-retry scope: a counted rule (``disk-full*2``) proves the
-    backoff path recovers, an unlimited rule proves the subsystem
-    degrades (cache put returns False, the journal disables itself)
-    without failing the run."""
+    backoff path recovers, an unlimited rule proves the store degrades
+    (``put`` returns False) without failing the run."""
     plan = active_plan()
     if plan is not None and plan.should_fire("disk-full", unit):
         import errno
 
         raise OSError(errno.ENOSPC, f"injected disk-full writing {unit or 'entry'}")
-
-
-def torn_write_armed(unit: str = "") -> bool:
-    """Consume one ``torn-journal`` firing, if armed (non-raising).
-
-    The journal reacts by writing a truncated record prefix and then
-    going silent for the rest of the process — exactly what a crash
-    mid-append leaves on disk."""
-    plan = active_plan()
-    return plan is not None and plan.should_fire("torn-journal", unit)
 
 
 def faults_pending() -> List[str]:  # pragma: no cover - debugging aid

@@ -1,9 +1,8 @@
 """Unified retry supervision: capped backoff, budgets, escalation.
 
 Before this module each failure domain invented its own recovery:
-``repro.sched.pool`` rebuilt the pool and resubmitted immediately, the
-cache store swallowed write errors on first contact, and a transient
-journal-write failure would have silently dropped a checkpoint.  Every
+``repro.sched.pool`` rebuilt the pool and resubmitted immediately and
+the cache store swallowed write errors on first contact.  Every
 supervised retry in the repo now goes through one policy:
 
 - **capped exponential backoff** — delay doubles per attempt up to
@@ -12,7 +11,7 @@ supervised retry in the repo now goes through one policy:
   concurrent retries without randomness, so two runs over the same
   input back off identically (the repo-wide determinism discipline);
 - **per-unit retry budgets** — each unit of work (a function name, a
-  cache digest, the journal path) is charged independently;
+  cache digest) is charged independently;
 - an **escalation ladder** — ``retry`` (back into the shared pool /
   another direct attempt) → ``isolate`` (a dedicated single-worker
   attempt, so a deterministic killer cannot take innocents down with
@@ -20,7 +19,7 @@ supervised retry in the repo now goes through one policy:
   degrades the subsystem).
 
 Every retry or isolation increments the ``sched.retries`` counter,
-labelled by ``site`` (``pool``, ``cache``, ``journal``) and ``kind``
+labelled by ``site`` (``pool``, ``cache``) and ``kind``
 (``crash``, ``timeout``, ``io``), so supervised recovery is visible in
 ``--stats`` and Prometheus output.
 """
@@ -46,7 +45,7 @@ RETRIES_COUNTER = "sched.retries"
 def _count_retry(site: str, kind: str) -> None:
     get_registry().counter(
         RETRIES_COUNTER, "Supervised retries (pool resubmits, isolation "
-        "attempts, cache/journal I/O retries)"
+        "attempts, cache I/O retries)"
     ).inc(site=site, kind=kind)
 
 
@@ -97,7 +96,7 @@ class RetrySupervisor:
 
     The pool creates one per ``run_wave`` call so budgets are charged
     per wave — a function that crashed in wave 3 starts wave 4 (after a
-    source edit and resume, say) with a clean slate.
+    source edit and rerun, say) with a clean slate.
     """
 
     def __init__(
@@ -139,7 +138,7 @@ def with_retries(
 ):
     """Call ``fn`` under the retry policy; transient failures back off
     and re-attempt, a final failure re-raises for the caller's own
-    degradation path (cache: return False; journal: disable itself).
+    degradation path (the cache store's ``put`` returns False).
 
     Only exceptions in ``retryable`` are retried — an unpicklable
     payload is deterministic and retrying it would just burn the budget.

@@ -1,13 +1,14 @@
-"""repro.sched — parallel bottom-up scheduler.
+"""repro.sched — the bottom-up prepare driver and its process pool.
 
 Pinpoint's compositional design (paper §3.3) makes the expensive half of
 the run embarrassingly parallel: a function's stage 1-3 artifacts —
 transformed SSA, intraprocedural points-to, connector signature, SEG —
 depend only on its own AST and its non-recursive callees' connector
 signatures.  This package condenses the call graph into SCC *waves*
-(:mod:`repro.sched.waves`), prepares each wave's functions on a process
-pool (:mod:`repro.sched.pool` / :mod:`repro.sched.worker`), and merges
-the results deterministically (:mod:`repro.sched.scheduler`): a
+(:mod:`repro.sched.waves`) and runs the one preparation loop over them
+(:mod:`repro.sched.scheduler`), inline or — with ``jobs > 1`` — on a
+process pool (:mod:`repro.sched.pool` / :mod:`repro.sched.worker`,
+imported only then), merging the results deterministically: a
 ``--jobs N`` run emits byte-identical reports to ``--jobs 1``.
 
 The interprocedural summary/checker pass stays serial — it is cheap
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import os
 
-from repro.sched.pool import WorkerCrash, WorkerPool
 from repro.sched.scheduler import prepare_program
 from repro.sched.waves import scc_waves, wave_sizes
 
@@ -51,8 +51,6 @@ def resolve_jobs(explicit=None) -> int:
 
 __all__ = [
     "JOBS_ENV",
-    "WorkerCrash",
-    "WorkerPool",
     "prepare_program",
     "resolve_jobs",
     "scc_waves",

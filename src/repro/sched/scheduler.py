@@ -1,15 +1,24 @@
-"""Wave scheduler: parallel + cached bottom-up preparation.
+"""The bottom-up prepare driver: the one loop every preparation path runs.
 
-``prepare_program`` is the parallel/cached counterpart of
-:func:`repro.core.pipeline.prepare_module`.  It produces the *same*
-:class:`~repro.core.pipeline.PreparedModule` a serial run would —
-byte-identical downstream reports are the contract — while
+Pinpoint prepares each function once, bottom-up over the call graph,
+against its callees' connector signatures (paper §3.1-3.2, the left half
+of Fig. 6).  What that produces depends only on the function's AST and
+those signatures, so ``prepare_program`` is the only loop that does it:
+:func:`repro.core.pipeline.prepare_source`/``prepare_module`` and
+:meth:`repro.core.incremental.IncrementalAnalyzer.analyze_program` all
+call it.  Per call-graph wave it
 
-- dispatching per-function stage 1-3 work (connector transformation,
-  intraprocedural points-to, SEG construction) for each call-graph wave
-  onto a process pool (``jobs > 1``), and/or
-- loading and persisting per-function artifacts through an on-disk
-  :class:`~repro.cache.store.SummaryStore` (``--cache-dir``).
+- looks each function up in ``store`` by the content address of
+  :mod:`repro.cache.keys` (a :class:`~repro.cache.store.SummaryStore`
+  under ``--cache-dir``, or the incremental analyzer's
+  :class:`~repro.cache.store.MemoryTier` in front of one);
+- prepares the misses inline (``jobs=1``) or on a process pool
+  (``jobs > 1``) — per-function stage 1-3 work: connector
+  transformation, intraprocedural points-to, SEG construction;
+- writes the fresh, full-precision results back to ``store``.
+
+A run killed part-way leaves every function it finished in the store,
+so rerunning with the same ``--cache-dir`` recomputes only the rest.
 
 Determinism is preserved by construction:
 
@@ -19,37 +28,35 @@ Determinism is preserved by construction:
   numbering is sequential across it) sees the same world in the same
   order;
 - diagnostics are buffered per function and replayed in serial order
-  during final assembly, so the diagnostics list is byte-identical to a
-  ``--jobs 1`` run;
+  during final assembly, so the diagnostics list is the same for every
+  ``jobs`` value and every store state;
 - verification (and the admit/quarantine decision it implies) runs at
   the wave barrier because a rejected function must not publish its
-  connector signature to later waves — exactly the serial data flow.
+  connector signature to later waves.
 
-Failure semantics match the serial quarantine ladder: a Python
-exception inside a worker ships back as ``(type, message)`` and becomes
-the same ``prepare``-stage diagnostic a serial run records; a *dead or
-hung worker process* becomes a ``sched``-stage quarantine (serial runs
-can't crash that way, and a healthy parallel run records neither).
-SEG-construction failures ship ``seg=None`` and the engine rebuilds
-under its own ``seg`` quarantine, so deterministic failures reproduce
-with identical diagnostics.
+Failure semantics: a Python exception while preparing a function (inline
+or inside a worker) becomes a ``prepare``-stage quarantine diagnostic; a
+*dead or hung worker process* becomes a ``sched``-stage quarantine
+(inline runs can't crash that way, and a healthy parallel run records
+neither).  SEG-construction failures leave ``seg=None`` and the engine
+rebuilds under its own ``seg`` quarantine, so deterministic failures
+reproduce with identical diagnostics.
 
 Resource budgets are cooperative (checked inside the analysis loops of
-*this* process), so a limited budget forces the serial path — workers
-could not observe a shared deadline.  Cache lookups still apply.
+*this* process), so a limited budget forces inline preparation —
+workers could not observe a shared deadline.  Store lookups still
+apply, but a budget-degraded artifact is never written back: its
+content address names the full-precision result.
 """
 
 from __future__ import annotations
 
-import hashlib
 import pickle
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.cache.journal import JournalState, RunJournal
-from repro.cache.keys import ast_fingerprint, key_digest, prepare_cache_key
-from repro.cache.store import SummaryStore
+from repro.cache.keys import key_digest, prepare_cache_key
 from repro.core.pipeline import (
     PreparedFunction,
     PreparedModule,
@@ -73,7 +80,6 @@ from repro.robust.diagnostics import (
 )
 from repro.robust.faults import fault_point
 from repro.robust.quarantine import FATAL
-from repro.sched.pool import WorkerCrash, WorkerPool
 from repro.sched.waves import scc_waves
 
 _log = get_logger("sched")
@@ -102,21 +108,19 @@ def prepare_program(
     budget: Optional[ResourceBudget] = None,
     diagnostics: Optional[DiagnosticLog] = None,
     verify: str = "",
-    store: Optional[SummaryStore] = None,
+    store=None,
     worker_timeout: float = 0.0,
-    journal: Optional[RunJournal] = None,
-    resume: bool = False,
     pta_tier: str = "fi",
 ) -> PreparedModule:
-    """Prepare a parsed program across ``jobs`` processes with optional
-    artifact caching; drop-in replacement for ``prepare_module``.
+    """Prepare a parsed program bottom-up over its call-graph waves.
 
-    ``journal`` write-ahead-logs per-function completion so a killed
-    run leaves a consistent prefix; ``resume=True`` loads that prefix
-    and skips every journaled function whose current cache digest still
-    resolves in ``store`` — re-entering, effectively, at the first
-    incomplete wave, with reports byte-identical to an uninterrupted
-    run (skips replay the same content-addressed artifacts)."""
+    ``store`` is anything with :class:`~repro.cache.store.SummaryStore`'s
+    ``get``/``put``; with one, the module also records each function's
+    content address (``digests``) and which functions were served from
+    it (``cached``).  ``verify`` (``off``/``fast``/``full``, defaulting to
+    ``REPRO_VERIFY``) runs the IR verifier on every prepared function; a
+    violating function is quarantined like one whose preparation
+    raised."""
     from repro.verify import (
         MODE_OFF,
         SEVERITY_ERROR,
@@ -127,11 +131,14 @@ def prepare_program(
     )
     from repro.verify.ir_verifier import verify_function_ir
 
+    started = time.perf_counter()
     verify_mode = resolve_mode(verify)
     registry = get_registry()
     prepared = PreparedModule()
     if diagnostics is not None:
         prepared.diagnostics = diagnostics
+    if budget is not None:
+        budget.start()
 
     effective_jobs = max(1, int(jobs))
     if budget is not None and budget.limited and effective_jobs > 1:
@@ -172,48 +179,17 @@ def prepare_program(
 
     signatures: Dict[str, Any] = {}
     outcomes: Dict[str, _Outcome] = {}
-    digest_of: Dict[str, str] = {}
+    digests = prepared.digests
 
-    # Crash durability: fingerprint the condensation, load any prior
-    # journal when resuming, and (re)start journaling this run.
-    journal_completed: frozenset = frozenset()
-    resume_entered = False  # first non-skipped function seen yet?
-    if journal is not None:
-        program_fp, condensation_fp = _condensation_fingerprints(
-            ast_by_name, serial_order, waves
-        )
-        state: Optional[JournalState] = journal.load() if resume else None
-        if resume and state is None:
-            _log.warning(
-                "resume requested but no usable run journal; starting fresh",
-                path=journal.path,
-            )
-        if state is not None:
-            journal_completed = frozenset(state.completed)
-            if state.program_fingerprint != program_fp:
-                _log.info(
-                    "source changed since the journaled run; resuming "
-                    "incrementally (only matching functions are skipped)",
-                    journaled=state.program_fingerprint,
-                    current=program_fp,
-                )
-        journal.begin(
-            program_fingerprint=program_fp,
-            condensation=condensation_fp,
-            waves=len(waves),
-            functions=len(serial_order),
-            jobs=effective_jobs,
-            resumed_from=state,
-        )
-        registry.gauge(
-            "sched.resumed", "1 when the last run resumed from a run journal"
-        ).set(1 if state is not None else 0)
+    pool = None
+    if effective_jobs > 1:
+        from repro.sched.pool import WorkerPool
 
-    pool = WorkerPool(effective_jobs, timeout=worker_timeout) if effective_jobs > 1 else None
-    tracer = get_tracer()
+        pool = WorkerPool(effective_jobs, timeout=worker_timeout)
     # Cost attribution across the wave loop: per-wave wall, per-task
-    # compute, and the per-wave straggler (the one task every other
-    # worker waits on at the barrier) feed the attr.* gauges below.
+    # compute, and the per-wave critical path (the straggler every other
+    # worker waits on at the barrier; inline, every task in turn) feed
+    # the attr.* gauges below.
     total_wave_seconds = 0.0
     work_seconds = 0.0
     critical_path_seconds = 0.0
@@ -231,8 +207,8 @@ def prepare_program(
                         for callee, sig in signatures.items()
                         if scc_of.get(callee) != scc_of.get(name)
                     }
-                    if store is not None or journal is not None:
-                        digest = key_digest(
+                    if store is not None:
+                        digests[name] = key_digest(
                             prepare_cache_key(
                                 func_ast,
                                 usable,
@@ -240,30 +216,13 @@ def prepare_program(
                                 pta_tier=pta_tier,
                             )
                         )
-                        digest_of[name] = digest
-                        hit = store.get(digest) if store is not None else None
+                        hit = store.get(digests[name])
                         if hit is not None:
                             _stored, result, seg = hit
                             outcomes[name] = _Outcome(
                                 "prepared", result=result, seg=seg, cached=True
                             )
-                            if digest in journal_completed:
-                                # A journaled completion replayed from the
-                                # store: this is the resume fast path.
-                                registry.counter(
-                                    "journal.skips",
-                                    "Functions skipped on --resume (journaled "
-                                    "and still cache-resident)",
-                                ).inc()
                             continue
-                    if journal_completed and not resume_entered:
-                        # First function the journal cannot vouch for:
-                        # the wave we effectively re-enter the run at.
-                        resume_entered = True
-                        registry.gauge(
-                            "sched.resume_wave",
-                            "First incomplete wave a resumed run re-entered at",
-                        ).set(wave_index)
                     pending.append((name, func_ast, usable))
                 span.set(
                     functions=len(names),
@@ -272,79 +231,23 @@ def prepare_program(
                 )
 
                 if pool is not None and pending:
-                    registry.counter(
-                        "sched.tasks", "Function tasks dispatched to workers"
-                    ).inc(len(pending))
-                    wave_uid = getattr(span, "uid", None)
-                    trace_id = tracer.trace_id if tracer.enabled else ""
-                    with trace(
-                        "sched.dispatch.serialize", unit=str(wave_index)
-                    ) as ser_span:
-                        ser_started = time.perf_counter()
-                        payloads = [
-                            (
-                                name,
-                                pickle.dumps(
-                                    (
-                                        name,
-                                        func_ast,
-                                        usable,
-                                        wave_index,
-                                        pta_tier,
-                                        # Trace context: each task carries the
-                                        # wave span it belongs to plus its own
-                                        # submission timestamp (queue wait).
-                                        (trace_id, wave_uid, time.perf_counter()),
-                                    ),
-                                    protocol=pickle.HIGHEST_PROTOCOL,
-                                ),
-                            )
-                            for name, func_ast, usable in pending
-                        ]
-                        serialize_seconds = time.perf_counter() - ser_started
-                        serialize_bytes = sum(len(blob) for _, blob in payloads)
-                        ser_span.set(
-                            tasks=len(payloads), bytes=serialize_bytes
-                        )
-                    registry.counter(
-                        "sched.dispatch.serialize_seconds",
-                        "Parent-side task payload pickling",
-                    ).inc(serialize_seconds)
-                    registry.counter(
-                        "sched.dispatch.serialize_bytes",
-                        "Task payload bytes shipped to workers",
-                    ).inc(serialize_bytes)
-                    raw = pool.run_wave(payloads)
-                    result_bytes = 0
-                    with trace("sched.dispatch.decode", unit=str(wave_index)):
-                        for name, func_ast, _usable in pending:
-                            blob = raw[name]
-                            if isinstance(blob, (bytes, bytearray)):
-                                result_bytes += len(blob)
-                            outcomes[name], timings = _decode_worker_result(
-                                blob, name, parent_uid=wave_uid
-                            )
-                            task_seconds[name] = float(
-                                timings.get("task_seconds", 0.0)
-                            )
-                    registry.counter(
-                        "sched.dispatch.result_bytes",
-                        "Outcome bytes shipped back from workers",
-                    ).inc(result_bytes)
+                    _run_on_pool(
+                        pool, pending, wave_index, pta_tier,
+                        getattr(span, "uid", None), outcomes, task_seconds,
+                    )
                 else:
                     for name, func_ast, usable in pending:
                         task_started = time.perf_counter()
                         outcomes[name] = _run_inline(
                             name, func_ast, usable, prepared.linear, budget,
-                            pta_tier,
+                            pta_tier, with_seg=store is not None,
                         )
                         task_seconds[name] = time.perf_counter() - task_started
 
                 # Wave-boundary admission gate: a function must pass the
                 # IR verifier before its connector signature becomes
-                # visible to later waves — the serial pipeline's exact
-                # data flow.  Diagnostics are recorded later, in serial
-                # order, during assembly.
+                # visible to later waves.  Diagnostics are recorded
+                # later, in serial order, during assembly.
                 for name in names:
                     out = outcomes[name]
                     if out.kind != "prepared":
@@ -364,24 +267,14 @@ def prepare_program(
                             out.admitted = False
                             continue
                     signatures[name] = result.signature
-                    stored = out.cached
+                    # The one write-back site.  A budget-degraded result
+                    # must not land under the full-precision address.
                     if (
                         store is not None
                         and not out.cached
-                        and digest_of.get(name)
+                        and not result.points_to.degraded
                     ):
-                        stored = store.put(digest_of[name], name, result, out.seg)
-                    if (
-                        journal is not None
-                        and digest_of.get(name)
-                        and (stored or store is None)
-                    ):
-                        # Journal only completions whose artifacts are
-                        # durable (or that need no store at all): a
-                        # journaled digest must be replayable on resume.
-                        journal.record_function(
-                            name, digest_of[name], wave_index
-                        )
+                        store.put(digests[name], name, result, out.seg)
                 if task_seconds:
                     slowest = max(task_seconds, key=task_seconds.get)
                     span.set(
@@ -392,15 +285,17 @@ def prepare_program(
             wave_elapsed = time.perf_counter() - wave_started
             total_wave_seconds += wave_elapsed
             work_seconds += sum(task_seconds.values())
-            # The wave barrier cannot close before its slowest task; a
-            # wave with no dispatched work still spends its wall time
-            # (cache lookups, journaling) on the critical path.
-            critical_path_seconds += (
-                max(task_seconds.values()) if task_seconds else wave_elapsed
-            )
+            # The wave barrier cannot close before its slowest task (on
+            # a pool) or before all of its tasks (inline); a wave with
+            # no work still spends its wall time (store lookups) on the
+            # critical path.
+            if not task_seconds:
+                critical_path_seconds += wave_elapsed
+            elif pool is not None:
+                critical_path_seconds += max(task_seconds.values())
+            else:
+                critical_path_seconds += sum(task_seconds.values())
 
-            if journal is not None:
-                journal.record_wave(wave_index)
             wave_outcomes = [outcomes[name] for name in names]
             progress.wave_progress(
                 done=wave_index + 1,
@@ -421,46 +316,16 @@ def prepare_program(
         if pool is not None:
             pool.close()
 
-    # Run-level attribution gauges: computed from plain perf counters,
-    # so they exist (and land in run history) even when tracing is off.
-    registry.gauge(
-        "attr.wave_seconds", "Wall seconds spent inside the wave loop"
-    ).set(round(total_wave_seconds, 6))
-    registry.gauge(
-        "attr.work_seconds", "Summed per-task compute across all waves"
-    ).set(round(work_seconds, 6))
-    registry.gauge(
-        "attr.critical_path_seconds",
-        "Lower bound on scheduler wall: sum of per-wave stragglers",
-    ).set(round(critical_path_seconds, 6))
-    utilization = (
-        work_seconds / (effective_jobs * total_wave_seconds)
-        if total_wave_seconds > 0
-        else 0.0
+    _publish_attribution(
+        registry, effective_jobs, total_wave_seconds, work_seconds,
+        critical_path_seconds,
     )
-    registry.gauge(
-        "attr.utilization",
-        "Fraction of available worker-seconds spent computing "
-        "(work / jobs x wave wall)",
-    ).set(round(min(1.0, utilization), 4))
-    overhead_ratio = (
-        max(0.0, total_wave_seconds - critical_path_seconds) / total_wave_seconds
-        if total_wave_seconds > 0
-        else 0.0
-    )
-    registry.gauge(
-        "attr.overhead_ratio",
-        "Share of wave wall not explained by straggler compute "
-        "(dispatch, pickling, queueing, barrier waste)",
-    ).set(round(overhead_ratio, 4))
 
-    # Serial-order assembly: identical functions/order/diagnostics to a
-    # prepare_module run over the same outcomes.
+    # Serial-order assembly: identical functions/order/diagnostics for
+    # every jobs value and store state.
     log = prepared.diagnostics
     for name in serial_order:
-        out = outcomes.get(name)
-        if out is None:  # pragma: no cover - every name gets an outcome
-            continue
+        out = outcomes[name]
         func_ast = ast_by_name[name]
         if out.kind == "quarantined":
             log.record(
@@ -488,42 +353,58 @@ def prepare_program(
         prepared.order.append(name)
         if out.seg is not None:
             prepared.segs[name] = out.seg
+        if out.cached:
+            prepared.cached.add(name)
 
-    if journal is not None:
-        journal.finish()
+    prepared.seconds = time.perf_counter() - started
     _log.info(
         "module prepared",
         functions=len(prepared.functions),
         quarantined=len(serial_order) - len(prepared.functions),
         jobs=effective_jobs,
         waves=len(waves),
-        cached=sum(1 for out in outcomes.values() if out.cached),
+        cached=len(prepared.cached),
     )
     return prepared
 
 
-def _condensation_fingerprints(
-    ast_by_name: Dict[str, ast.FuncDef],
-    serial_order: List[str],
-    waves,
-) -> Tuple[str, str]:
-    """(program fingerprint, condensation fingerprint) for the journal.
-
-    The program fingerprint hashes every function's structural AST
-    fingerprint (whitespace/comment-insensitive, like the cache keys);
-    the condensation fingerprint additionally hashes the SCC wave plan,
-    so a resumed run can tell "same source" from "same source, same
-    schedule" when annotating its records."""
-    lines = [
-        f"{name}:{ast_fingerprint(ast_by_name[name])}"
-        for name in sorted(serial_order)
-    ]
-    program_fp = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:16]
-    plan = repr([sorted(tuple(scc) for scc in wave) for wave in waves])
-    condensation_fp = hashlib.sha256(
-        (program_fp + plan).encode("utf-8")
-    ).hexdigest()[:16]
-    return program_fp, condensation_fp
+def _publish_attribution(
+    registry: MetricsRegistry,
+    jobs: int,
+    wave_seconds: float,
+    work_seconds: float,
+    critical_path_seconds: float,
+) -> None:
+    """Run-level attribution gauges, computed from plain perf counters
+    so they exist (and land in run history) even when tracing is off."""
+    registry.gauge(
+        "attr.wave_seconds", "Wall seconds spent inside the wave loop"
+    ).set(round(wave_seconds, 6))
+    registry.gauge(
+        "attr.work_seconds", "Summed per-task compute across all waves"
+    ).set(round(work_seconds, 6))
+    registry.gauge(
+        "attr.critical_path_seconds",
+        "Lower bound on scheduler wall: sum of per-wave critical paths",
+    ).set(round(critical_path_seconds, 6))
+    utilization = (
+        work_seconds / (jobs * wave_seconds) if wave_seconds > 0 else 0.0
+    )
+    registry.gauge(
+        "attr.utilization",
+        "Fraction of available worker-seconds spent computing "
+        "(work / jobs x wave wall)",
+    ).set(round(min(1.0, utilization), 4))
+    overhead_ratio = (
+        max(0.0, wave_seconds - critical_path_seconds) / wave_seconds
+        if wave_seconds > 0
+        else 0.0
+    )
+    registry.gauge(
+        "attr.overhead_ratio",
+        "Share of wave wall not explained by critical-path compute "
+        "(dispatch, pickling, queueing, barrier waste)",
+    ).set(round(overhead_ratio, 4))
 
 
 # ----------------------------------------------------------------------
@@ -533,13 +414,11 @@ def _run_inline(
     usable: Dict[str, Any],
     linear,
     budget: Optional[ResourceBudget],
-    pta_tier: str = "fi",
+    pta_tier: str,
+    with_seg: bool,
 ) -> _Outcome:
-    """In-process task execution (``jobs=1`` with a cache dir): serial
-    pipeline semantics, plus an eager SEG build so the artifact can be
-    persisted whole."""
-    from repro.seg.builder import build_seg
-
+    """Prepare one function in this process.  ``with_seg`` also builds
+    its SEG eagerly so the artifact can be stored whole."""
     try:
         with trace("prepare.fn", unit=name):
             fault_point("prepare", name)
@@ -556,25 +435,96 @@ def _run_inline(
             line=getattr(error, "line", 0) or 0,
         )
     seg = None
-    try:
-        seg = build_seg(result)
-    except FATAL:
-        raise
-    except Exception:
-        # The engine rebuilds under its own `seg` quarantine, so a
-        # deterministic failure reproduces with identical diagnostics.
-        seg = None
+    if with_seg:
+        from repro.seg.builder import build_seg
+
+        try:
+            seg = build_seg(result)
+        except FATAL:
+            raise
+        except Exception:
+            # The engine rebuilds under its own `seg` quarantine, so a
+            # deterministic failure reproduces with identical diagnostics.
+            seg = None
     return _Outcome("prepared", result=result, seg=seg)
 
 
+def _run_on_pool(
+    pool,
+    pending: List[Tuple[str, ast.FuncDef, Dict[str, Any]]],
+    wave_index: int,
+    pta_tier: str,
+    wave_uid: Optional[int],
+    outcomes: Dict[str, _Outcome],
+    task_seconds: Dict[str, float],
+) -> None:
+    """Dispatch one wave's pending tasks to worker processes and decode
+    their outcomes into ``outcomes``/``task_seconds``, metering the
+    dispatch overhead on the way.  ``wave_uid`` is the dispatching wave
+    span, which worker spans re-parent under."""
+    registry = get_registry()
+    registry.counter(
+        "sched.tasks", "Function tasks dispatched to workers"
+    ).inc(len(pending))
+    tracer = get_tracer()
+    trace_id = tracer.trace_id if tracer.enabled else ""
+    with trace("sched.dispatch.serialize", unit=str(wave_index)) as ser_span:
+        ser_started = time.perf_counter()
+        payloads = [
+            (
+                name,
+                pickle.dumps(
+                    (
+                        name,
+                        func_ast,
+                        usable,
+                        wave_index,
+                        pta_tier,
+                        # Trace context: each task carries the wave span
+                        # it belongs to plus its own submission
+                        # timestamp (queue wait).
+                        (trace_id, wave_uid, time.perf_counter()),
+                    ),
+                    protocol=pickle.HIGHEST_PROTOCOL,
+                ),
+            )
+            for name, func_ast, usable in pending
+        ]
+        serialize_seconds = time.perf_counter() - ser_started
+        serialize_bytes = sum(len(blob) for _, blob in payloads)
+        ser_span.set(tasks=len(payloads), bytes=serialize_bytes)
+    registry.counter(
+        "sched.dispatch.serialize_seconds", "Parent-side task payload pickling"
+    ).inc(serialize_seconds)
+    registry.counter(
+        "sched.dispatch.serialize_bytes", "Task payload bytes shipped to workers"
+    ).inc(serialize_bytes)
+    raw = pool.run_wave(payloads)
+    result_bytes = 0
+    with trace("sched.dispatch.decode", unit=str(wave_index)):
+        for name, _func_ast, _usable in pending:
+            blob = raw[name]
+            if isinstance(blob, (bytes, bytearray)):
+                result_bytes += len(blob)
+            outcomes[name], timings = _decode_worker_result(
+                blob, parent_uid=wave_uid
+            )
+            task_seconds[name] = float(timings.get("task_seconds", 0.0))
+    registry.counter(
+        "sched.dispatch.result_bytes", "Outcome bytes shipped back from workers"
+    ).inc(result_bytes)
+
+
 def _decode_worker_result(
-    raw: object, name: str, parent_uid: Optional[int] = None
+    raw: object, parent_uid: Optional[int] = None
 ) -> Tuple[_Outcome, Dict[str, float]]:
     """Turn one pool result (bytes or WorkerCrash) into an outcome plus
     the worker's dispatch-timing dict, merging the worker's metrics and
     spans into this process.  ``parent_uid`` is the local uid of the
     dispatching wave span: absorbed worker spans re-parent under it so
     the merged Chrome trace keeps its cross-process causality."""
+    from repro.sched.pool import WorkerCrash
+
     no_timings: Dict[str, float] = {}
     if isinstance(raw, WorkerCrash):
         return (
@@ -596,35 +546,22 @@ def _decode_worker_result(
     get_registry().counter(
         "sched.dispatch.deserialize_seconds", "Worker-side payload unpickling"
     ).inc(time.perf_counter() - decode_started)
-    kind = outcome[0]
-    # Outcomes grew a trailing timings dict; tolerate the older 7-tuple
-    # shape so a resumed pre-attribution journal still decodes.
-    timings = outcome[-1] if isinstance(outcome[-1], dict) else no_timings
+    kind, name, *fields, registry, spans, timings = outcome
+    _absorb_worker_observability(registry, spans, parent_uid)
     if kind == "ok":
-        _kind, _name, result, seg, seg_error, registry, spans = outcome[:7]
-        _absorb_worker_observability(registry, spans, parent_uid)
+        result, seg, seg_error = fields
         if seg_error:
             _log.warning("worker SEG build failed", function=name, error=seg_error)
         return _Outcome("prepared", result=result, seg=seg), timings
-    if kind == "error":
-        _kind, _name, exc_type, message, line, registry, spans = outcome[:7]
-        _absorb_worker_observability(registry, spans, parent_uid)
-        return (
-            _Outcome(
-                "quarantined",
-                stage=STAGE_PREPARE,
-                detail=f"{exc_type}: {message}",
-                line=line,
-            ),
-            timings,
-        )
+    exc_type, message, line = fields
     return (
         _Outcome(
             "quarantined",
-            stage=STAGE_SCHED,
-            detail=f"worker returned unknown outcome kind {kind!r}",
+            stage=STAGE_PREPARE,
+            detail=f"{exc_type}: {message}",
+            line=line,
         ),
-        no_timings,
+        timings,
     )
 
 

@@ -4,8 +4,8 @@ Each task prepares exactly one function (stage 1-3: connector
 transformation, intraprocedural points-to, SEG build) from a pickled
 ``(name, FuncDef AST, usable callee signatures, wave index, pta tier,
 trace context)`` payload — the trace context is a ``(trace_id,
-parent_span_id, dispatched_at)`` triple (or ``None``) naming the wave
-span that submitted the task — and ships back a pickled outcome tuple:
+parent_span_id, dispatched_at)`` triple naming the wave span that
+submitted the task — and ships back a pickled outcome tuple:
 
 - ``("ok", name, PreparedFunction, SEG | None, seg_error, registry,
   spans, timings)`` — the function prepared; ``seg_error`` is set (and
@@ -39,8 +39,9 @@ kills the worker process outright via ``os._exit`` — deliberately not a
 Python exception — so tests and CI can prove the parent's crash
 quarantine path fires on real process death.  ``kill-worker:<wave>``
 does the same keyed by the call-graph wave index the payload carries,
-so crash/resume tests can take down every worker of one specific wave
-and prove the run journal left a consistent prefix behind.
+so crash tests can take down every worker of one specific wave and
+prove a rerun over the same artifact store recomputes only what was
+lost.
 """
 
 from __future__ import annotations
@@ -95,12 +96,8 @@ def prepare_task(payload: bytes) -> bytes:
     deser_start = time.perf_counter()
     task = pickle.loads(payload)
     deserialize_seconds = time.perf_counter() - deser_start
-    if len(task) >= 6:
-        name, func_ast, usable, wave_index, pta_tier, ctx = task[:6]
-    else:  # pre-attribution payload (e.g. a resumed older journal)
-        name, func_ast, usable, wave_index, pta_tier = task
-        ctx = None
-    trace_id, parent_span_id, dispatched_at = ctx if ctx else ("", None, 0.0)
+    name, func_ast, usable, wave_index, pta_tier, ctx = task
+    trace_id, parent_span_id, dispatched_at = ctx
     queue_seconds = 0.0
     if dispatched_at:
         # Only meaningful when parent and worker share a clock origin

@@ -29,8 +29,8 @@ Contracts:
   are exactly what one-shot ``repro check --json`` emits for the same
   program and checkers (both build on
   :func:`repro.core.report.report_as_dict` and the same dedup/exit-code
-  logic; the incremental preparation path is report-identical by the
-  canonical-key construction, see ``docs/determinism.md``).
+  logic, and the same prepare driver; see "The byte-identity contract"
+  in ``docs/service.md``).
 - **Overload degrades, never crashes** — admission control refuses
   excess work with ``429`` + ``Retry-After`` before it costs anything;
   accepted jobs always reach a terminal state, and worker crashes fail

@@ -5,8 +5,8 @@ import math
 import pytest
 
 from repro.bench.fitting import fit_linear, fit_power
-from repro.bench.metrics import measure, time_only
 from repro.bench.tables import render_table
+from repro.obs.measure import measure, time_only
 
 
 # ----------------------------------------------------------------------

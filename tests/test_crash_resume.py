@@ -1,24 +1,20 @@
-"""Crash durability: the run journal, ``--resume``, and its fault sites.
+"""Crash durability through the content-addressed artifact store.
 
-The contract under test is ISSUE 6's acceptance story: a run killed
-mid-wave leaves a journal describing a *consistent prefix* of its
-progress; rerunning with ``--resume`` recomputes only functions the
-journal cannot vouch for (journaled + still cache-resident functions
-are skipped, counted by ``journal.skips``); and the resumed run's
-reports and diagnostics are byte-identical to an uninterrupted run.
-The ``kill-worker``/``torn-journal``/``disk-full`` fault sites make
-every one of those paths deterministic to exercise.
+A run killed mid-wave leaves every function it finished in its
+``--cache-dir`` store.  Rerunning with the same ``--cache-dir`` serves
+those functions from the store, recomputes only the rest, and reports
+findings and diagnostics byte-identical to an uninterrupted run.  The
+``kill-worker``/``disk-full`` fault sites make those paths
+deterministic to exercise.
 """
 
 import dataclasses
-import json
 import os
 
 import pytest
 
 from repro import Pinpoint, UseAfterFreeChecker
-from repro.cache import JOURNAL_FILE, SummaryStore, open_journal, resolve_resume
-from repro.cache.journal import JOURNAL_SCHEMA, RESUME_ENV, RunJournal
+from repro.cache import SummaryStore
 from repro.cache.store import CACHE_DIR_ENV
 from repro.cli import main
 from repro.obs.history import HISTORY_DIR_ENV
@@ -43,8 +39,8 @@ fn main() {
 }
 """
 
-# Same program with a body-only edit in `helper` (same interface): on
-# resume, exactly `helper` must recompute — its callers keep matching.
+# Same program with a body-only edit in `helper` (same interface): on a
+# rerun, exactly `helper` must recompute — its callers keep matching.
 PROGRAM_EDITED = PROGRAM.replace(
     "fn helper(p) { x = *p; return x; }",
     "fn helper(p) { x = *p; y = x + 0; return y; }",
@@ -56,7 +52,7 @@ WAVE0 = {"helper", "touch"}
 
 @pytest.fixture(autouse=True)
 def _clean_state(monkeypatch):
-    for var in (JOBS_ENV, RESUME_ENV, CACHE_DIR_ENV, HISTORY_DIR_ENV):
+    for var in (JOBS_ENV, CACHE_DIR_ENV, HISTORY_DIR_ENV):
         monkeypatch.delenv(var, raising=False)
     reset_faults()
     set_registry(MetricsRegistry())
@@ -79,90 +75,16 @@ def _counter(name):
     return get_registry().counter(name).total()
 
 
-def _gauge(name):
-    metric = get_registry().gauge(name)
-    items = metric.items()
-    return items[-1][1] if items else 0.0
+def _stored_names(cache_dir):
+    """Function name of every entry in the store under ``cache_dir``."""
+    store = SummaryStore(cache_dir)
+    return {store.get(digest)[0] for digest in store.entries()}
 
 
 # ----------------------------------------------------------------------
-# Journal read/write unit behaviour
+# kill-worker: a run killed mid-wave exits 3 and leaves its store behind
 # ----------------------------------------------------------------------
-def test_journal_roundtrip(tmp_path):
-    journal = RunJournal(str(tmp_path / JOURNAL_FILE))
-    journal.begin(
-        program_fingerprint="p" * 16,
-        condensation="c" * 16,
-        waves=3,
-        functions=4,
-        jobs=2,
-    )
-    journal.record_function("helper", "d1", 0)
-    journal.record_function("touch", "d2", 0)
-    journal.record_wave(0)
-    journal.finish()
-    state = journal.load()
-    assert state is not None
-    assert state.program_fingerprint == "p" * 16
-    assert state.condensation == "c" * 16
-    assert state.completed == {"d1": "helper", "d2": "touch"}
-    assert state.completed_waves == {0}
-    assert state.finished
-
-
-def test_journal_load_tolerates_torn_tail(tmp_path):
-    path = str(tmp_path / JOURNAL_FILE)
-    journal = RunJournal(path)
-    journal.begin(
-        program_fingerprint="p", condensation="c", waves=2, functions=2, jobs=1
-    )
-    journal.record_function("helper", "d1", 0)
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write('{"kind": "fn", "name": "tou')  # crash mid-append
-    state = journal.load()
-    assert state is not None
-    assert state.completed == {"d1": "helper"}
-    assert state.torn_tail
-    assert not state.finished
-
-
-def test_journal_load_rejects_schema_mismatch_and_absence(tmp_path):
-    path = str(tmp_path / JOURNAL_FILE)
-    assert RunJournal(path).load() is None  # absent
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(
-            json.dumps({"kind": "begin", "schema": JOURNAL_SCHEMA + 1}) + "\n"
-        )
-    assert RunJournal(path).load() is None  # future schema
-
-
-def test_begin_fresh_truncates_stale_journal(tmp_path):
-    journal = RunJournal(str(tmp_path / JOURNAL_FILE))
-    journal.begin(
-        program_fingerprint="old", condensation="c", waves=1, functions=1, jobs=1
-    )
-    journal.record_function("helper", "stale", 0)
-    journal.begin(
-        program_fingerprint="new", condensation="c", waves=1, functions=1, jobs=1
-    )
-    state = journal.load()
-    assert state.program_fingerprint == "new"
-    assert state.completed == {}  # the stale completion is gone
-
-
-def test_resolve_resume_env(monkeypatch):
-    assert resolve_resume(True)
-    assert not resolve_resume(False)
-    monkeypatch.setenv(RESUME_ENV, "1")
-    assert resolve_resume(False)
-    monkeypatch.setenv(RESUME_ENV, "off")
-    assert not resolve_resume(False)
-
-
-# ----------------------------------------------------------------------
-# kill-worker: a run killed mid-wave exits 3 and leaves a journal
-# ----------------------------------------------------------------------
-def test_kill_worker_exits_degraded_with_journal_behind(tmp_path, capsys):
+def test_kill_worker_exits_degraded_with_store_behind(tmp_path, capsys):
     program = tmp_path / "prog.pin"
     program.write_text(PROGRAM)
     cache_dir = str(tmp_path / "cache")
@@ -176,14 +98,11 @@ def test_kill_worker_exits_degraded_with_journal_behind(tmp_path, capsys):
     )
     capsys.readouterr()
     assert code == 3  # degraded coverage
-    journal = RunJournal(os.path.join(cache_dir, JOURNAL_FILE))
-    state = journal.load()
-    assert state is not None
-    # Wave 0's functions died before completing; nothing vouches for
-    # them.  Later waves completed (degraded) and are journaled.
-    assert WAVE0.isdisjoint(set(state.completed.values()))
-    assert "main" in state.completed.values()
-    assert not state.finished or state.completed  # consistent prefix
+    # Wave 0's functions died before completing, so the store holds
+    # nothing for them.  Later waves completed (degraded) and are stored.
+    stored = _stored_names(cache_dir)
+    assert WAVE0.isdisjoint(stored)
+    assert "main" in stored
 
 
 def test_resume_after_kill_worker_matches_uninterrupted(tmp_path):
@@ -192,147 +111,70 @@ def test_resume_after_kill_worker_matches_uninterrupted(tmp_path):
     cache_dir = str(tmp_path / "cache")
     install_faults("kill-worker:0")
     set_registry(MetricsRegistry())
-    killed = _snapshot(
-        PROGRAM, jobs=2, cache_dir=cache_dir, journal=open_journal(cache_dir)
-    )
+    killed = _snapshot(PROGRAM, jobs=2, cache_dir=cache_dir)
     assert any(d["stage"] == STAGE_SCHED for d in killed[1])
 
     reset_faults()
     set_registry(MetricsRegistry())
-    resumed = _snapshot(
-        PROGRAM,
-        jobs=2,
-        cache_dir=cache_dir,
-        journal=open_journal(cache_dir),
-        resume=True,
-    )
-    assert resumed == reference
-    assert _gauge("sched.resumed") == 1
+    rerun = _snapshot(PROGRAM, jobs=2, cache_dir=cache_dir)
+    assert rerun == reference
 
 
 # ----------------------------------------------------------------------
-# A SIGKILL-shaped interruption: journal prefix + partial cache
+# A SIGKILL-shaped interruption: only wave 0 reached the store
 # ----------------------------------------------------------------------
-def _truncate_to_wave0(cache_dir):
-    """Rewrite journal + cache as a run SIGKILLed after wave 0 leaves
-    them: only wave-0 completions journaled, only their artifacts on
-    disk."""
-    journal = RunJournal(os.path.join(cache_dir, JOURNAL_FILE))
-    state = journal.load()
-    keep = {d for d, name in state.completed.items() if name in WAVE0}
-    kept_lines = []
-    for record in journal.records():
-        if record["kind"] == "begin":
-            kept_lines.append(record)
-        elif record["kind"] == "fn" and record["digest"] in keep:
-            kept_lines.append(record)
-        elif record["kind"] == "wave" and record["wave"] == 0:
-            kept_lines.append(record)
-    with open(journal.path, "w", encoding="utf-8") as handle:
-        for record in kept_lines:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+def _keep_only_wave0(cache_dir):
+    """Delete every store entry outside wave 0: what a run SIGKILLed
+    right after wave 0 leaves on disk."""
     store = SummaryStore(cache_dir)
-    for digest, name in state.completed.items():
-        if name not in WAVE0:
+    for digest in store.entries():
+        if store.get(digest)[0] not in WAVE0:
             os.unlink(store._path(digest))
-    return keep
 
 
-def test_resume_recomputes_only_unjournaled_functions(tmp_path):
+def test_rerun_recomputes_only_lost_functions(tmp_path):
     reference = _snapshot(PROGRAM)
 
     cache_dir = str(tmp_path / "cache")
-    set_registry(MetricsRegistry())
-    _snapshot(PROGRAM, cache_dir=cache_dir, journal=open_journal(cache_dir))
-    _truncate_to_wave0(cache_dir)
+    _snapshot(PROGRAM, cache_dir=cache_dir)
+    _keep_only_wave0(cache_dir)
 
     set_registry(MetricsRegistry())
-    resumed = _snapshot(
-        PROGRAM,
-        cache_dir=cache_dir,
-        journal=open_journal(cache_dir),
-        resume=True,
-    )
-    assert resumed == reference
-    # Exactly the journaled wave-0 functions were skipped; exactly the
-    # two lost functions (chain, main) were recomputed and re-persisted.
-    assert _counter("journal.skips") == len(WAVE0)
+    rerun = _snapshot(PROGRAM, cache_dir=cache_dir)
+    assert rerun == reference
+    # The two wave-0 entries were served from the store; exactly the two
+    # lost functions (chain, main) were recomputed and written back.
     assert _counter("cache.hits") == len(WAVE0)
+    assert _counter("cache.misses") == 2
     assert _counter("cache.writes") == 2
-    assert _gauge("sched.resumed") == 1
-    assert _gauge("sched.resume_wave") == 1  # re-entered at wave 1
 
 
 def test_resume_after_source_edit_invalidates_only_changed(tmp_path):
     cache_dir = str(tmp_path / "cache")
-    _snapshot(PROGRAM, cache_dir=cache_dir, journal=open_journal(cache_dir))
+    _snapshot(PROGRAM, cache_dir=cache_dir)
 
     reference = _snapshot(PROGRAM_EDITED)
     set_registry(MetricsRegistry())
-    resumed = _snapshot(
-        PROGRAM_EDITED,
-        cache_dir=cache_dir,
-        journal=open_journal(cache_dir),
-        resume=True,
-    )
-    assert resumed == reference
-    # `helper` changed (body-only, same interface): it alone recomputes;
-    # `touch`, `chain`, `main` keep their AST×interface digests and are
-    # skipped straight from the journal + cache.
+    rerun = _snapshot(PROGRAM_EDITED, cache_dir=cache_dir)
+    assert rerun == reference
+    # `helper` changed (body-only, same interface): it alone misses and
+    # is rewritten; `touch`, `chain`, `main` keep their AST x interface
+    # digests and come straight from the store.
+    assert _counter("cache.misses") == 1
     assert _counter("cache.writes") == 1
-    assert _counter("journal.skips") == 3
-    assert _gauge("sched.resume_wave") == 0  # helper lives in wave 0
+    assert _counter("cache.hits") == 3
 
 
 # ----------------------------------------------------------------------
-# torn-journal and disk-full degrade durability, never the analysis
+# disk-full degrades the store, never the analysis
 # ----------------------------------------------------------------------
-def test_torn_journal_keeps_consistent_prefix_and_resumes(tmp_path):
-    reference = _snapshot(PROGRAM)
-
-    cache_dir = str(tmp_path / "cache")
-    install_faults("torn-journal*1")
-    set_registry(MetricsRegistry())
-    torn = _snapshot(
-        PROGRAM, cache_dir=cache_dir, journal=open_journal(cache_dir)
-    )
-    assert torn == reference  # the analysis itself is unaffected
-    assert _counter("journal.torn_writes") == 1
-
-    journal = RunJournal(os.path.join(cache_dir, JOURNAL_FILE))
-    state = journal.load()
-    assert state is not None  # the header parses; the tail is skipped
-    assert len(state.completed) < 4
-
-    reset_faults()
-    set_registry(MetricsRegistry())
-    resumed = _snapshot(
-        PROGRAM,
-        cache_dir=cache_dir,
-        journal=open_journal(cache_dir),
-        resume=True,
-    )
-    assert resumed == reference
-    assert _gauge("sched.resumed") == 1
-
-
-def test_persistent_disk_full_disables_journal_not_the_run(tmp_path):
+def test_persistent_disk_full_degrades_store_not_the_run(tmp_path):
     reference = _snapshot(PROGRAM)
     cache_dir = str(tmp_path / "cache")
     install_faults("disk-full")
     set_registry(MetricsRegistry())
-    degraded = _snapshot(
-        PROGRAM, cache_dir=cache_dir, journal=open_journal(cache_dir)
-    )
+    degraded = _snapshot(PROGRAM, cache_dir=cache_dir)
     assert degraded == reference
-    assert _counter("journal.errors") >= 1
+    assert _counter("sched.retries") >= 1  # the I/O retry ladder ran
     assert _counter("cache.writes") == 0  # every put degraded to False
-
-
-def test_resume_without_journal_dir_warns_and_runs_fresh(tmp_path, capsys):
-    program = tmp_path / "prog.pin"
-    program.write_text(PROGRAM)
-    code = main(["check", str(program), "--resume"])
-    captured = capsys.readouterr()
-    assert code == 1  # the findings are still produced
-    assert "running fresh" in captured.err
+    assert SummaryStore(cache_dir).entries() == []

@@ -136,9 +136,6 @@ def test_collect_run_record_empty_registry():
         "jobs": 0,
         "waves": 0,
         "tasks": 0,
-        "resumed": False,
-        "resume_wave": 0,
-        "journal_skips": 0,
         "retries": 0,
         "critical_path_seconds": 0.0,
         "overhead_ratio": 0.0,

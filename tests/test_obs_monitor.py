@@ -61,7 +61,6 @@ def test_disabled_tracker_is_inert():
     t.begin_run("check", "x")
     t.set_stage("prepare")
     t.wave_progress(1, 2, prepared=5)
-    t.tick(prepared=1)
     t.checker_done("uaf", 3)
     t.finish(0)
     snap = t.snapshot()
@@ -77,8 +76,7 @@ def test_tracker_lifecycle_snapshot():
     t.set_stage("prepare", functions=4)
     t.set_functions_total(4)
     t.wave_progress(1, 2, prepared=2, cached=1)
-    t.wave_progress(2, 2, prepared=1, quarantined=1)
-    t.tick(cached=1)
+    t.wave_progress(2, 2, prepared=1, cached=1, quarantined=1)
     t.checker_done("use-after-free", 2)
     snap = t.snapshot()
     assert snap["command"] == "check"
@@ -134,14 +132,6 @@ def test_event_ring_buffer_caps_memory():
     assert events[0]["seq"] == 101
 
 
-def test_tick_emits_no_events():
-    t = tracker()
-    for _ in range(1000):
-        t.tick(prepared=1)
-    assert t.events_after(0) == []
-    assert t.snapshot()["functions"]["prepared"] == 1000
-
-
 def test_wait_for_event_times_out_and_wakes():
     t = ProgressTracker()
     t.enabled = True
@@ -176,14 +166,15 @@ def test_snapshot_degraded_from_exit_code():
 
 
 def test_disabled_tick_overhead_guard():
-    """Progress call sites sit on per-function hot paths; while disabled
-    they must stay one truth-test cheap (order-of-magnitude bound)."""
+    """Progress ticks sit on the prepare and checker loops; while
+    disabled they must stay one truth-test cheap (order-of-magnitude
+    bound)."""
     t = ProgressTracker()
     start = time.perf_counter()
-    for _ in range(100_000):
-        t.tick(prepared=1)
+    for i in range(100_000):
+        t.wave_progress(i, 100_000, prepared=1)
     elapsed = time.perf_counter() - start
-    assert elapsed < 2.0, f"100k disabled ticks took {elapsed:.2f}s"
+    assert elapsed < 2.0, f"100k disabled progress calls took {elapsed:.2f}s"
 
 
 # ----------------------------------------------------------------------

@@ -1,0 +1,194 @@
+"""The one bottom-up prepare driver, seen from every entry point.
+
+One-shot runs (``Pinpoint.from_source``) and incremental sessions
+(``IncrementalAnalyzer``, the daemon's engine) prepare through the same
+``repro.sched.scheduler.prepare_program``, so they must agree on
+reports *and* diagnostics under fault injection, step budgets and IR
+verification.  The driver's single store write-back must keep
+budget-degraded artifacts out of the content-addressed store, and its
+wall time feeds ``EngineStats.seconds_prepare``.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+from repro import EngineConfig, IncrementalAnalyzer, Pinpoint, ResourceBudget
+from repro.cache.store import CACHE_DIR_ENV
+from repro.cli import CHECKERS, main
+from repro.core.incremental import apply_function_edit
+from repro.core.report import report_as_dict
+from repro.lang.parser import parse_program
+from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
+from repro.robust.diagnostics import REASON_BUDGET, STAGE_PREPARE, STAGE_PTA
+from repro.robust.faults import install_faults, reset_faults
+from repro.sched import JOBS_ENV
+from repro.synth.generator import GeneratorConfig, generate_program
+
+PROGRAM = """
+fn helper(p) { x = *p; return x; }
+fn other(n) { return n + 1; }
+fn main() {
+    p = malloc();
+    free(p);
+    y = helper(p);
+    z = other(y);
+    return z;
+}
+"""
+
+#: A body-only edit of `other`: same interface, so a warm session
+#: re-prepares exactly that one function.
+EDITED_OTHER = "fn other(n) { m = n + 2; return m; }"
+
+
+@pytest.fixture(autouse=True)
+def _clean_state(monkeypatch):
+    for var in (JOBS_ENV, CACHE_DIR_ENV):
+        monkeypatch.delenv(var, raising=False)
+    reset_faults()
+    set_registry(MetricsRegistry())
+    yield
+    reset_faults()
+    set_registry(MetricsRegistry())
+
+
+def _findings(engine):
+    """Every checker's reports plus the deduplicated diagnostics: the
+    shape ``repro check --all --json`` and the daemon both emit."""
+    reports, diagnostics, seen = [], [], set()
+    for name in CHECKERS:
+        result = engine.check(CHECKERS[name]())
+        reports.extend(report_as_dict(report) for report in result)
+        for diag in result.diagnostics:
+            key = (diag.stage, diag.unit, diag.reason, diag.line, diag.detail)
+            if key not in seen:
+                seen.add(key)
+                diagnostics.append(diag.as_dict())
+    return reports, diagnostics
+
+
+def _edited(source):
+    return source.replace("fn other(n) { return n + 1; }", EDITED_OTHER)
+
+
+def _generated(lines=600, seed=3):
+    return generate_program(GeneratorConfig(seed=seed, target_lines=lines)).source
+
+
+# ----------------------------------------------------------------------
+# One-shot vs incremental parity
+# ----------------------------------------------------------------------
+def test_incremental_matches_one_shot_under_prepare_fault():
+    install_faults("prepare:helper")
+    one_shot = _findings(Pinpoint.from_source(PROGRAM))
+    assert any(
+        d["stage"] == STAGE_PREPARE and d["unit"] == "helper" for d in one_shot[1]
+    )
+
+    analyzer = IncrementalAnalyzer()
+    program = parse_program(PROGRAM)
+    assert _findings(analyzer.analyze_program(program)) == one_shot
+
+    # The quarantined function never reached the memory tier, so the
+    # edit re-prepares it too — and faults again, like a one-shot run.
+    edited = apply_function_edit(program, parse_program(EDITED_OTHER).functions[0])
+    warm = _findings(analyzer.analyze_program(edited))
+    assert analyzer.last_stats.analyzed == 2  # `other` and `helper`
+    assert warm == _findings(Pinpoint.from_source(_edited(PROGRAM)))
+
+
+def test_incremental_matches_one_shot_under_step_budget():
+    source = _generated()
+    one_shot = _findings(
+        Pinpoint.from_source(source, budget=ResourceBudget(max_steps=200))
+    )
+    # The budget runs out during preparation, not only during the search.
+    assert any(
+        d["stage"] == STAGE_PTA and d["reason"] == REASON_BUDGET
+        for d in one_shot[1]
+    )
+    engine = IncrementalAnalyzer().analyze_program(
+        parse_program(source), budget=ResourceBudget(max_steps=200)
+    )
+    assert _findings(engine) == one_shot
+
+
+def test_incremental_matches_one_shot_with_fast_verify():
+    config = EngineConfig(verify="fast")
+    analyzer = IncrementalAnalyzer(config)
+    program = parse_program(PROGRAM)
+    cold = _findings(analyzer.analyze_program(program))
+    ir_seconds = get_registry().counter("verify.seconds").value(stage="ir")
+    assert ir_seconds > 0  # incremental preparation runs the IR verifier
+    assert cold == _findings(Pinpoint.from_source(PROGRAM, config))
+
+    edited = apply_function_edit(program, parse_program(EDITED_OTHER).functions[0])
+    warm = _findings(analyzer.analyze_program(edited))
+    assert analyzer.last_stats.analyzed == 1
+    assert warm == _findings(Pinpoint.from_source(_edited(PROGRAM), config))
+
+
+# ----------------------------------------------------------------------
+# The store never keeps a budget-degraded artifact
+# ----------------------------------------------------------------------
+def test_budget_degraded_artifacts_stay_out_of_the_store(tmp_path, capsys):
+    path = tmp_path / "subject.pin"
+    path.write_text(_generated())
+    cache_dir = str(tmp_path / "cache")
+    base = ["check", str(path), "--all", "--json"]
+
+    assert main(base + ["--max-steps", "200", "--cache-dir", cache_dir]) == 3
+    capsys.readouterr()
+    set_registry(MetricsRegistry())
+    warm_code = main(base + ["--cache-dir", cache_dir])
+    warm = json.loads(capsys.readouterr().out)
+    assert get_registry().counter("cache.hits").total() > 0  # the store served
+    set_registry(MetricsRegistry())
+    cold_code = main(base)
+    cold = json.loads(capsys.readouterr().out)
+
+    # The warm run is the cold unbudgeted run: no budget-exhausted
+    # artifact came back out of the store.
+    assert warm_code == cold_code == 1
+    assert warm["diagnostics"] == cold["diagnostics"] == []
+    assert warm["reports"] == cold["reports"]
+
+
+# ----------------------------------------------------------------------
+# EngineStats.seconds_prepare is the driver's wall time
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("mode", ["serial", "jobs2", "incremental"])
+def test_seconds_prepare_is_populated(mode):
+    if mode == "incremental":
+        engine = IncrementalAnalyzer().analyze(PROGRAM)
+    else:
+        engine = Pinpoint.from_source(PROGRAM, jobs=2 if mode == "jobs2" else 1)
+    stats = engine.check(CHECKERS["use-after-free"]()).stats
+    assert stats.seconds_prepare > 0
+    assert stats.seconds_prepare == engine.module.seconds
+
+
+def test_serial_preparation_never_imports_the_process_pool():
+    script = (
+        "import sys\n"
+        "from repro import IncrementalAnalyzer, Pinpoint\n"
+        f"source = {PROGRAM!r}\n"
+        "Pinpoint.from_source(source, jobs=1)\n"
+        "IncrementalAnalyzer().analyze(source)\n"
+        "print('repro.sched.pool' in sys.modules, 'multiprocessing' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src")]
+        + env.get("PYTHONPATH", "").split(os.pathsep)
+    )
+    env.pop(JOBS_ENV, None)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]

@@ -1,7 +1,7 @@
 """The unified supervision policy: backoff, budgets, escalation.
 
 Contract under test: every supervised retry in the repo — pool
-resubmits, isolation attempts, cache/journal I/O — walks the same
+resubmits, isolation attempts, cache I/O — walks the same
 deterministic ladder (retry → isolate → quarantine) with capped
 exponential backoff and hash-derived (never random) jitter, and every
 rung shows up in the ``sched.retries`` counter.

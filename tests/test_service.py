@@ -19,6 +19,7 @@ import time
 
 import pytest
 
+from repro.robust.faults import install_faults, reset_faults
 from repro.service import (
     LoadConfig,
     ServiceClient,
@@ -66,7 +67,9 @@ fn knob() {
 KNOB_EDIT = "fn knob() { return 41; }"
 
 
-def _one_shot(tmp_path, source, *, seed="0", jobs=None, name="subject.pin"):
+def _one_shot(
+    tmp_path, source, *, seed="0", jobs=None, name="subject.pin", fault=""
+):
     """`repro check --json --all` in a subprocess; returns the document."""
     path = tmp_path / name
     path.write_text(source)
@@ -81,6 +84,8 @@ def _one_shot(tmp_path, source, *, seed="0", jobs=None, name="subject.pin"):
     argv = [sys.executable, "-m", "repro", "check", str(path), "--all", "--json"]
     if jobs:
         argv += ["--jobs", str(jobs)]
+    if fault:
+        argv += ["--fault", fault]
     proc = subprocess.run(argv, capture_output=True, text=True, env=env)
     return json.loads(proc.stdout)
 
@@ -130,6 +135,21 @@ def test_cold_warm_edit_byte_identical_to_one_shot(server, tmp_path):
             tmp_path, edited_source, seed=seed, jobs=jobs, name="edited.pin"
         )
         assert _canon(edited) == _canon(reference)
+
+    # An injected preparation fault quarantines `helper` in the daemon
+    # exactly as in one-shot runs, cold and after an edit.
+    install_faults("prepare:helper")
+    try:
+        faulted = client.check(SOURCE, session="faulted")
+        refaulted = client.edit("faulted", KNOB_EDIT)
+    finally:
+        reset_faults()
+    assert any(d["unit"] == "helper" for d in faulted["diagnostics"])
+    for document, source in ((faulted, SOURCE), (refaulted, edited_source)):
+        reference = _one_shot(
+            tmp_path, source, name="faulted.pin", fault="prepare:helper"
+        )
+        assert _canon(document) == _canon(reference)
 
 
 def test_results_endpoint_and_no_wait_flow(server):
