@@ -83,14 +83,13 @@ def rename_var(name: str, context: Optional[Context]) -> str:
 
 
 def clone_term(term: Term, context: Optional[Context]) -> Term:
-    """Rename every variable in ``term`` into ``context``."""
+    """Rename every variable in ``term`` into ``context``.
+
+    Every checker clones the same summaries into the same suffixes, so
+    the clones are memoized per suffix by :meth:`TermFactory.add_suffix`."""
     if context is None:
         return term
-    suffix = context.suffix()
-    mapping = {name: name + suffix for name in term.variables()}
-    if not mapping:
-        return term
-    return T.FACTORY.rename(term, mapping)
+    return T.FACTORY.add_suffix(term, context.suffix())
 
 
 def ctx_ivar(name: str, context: Optional[Context]) -> Term:

@@ -33,13 +33,19 @@ from repro.obs.profiling import _fmt_seconds, _table, pass_table, unit_table
 from repro.obs.trace import Span, Tracer
 
 #: Document schema tag, bumped on incompatible shape changes.
-SCHEMA = "repro.why_slow/1"
+SCHEMA = "repro.why_slow/2"
 
-#: ``sched.dispatch.*`` counters folded into the overhead detail, in
-#: display order.  Seconds-valued entries sum into ``overhead.total_-
-#: seconds``; byte-valued entries ride along for size attribution.
+#: Parent-side ``sched.dispatch.*`` seconds, in display order: wall
+#: time of the run, summed into ``overhead.total_seconds``.
 DISPATCH_SECONDS = (
     "sched.dispatch.serialize_seconds",
+    "sched.dispatch.decode_seconds",
+)
+#: Worker-side ``sched.dispatch.*`` seconds, each summed over every
+#: task.  Tasks on N workers overlap one another and the parent, so
+#: these sums are not wall time; ``task_sums`` reports them apart, with
+#: the task count and the per-task mean.
+TASK_SECONDS = (
     "sched.dispatch.deserialize_seconds",
     "sched.dispatch.queue_seconds",
     "sched.dispatch.warmup_seconds",
@@ -168,6 +174,16 @@ def cost_breakdown(
     overhead["barrier_waste_seconds"] = round(dispatch_wall, 6)
     overhead["total_seconds"] = round(overhead_total, 6)
 
+    tasks = int(_counter_total(registry, "sched.tasks"))
+    summed = {
+        name.rsplit(".", 1)[-1]: _counter_total(registry, name) for name in TASK_SECONDS
+    }
+    task_sums = {
+        "tasks": tasks,
+        "summed": {key: round(value, 6) for key, value in summed.items()},
+        "mean": {key: round(value / max(tasks, 1), 6) for key, value in summed.items()},
+    }
+
     jobs = int(_gauge_value(registry, "sched.jobs") or 1)
     parallel = {
         "jobs": jobs,
@@ -233,6 +249,7 @@ def cost_breakdown(
         "accounted_seconds": round(denominator, 6),
         "shares": shares,
         "overhead": overhead,
+        "task_sums": task_sums,
         "parallel": parallel,
         "critical_path": [
             {
@@ -330,19 +347,29 @@ def render_why_slow(document: Dict[str, Any], top: int = 10) -> str:
     if overhead:
         lines.append("dispatch overhead breakdown")
         rows = []
-        for key in (
-            "serialize_seconds",
-            "deserialize_seconds",
-            "queue_seconds",
-            "warmup_seconds",
-            "barrier_waste_seconds",
-        ):
+        for key in ("serialize_seconds", "decode_seconds", "barrier_waste_seconds"):
             if key in overhead:
                 rows.append([key.replace("_", " "), _fmt_seconds(overhead[key])])
         for key in ("serialize_bytes", "result_bytes"):
             if key in overhead:
                 rows.append([key.replace("_", " "), f"{overhead[key]} B"])
         lines.append(_table(["segment", "cost"], rows))
+        lines.append("")
+
+    task_sums = document.get("task_sums", {})
+    if task_sums.get("tasks"):
+        lines.append(
+            f"worker time summed over {task_sums['tasks']} tasks (not wall time)"
+        )
+        rows = [
+            [
+                key.replace("_", " "),
+                _fmt_seconds(value),
+                _fmt_seconds(task_sums["mean"][key]),
+            ]
+            for key, value in task_sums["summed"].items()
+        ]
+        lines.append(_table(["segment", "summed", "mean per task"], rows))
         lines.append("")
 
     functions = document.get("top_functions", [])

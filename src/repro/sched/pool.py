@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import multiprocessing
+import os
 from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional, Tuple
 
@@ -100,9 +101,10 @@ class WorkerPool:
         self._executor: Optional[concurrent.futures.ProcessPoolExecutor] = None
 
     # ------------------------------------------------------------------
-    def _initargs(self) -> Tuple[str, bool]:
+    def _initargs(self) -> Tuple[str, bool, int]:
         plan = active_plan()
-        return (plan.spec if plan is not None else "", get_tracer().enabled)
+        spec = plan.spec if plan is not None else ""
+        return (spec, get_tracer().enabled, os.getpid())
 
     def _make_executor(self, workers: int):
         # fork where available: workers inherit the parsed program and

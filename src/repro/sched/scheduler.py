@@ -544,7 +544,7 @@ def _decode_worker_result(
             no_timings,
         )
     get_registry().counter(
-        "sched.dispatch.deserialize_seconds", "Worker-side payload unpickling"
+        "sched.dispatch.decode_seconds", "Parent-side outcome unpickling"
     ).inc(time.perf_counter() - decode_started)
     kind, name, *fields, registry, spans, timings = outcome
     _absorb_worker_observability(registry, spans, parent_uid)

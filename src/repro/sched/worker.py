@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import threading
 import time
 from typing import Any, Dict, Tuple
 
@@ -65,8 +66,13 @@ _TRACE_ENABLED = False
 _WARMED = False
 
 
-def init_worker(fault_spec: str, trace_enabled: bool) -> None:
-    """Pool initializer: arm fault injection and tracing in this worker.
+#: How often a worker checks that the process that started it is alive.
+_PARENT_POLL_SECONDS = 0.5
+
+
+def init_worker(fault_spec: str, trace_enabled: bool, parent_pid: int) -> None:
+    """Pool initializer: arm fault injection and tracing in this worker,
+    and make it exit when ``parent_pid`` does.
 
     With the ``fork`` start method the worker inherits the parent's
     globals anyway; with ``spawn`` (macOS/Windows default) this is what
@@ -75,6 +81,26 @@ def init_worker(fault_spec: str, trace_enabled: bool) -> None:
     _TRACE_ENABLED = bool(trace_enabled)
     if fault_spec:
         install_faults(fault_spec)
+    threading.Thread(
+        target=_exit_with_parent,
+        args=(parent_pid,),
+        name="repro-parent-watch",
+        daemon=True,
+    ).start()
+
+
+def _exit_with_parent(parent_pid: int) -> None:
+    """Exit once the parent is gone.
+
+    A SIGKILLed parent cannot shut its pool down, and a worker blocked on
+    the call queue never sees end-of-file there: forked workers hold
+    the queue's write end too.  An orphan is re-parented, so
+    ``getppid`` tells.  ``PR_SET_PDEATHSIG`` cannot replace this poll:
+    it fires when the *thread* that forked the worker exits, not the
+    process."""
+    while os.getppid() == parent_pid:
+        time.sleep(_PARENT_POLL_SECONDS)
+    os._exit(1)
 
 
 def prepare_task(payload: bytes) -> bytes:

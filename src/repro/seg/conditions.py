@@ -93,6 +93,7 @@ class ConditionBuilder:
         self._dd_in_progress: set = set()
         self._cd_cache: Dict[int, Constraint] = {}
         self._cd_in_progress: set = set()
+        self._pc_cache: Dict[Tuple[VertexKey, ...], Constraint] = {}
 
     # ------------------------------------------------------------------
     # Operand terms
@@ -309,7 +310,18 @@ class ConditionBuilder:
         ``path`` is a sequence of def/use vertex keys; consecutive
         vertices must be connected by copy edges (or name the same
         variable at def/use anchors).
+
+        Memoized by the path: PC depends only on the SEG and on DD/CD,
+        whose memos a first call for the path has already filled, so a
+        repeat call would return the same constraint.
         """
+        key = tuple(path)
+        cached = self._pc_cache.get(key)
+        if cached is None:
+            cached = self._pc_cache.setdefault(key, self._compute_pc(key))
+        return cached
+
+    def _compute_pc(self, path: Sequence[VertexKey]) -> Constraint:
         parts: List[Constraint] = []
         terms: List[Term] = []
         previous: Optional[VertexKey] = None

@@ -74,7 +74,7 @@ class Term:
     :func:`and_`, :func:`eq`, ...) or :class:`TermFactory` methods.
     """
 
-    __slots__ = ("kind", "args", "value", "_id", "_hash", "_skey")
+    __slots__ = ("kind", "args", "value", "_id", "_hash", "_skey", "_variables")
 
     def __init__(
         self,
@@ -99,6 +99,9 @@ class Term:
         for arg in args:
             digest.update(arg._skey)
         self._skey = digest.digest()
+        # variables() memo: on the term itself, so terms of separate
+        # factories (whose ids overlap) can never share an entry.
+        self._variables: Optional[frozenset] = None
 
     # Hash-consing makes identity comparison the correct equality.
     def __eq__(self, other: object) -> bool:
@@ -140,19 +143,10 @@ class Term:
         return self.kind in (KIND_BOOL_VAR, KIND_INT_VAR)
 
     def variables(self) -> frozenset:
-        """All variable names occurring in this term (memo-free walk)."""
-        names = set()
-        stack = [self]
-        seen = set()
-        while stack:
-            term = stack.pop()
-            if term._id in seen:
-                continue
-            seen.add(term._id)
-            if term.kind in (KIND_BOOL_VAR, KIND_INT_VAR):
-                names.add(term.value)
-            stack.extend(term.args)
-        return frozenset(names)
+        """All variable names occurring in this term, walked once per term."""
+        if self._variables is None:
+            self._variables = _walk_variables(self)
+        return self._variables
 
     def __reduce__(self):
         # Pickle by *structure* and re-intern through the module-level
@@ -170,6 +164,21 @@ class Term:
 
     def __str__(self) -> str:
         return _format(self)
+
+
+def _walk_variables(term: Term) -> frozenset:
+    names = set()
+    stack = [term]
+    seen = set()
+    while stack:
+        term = stack.pop()
+        if term._id in seen:
+            continue
+        seen.add(term._id)
+        if term.kind in (KIND_BOOL_VAR, KIND_INT_VAR):
+            names.add(term.value)
+        stack.extend(term.args)
+    return frozenset(names)
 
 
 def _reintern(kind: str, args: Tuple["Term", ...], value: object) -> "Term":
@@ -220,6 +229,11 @@ class TermFactory:
         # Without this, the De Morgan rewrite re-negates whole subtrees
         # at every construction level — exponential on deep nestings.
         self._neg_memo: dict = {}
+        # ``and_`` memo of the module-level helper, keyed by the argument
+        # tuple, and one rename cache per context suffix (see
+        # :meth:`add_suffix`).  Both live as long as ``_table``.
+        self._and_memo: dict = {}
+        self._suffix_memo: dict = {}
         self.true = self._mk(KIND_TRUE, (), None)
         self.false = self._mk(KIND_FALSE, (), None)
 
@@ -277,6 +291,19 @@ class TermFactory:
         self._neg_memo[result._id] = a
         return result
 
+    def _built_negation(self, a: Term) -> Optional[Term]:
+        """``not_(a)`` for a part that is not AND/OR, if that term exists.
+
+        A complement test only asks whether ``not_(a)`` is among the
+        parts already seen, which all exist; a negation that was never
+        built cannot be one of them, so it is looked up, not created."""
+        if a.kind == KIND_NOT:
+            return a.args[0]
+        negated = _NEGATED_COMPARISON.get(a.kind)
+        if negated is not None:
+            return self._table.get((negated, tuple(x._id for x in a.args), None))
+        return self._table.get((KIND_NOT, (a._id,), None))
+
     def and_(self, *parts: Term) -> Term:
         flat = []
         seen = set()
@@ -285,8 +312,12 @@ class TermFactory:
                 return self.false
             if part is self.true or part._id in seen:
                 continue
-            if self.not_(part)._id in seen:
-                return self.false
+            # The negation of an OR part is an AND of two or more parts,
+            # and a flattened conjunction holds no AND: no complement.
+            if part.kind != KIND_OR:
+                negation = self._built_negation(part)
+                if negation is not None and negation._id in seen:
+                    return self.false
             seen.add(part._id)
             flat.append(part)
         if not flat:
@@ -304,8 +335,11 @@ class TermFactory:
                 return self.true
             if part is self.false or part._id in seen:
                 continue
-            if self.not_(part)._id in seen:
-                return self.true
+            # Dual of the test in and_: an AND part's negation is an OR.
+            if part.kind != KIND_AND:
+                negation = self._built_negation(part)
+                if negation is not None and negation._id in seen:
+                    return self.true
             seen.add(part._id)
             flat.append(part)
         if not flat:
@@ -439,6 +473,19 @@ class TermFactory:
             cache = {}
         return self._rename(term, mapping, cache)
 
+    def add_suffix(self, term: Term, suffix: str) -> Term:
+        """Rename every variable of ``term`` to ``name + suffix``.
+
+        ``rename`` with a mapping over all of ``term``'s variables does
+        the same.  Because every variable is renamed, a subterm's clone
+        does not depend on the term around it, so one table per suffix
+        caches the clones of every term and subterm for the factory's
+        lifetime."""
+        entry = self._suffix_memo.get(suffix)
+        if entry is None:
+            entry = self._suffix_memo.setdefault(suffix, (_AppendSuffix(suffix), {}))
+        return self._rename(term, *entry)
+
     def _rename(self, term: Term, mapping: dict, cache: dict) -> Term:
         hit = cache.get(term._id)
         if hit is not None:
@@ -510,6 +557,19 @@ class TermFactory:
         return self._mk(kind, args, None)
 
 
+class _AppendSuffix:
+    """A rename mapping (``_rename`` only calls ``get``) that maps every
+    name to ``name + suffix``."""
+
+    __slots__ = ("suffix",)
+
+    def __init__(self, suffix: str) -> None:
+        self.suffix = suffix
+
+    def get(self, name: str) -> str:
+        return name + self.suffix
+
+
 def _flatten(parts: Iterable[Term], kind: str):
     for part in parts:
         if part.kind == kind:
@@ -543,7 +603,13 @@ def not_(a: Term) -> Term:
 
 
 def and_(*parts: Term) -> Term:
-    return FACTORY.and_(*parts)
+    # The analyses rebuild the same conjunctions once per checker, and
+    # ``and_`` is a pure function of its argument tuple.
+    memo = FACTORY._and_memo
+    term = memo.get(parts)
+    if term is None:
+        term = memo.setdefault(parts, FACTORY.and_(*parts))
+    return term
 
 
 def or_(*parts: Term) -> Term:

@@ -261,7 +261,7 @@ def test_why_slow_json_artifact(uaf_file, tmp_path, capsys):
     assert code == 0
     printed = json.loads(capsys.readouterr().out)
     written = json.loads(target.read_text())
-    assert printed["schema"] == "repro.why_slow/1"
+    assert printed["schema"] == "repro.why_slow/2"
     assert printed["critical_path"], "critical path must be non-empty"
     shares = printed["shares"]
     assert shares["compute"] + shares["dispatch_overhead"] <= 1.0 + 1e-6

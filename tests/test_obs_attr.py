@@ -150,6 +150,35 @@ def test_cost_breakdown_serial_fallback_uses_chain_root():
     assert doc["critical_path_seconds"] > 0
 
 
+def test_task_seconds_are_kept_out_of_wall_overhead():
+    """Worker-side seconds are summed over tasks that overlap each other
+    and the parent; they must not add into the wall-clock overhead."""
+    tracer, registry, measurement = _synthetic_run()
+    registry.counter("sched.dispatch.decode_seconds", "d").inc(0.01)
+    registry.counter("sched.tasks", "t").inc(4)
+    registry.counter("sched.dispatch.queue_seconds", "q").inc(10.0)
+    registry.counter("sched.dispatch.deserialize_seconds", "d").inc(2.0)
+    registry.counter("sched.dispatch.warmup_seconds", "w").inc(0.4)
+    doc = cost_breakdown(tracer, registry, measurement)
+    overhead = doc["overhead"]
+    assert overhead["total_seconds"] == pytest.approx(0.03)
+    task_keys = {"queue_seconds", "deserialize_seconds", "warmup_seconds"}
+    assert not task_keys & set(overhead)
+    sums = doc["task_sums"]
+    assert sums["tasks"] == 4
+    assert sums["summed"] == pytest.approx(
+        {"deserialize_seconds": 2.0, "queue_seconds": 10.0, "warmup_seconds": 0.4}
+    )
+    assert sums["mean"] == pytest.approx(
+        {"deserialize_seconds": 0.5, "queue_seconds": 2.5, "warmup_seconds": 0.1}
+    )
+    text = render_why_slow(doc)
+    wall_table, _, task_table = text.partition("summed over 4 tasks (not wall time)")
+    assert task_table, text
+    assert "queue seconds" not in wall_table.split("dispatch overhead breakdown")[1]
+    assert "queue seconds" in task_table and "mean per task" in task_table
+
+
 def test_render_why_slow_mentions_key_sections():
     tracer, registry, measurement = _synthetic_run()
     doc = cost_breakdown(tracer, registry, measurement, source_label="synth")

@@ -10,6 +10,9 @@ worker becomes a timeout crash without hanging the run.
 import dataclasses
 import os
 import pickle
+import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -23,6 +26,7 @@ from repro.robust.faults import install_faults, reset_faults
 from repro.sched import JOBS_ENV, resolve_jobs
 from repro.sched.pool import WorkerCrash, WorkerPool
 from repro.sched.scheduler import prepare_program
+from repro.synth.generator import GeneratorConfig, generate_program
 
 PROGRAM = """
 fn helper(p) { x = *p; return x; }
@@ -182,3 +186,73 @@ def test_pool_isolates_deterministic_killer():
     assert results["good2"] == b"ok:y"
     assert isinstance(results["killer"], WorkerCrash)
     assert get_registry().counter("sched.pool_rebuilds").total() >= 1
+
+
+# ----------------------------------------------------------------------
+# Orphaned workers
+# ----------------------------------------------------------------------
+def _proc_stat(pid):
+    """(state, ppid) of a process from /proc, or None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            # Fields after the parenthesised command: state, ppid, ...
+            fields = handle.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+    return fields[0], int(fields[1])
+
+
+def _alive(pid):
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] != "Z"
+
+
+def _children(pid):
+    """Live (non-zombie) processes whose parent is ``pid``."""
+    children = []
+    for entry in os.listdir("/proc"):
+        stat = _proc_stat(entry) if entry.isdigit() else None
+        if stat is not None and stat[0] != "Z" and stat[1] == pid:
+            children.append(int(entry))
+    return children
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_workers_exit_when_parent_is_killed(tmp_path):
+    """A SIGKILLed ``--jobs 2`` run cannot shut its pool down; its
+    workers must notice the parent is gone and exit on their own."""
+    program = tmp_path / "big.pin"
+    generated = generate_program(GeneratorConfig(seed=1, target_lines=2000))
+    program.write_text(generated.source)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = src
+    parent = subprocess.Popen(
+        [sys.executable, "-m", "repro", "check", str(program), "--all", "--jobs", "2"],
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        workers = []
+        # The fork pool starts both workers at its first task.
+        while (
+            len(workers) < 2 and parent.poll() is None and time.monotonic() < deadline
+        ):
+            workers = _children(parent.pid)
+            time.sleep(0.01)
+        assert len(workers) == 2, f"the run started workers {workers}, not two"
+        parent.send_signal(signal.SIGKILL)
+        parent.wait()
+        deadline = time.monotonic() + 10
+        while any(_alive(pid) for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        survivors = [pid for pid in workers if _alive(pid)]
+    finally:
+        if parent.poll() is None:
+            parent.kill()
+            parent.wait()
+    for pid in survivors:
+        os.kill(pid, signal.SIGKILL)
+    assert not survivors, f"workers {survivors} outlived their killed parent"
