@@ -9,7 +9,8 @@ trade-off on this engine's two tiers:
   tier must strictly reduce false positives and lose zero true
   positives;
 - the Juliet-like recall suite under both tiers: recall stays 100%
-  under escalation (strong updates never hide a seeded defect);
+  with every function prepared at fs (strong updates never hide a
+  seeded defect);
 - a Fig. 7/10-style cost sweep: full-module fs preparation vs fi
   preparation over scaled paper subjects, reporting the slowdown ratio.
 
@@ -88,8 +89,7 @@ def test_precision_corpus_fp_reduction(record_result):
         f"fs={len(scores['fs']['true_positives'])} (missed under fs: "
         f"{scores['fs']['missed_bugs'] or 'none'})"
         f"\nfs tier: {stats['fs'].strong_updates} strong / "
-        f"{stats['fs'].weak_updates} weak updates, "
-        f"{stats['fs'].escalated_functions} functions escalated"
+        f"{stats['fs'].weak_updates} weak updates"
         f"\nchecker wall: fi {seconds['fi']:.3f}s, fs {seconds['fs']:.3f}s"
     )
     record_result(table, "precision_tiers_corpus")
@@ -101,7 +101,7 @@ def test_precision_corpus_fp_reduction(record_result):
 
 
 def test_precision_juliet_recall_both_tiers(record_result):
-    """Escalation must never lose a seeded Juliet defect: recall stays
+    """The fs tier must never lose a seeded Juliet defect: recall stays
     100% under fs and the good twins stay clean."""
     juliet = generate_juliet_suite()
     source = juliet_source(juliet)
@@ -129,8 +129,7 @@ def test_precision_juliet_recall_both_tiers(record_result):
         ]
         lines.append(
             f"tier {tier}: recall {len(juliet) - len(missed)}/{len(juliet)}, "
-            f"good-twin FPs {len(good_fps)}, "
-            f"escalated {uaf.stats.escalated_functions + df.stats.escalated_functions}"
+            f"good-twin FPs {len(good_fps)}"
         )
         assert not missed, f"tier {tier} missed {[c.ident for c in missed]}"
         assert not good_fps

@@ -31,6 +31,7 @@ from repro import (
     Pinpoint,
     UseAfterFreeChecker,
 )
+from repro.core.report import EXIT_CLEAN, EXIT_VERIFY, aggregate_results
 from repro.lang.parser import ParseError
 from repro.obs import (
     atomic_write,
@@ -56,15 +57,11 @@ from repro.obs.history import (
     write_bench_file,
 )
 from repro.robust import ResourceBudget, install_faults
-from repro.robust.diagnostics import STAGE_VERIFY
 from repro.robust.faults import slow_point
 
-# Exit codes (see EXIT_CODE_TABLE below, shown in --help and README):
-EXIT_CLEAN = 0
-EXIT_FINDINGS = 1
+# Exit codes (see EXIT_CODE_TABLE below, shown in --help and README);
+# the check ladder 0 < 1 < 3 < 4 lives in repro.core.report.
 EXIT_ERROR = 2
-EXIT_DEGRADED = 3
-EXIT_VERIFY = 4
 EXIT_REGRESSION = 5
 
 EXIT_CODE_TABLE = """\
@@ -282,7 +279,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         use_smt=not args.no_smt,
         use_linear_filter=not args.no_linear_filter,
         verify=args.verify,
-        pta_tier=getattr(args, "pta", "") or "",
+        pta_tier=args.pta,
     )
     names = list(CHECKERS) if args.all else [args.checker]
     history_on = bool(resolve_history_dir(getattr(args, "history_dir", "")))
@@ -320,24 +317,14 @@ def cmd_check(args: argparse.Namespace) -> int:
             baseline = Baseline.load(args.baseline)
         except FileNotFoundError:
             baseline = Baseline()
-    exit_code = EXIT_CLEAN
     payload: List[Dict] = []
-    diagnostics: List = []
-    diag_seen = set()
     for name, result in zip(names, results):
-        for diag in result.diagnostics:
-            key = (diag.stage, diag.unit, diag.reason, diag.line, diag.detail)
-            if key not in diag_seen:
-                diag_seen.add(key)
-                diagnostics.append(diag)
         if baseline is not None:
             new_reports = baseline.filter_new(result)
             suppressed = len(result.reports) - len(new_reports)
             result.reports = new_reports
             if suppressed and not (args.json or args.sarif):
                 print(f"[baseline] suppressed {suppressed} known {name} finding(s)")
-        if result.reports:
-            exit_code = EXIT_FINDINGS
         if args.sarif:
             continue
         if args.json:
@@ -349,6 +336,8 @@ def cmd_check(args: argparse.Namespace) -> int:
                 print(report)
         if args.stats and not args.json:
             _print_stats(result.stats)
+    # After the baseline filter, so suppressed findings set no exit code.
+    diagnostics, exit_code = aggregate_results(results)
     if args.update_baseline:
         from repro.core.baseline import Baseline as _Baseline
 
@@ -398,13 +387,6 @@ def cmd_check(args: argparse.Namespace) -> int:
             file=stream,
         )
     _export_obs(args)
-    # Degraded coverage dominates findings: they may be incomplete, and
-    # CI must distinguish "clean but partial" from "clean".  A broken
-    # internal invariant dominates both — those findings are untrusted.
-    if diagnostics:
-        exit_code = EXIT_DEGRADED
-    if any(diag.stage == STAGE_VERIFY for diag in diagnostics):
-        exit_code = EXIT_VERIFY
     _record_history(
         args,
         command="check",
@@ -454,7 +436,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     config = EngineConfig(
         max_call_depth=args.depth,
         use_smt=not args.no_smt,
-        pta_tier=getattr(args, "pta", "") or "",
+        pta_tier=args.pta,
     )
     names = [args.checker] if args.checker else list(CHECKERS)
 
@@ -686,7 +668,7 @@ def cmd_why_slow(args: argparse.Namespace) -> int:
     config = EngineConfig(
         max_call_depth=args.depth,
         use_smt=not args.no_smt,
-        pta_tier=getattr(args, "pta", "") or "",
+        pta_tier=args.pta,
     )
     names = [args.checker] if args.checker else list(CHECKERS)
 
@@ -1012,7 +994,7 @@ def cmd_daemon(args: argparse.Namespace) -> int:
         depth=args.depth,
         no_smt=args.no_smt,
         verify=args.verify,
-        pta=getattr(args, "pta", "") or "",
+        pta=args.pta,
         deadline=args.deadline,
         smt_deadline=args.smt_deadline,
         max_steps=args.max_steps,
@@ -1054,7 +1036,7 @@ def cmd_daemon(args: argparse.Namespace) -> int:
             "max_sessions": args.max_sessions,
             "depth": args.depth,
             "smt": not args.no_smt,
-            "pta": getattr(args, "pta", "") or "",
+            "pta": args.pta,
             "cache": bool(config.cache_dir),
         },
         wall_seconds=uptime,
@@ -1345,10 +1327,6 @@ def cmd_history_diff(args: argparse.Namespace) -> int:
                     int(old.get("pta", {}).get("weak_updates", 0)),
                     int(new.get("pta", {}).get("weak_updates", 0)),
                 ],
-                "escalations": [
-                    int(old.get("pta", {}).get("escalations", 0)),
-                    int(new.get("pta", {}).get("escalations", 0)),
-                ],
             },
         }
         json.dump(document, sys.stdout, indent=2)
@@ -1389,7 +1367,7 @@ def cmd_history_diff(args: argparse.Namespace) -> int:
             "findings deltas reflect the precision tier, not drift"
         )
     pta_bits = []
-    for key in ("strong_updates", "weak_updates", "escalations"):
+    for key in ("strong_updates", "weak_updates"):
         a, b = int(old_p.get(key, 0)), int(new_p.get(key, 0))
         if a or b:
             pta_bits.append(f"{key} {a} -> {b}")
@@ -1586,12 +1564,11 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--depth", type=int, default=6, help="max calling contexts")
     check.add_argument(
         "--pta",
-        default="",
+        default="fi",
         choices=["fi", "fs"],
-        help="points-to precision tier: fi (flow-insensitive baseline, "
-        "default) or fs (sparse flow-sensitive strong updates; functions "
-        "implicated in reports are escalated and re-confirmed; default: "
-        "the REPRO_PTA environment variable, else fi)",
+        help="points-to precision tier every function is prepared at: fi "
+        "(flow-insensitive baseline, default) or fs (adds sparse "
+        "flow-sensitive strong updates)",
     )
     check.add_argument("--no-smt", action="store_true", help="path-insensitive mode")
     check.add_argument(
@@ -1688,9 +1665,9 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--depth", type=int, default=6, help="max calling contexts")
     profile.add_argument(
         "--pta",
-        default="",
+        default="fi",
         choices=["fi", "fs"],
-        help="points-to precision tier (fi | fs; default REPRO_PTA, else fi)",
+        help="points-to precision tier (fi | fs; default fi)",
     )
     profile.add_argument(
         "--no-smt", action="store_true", help="path-insensitive mode"
@@ -1730,9 +1707,9 @@ def build_parser() -> argparse.ArgumentParser:
     why_slow.add_argument("--depth", type=int, default=6, help="max calling contexts")
     why_slow.add_argument(
         "--pta",
-        default="",
+        default="fi",
         choices=["fi", "fs"],
-        help="points-to precision tier (fi | fs; default REPRO_PTA, else fi)",
+        help="points-to precision tier (fi | fs; default fi)",
     )
     why_slow.add_argument(
         "--no-smt", action="store_true", help="path-insensitive mode"
@@ -1867,9 +1844,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--depth", type=int, default=6, help="max calling contexts")
     serve.add_argument(
         "--pta",
-        default="",
+        default="fi",
         choices=["fi", "fs"],
-        help="points-to precision tier (fi | fs; default REPRO_PTA, else fi)",
+        help="points-to precision tier (fi | fs; default fi)",
     )
     serve.add_argument("--no-smt", action="store_true", help="path-insensitive mode")
     serve.add_argument(
@@ -1938,9 +1915,9 @@ def build_parser() -> argparse.ArgumentParser:
     daemon.add_argument("--depth", type=int, default=6, help="max calling contexts")
     daemon.add_argument(
         "--pta",
-        default="",
+        default="fi",
         choices=["fi", "fs"],
-        help="points-to precision tier (fi | fs; default REPRO_PTA, else fi)",
+        help="points-to precision tier (fi | fs; default fi)",
     )
     daemon.add_argument("--no-smt", action="store_true", help="path-insensitive mode")
     daemon.add_argument(

@@ -109,18 +109,16 @@ class EngineConfig:
     # Self-verification mode: ""/off/fast/full ("" defers to the
     # REPRO_VERIFY environment variable at run time).
     verify: str = ""
-    # Points-to precision tier: ""/fi/fs ("" defers to REPRO_PTA, which
-    # defaults to fi).  "fs" prepares on the cheap tier everywhere and
-    # escalates only functions implicated in candidate reports to the
-    # sparse flow-sensitive tier before re-confirming.
-    pta_tier: str = ""
+    # Points-to precision tier prepare_program prepares every function
+    # at: fi, or fs (adds the sparse flow-sensitive strong updates).
+    pta_tier: str = "fi"
 
     def __post_init__(self) -> None:
         if self.verify not in ("", "off", "fast", "full"):
             raise ValueError(
                 f"verify must be one of off|fast|full, got {self.verify!r}"
             )
-        if self.pta_tier not in ("", "fi", "fs"):
+        if self.pta_tier not in ("fi", "fs"):
             raise ValueError(
                 f"pta_tier must be one of fi|fs, got {self.pta_tier!r}"
             )
@@ -242,9 +240,7 @@ class Pinpoint:
         self.budget = budget or ResourceBudget()
         self.budget.start()
         self.diagnostics = module.diagnostics
-        from repro.pta.flowsense import resolve_pta_tier
-
-        self.pta_tier = resolve_pta_tier(self.config.pta_tier)
+        self.pta_tier = module.pta_tier
         # Session-level check memo (set by IncrementalAnalyzer): lets a
         # checker run replay per-function results for functions whose
         # prepared artifacts AND transitive callee check-results are
@@ -252,12 +248,6 @@ class Pinpoint:
         # function name -> digest of its prepare cache key.
         self.check_memo: Optional["CheckMemo"] = None
         self.prepare_digests: Dict[str, str] = {}
-        # Artifact store (set by from_source) so per-function escalation
-        # can reuse/persist fs-tier artifacts under their own digests.
-        self._store = None
-        # Escalation memo: function name -> "did the fs tier change its
-        # points-to facts" (False also covers "escalation kept fi").
-        self._escalated: Dict[str, bool] = {}
         self.functions: Dict[str, PinpointFunction] = {}
         # Artifacts quarantined by the verifier — ('cfg', Function) from
         # the IR pass, ('seg', SEG) from here — for --dump-on-verify-fail.
@@ -302,6 +292,13 @@ class Pinpoint:
                             violation.unit, ("seg", dropped.seg)
                         )
         self.seg_seconds = time.perf_counter() - start
+        # Prepare and SEG work is shared by every checker run on this
+        # engine, so it is published once here, not per checker.
+        seconds = get_registry().counter(
+            "engine.seconds", "Engine time by phase (seconds)"
+        )
+        seconds.inc(module.seconds, phase="prepare")
+        seconds.inc(self.seg_seconds, phase="seg")
 
     # ------------------------------------------------------------------
     @classmethod
@@ -327,26 +324,21 @@ class Pinpoint:
         from repro.cache import open_store
         from repro.sched import resolve_jobs
 
-        verify = (config.verify if config is not None else "")
-        store = open_store(cache_dir)
-        # Preparation always runs on the cheap fi tier — the fs tier is
-        # applied per function by the escalation path in check(), which
-        # is what keeps --pta=fs near fi cost on report-free code.
-        engine = cls(
+        config = config or EngineConfig()
+        return cls(
             prepare_source(
                 source,
                 budget=budget,
                 recover=recover,
-                verify=verify,
+                verify=config.verify,
                 jobs=resolve_jobs(jobs),
-                store=store,
+                store=open_store(cache_dir),
                 worker_timeout=worker_timeout,
+                pta_tier=config.pta_tier,
             ),
             config,
             budget,
         )
-        engine._store = store
-        return engine
 
     @classmethod
     def from_program(
@@ -357,9 +349,16 @@ class Pinpoint:
     ) -> "Pinpoint":
         from repro.core.pipeline import prepare_module
 
-        verify = (config.verify if config is not None else "")
+        config = config or EngineConfig()
         return cls(
-            prepare_module(program, budget=budget, verify=verify), config, budget
+            prepare_module(
+                program,
+                budget=budget,
+                verify=config.verify,
+                pta_tier=config.pta_tier,
+            ),
+            config,
+            budget,
         )
 
     # ------------------------------------------------------------------
@@ -374,32 +373,7 @@ class Pinpoint:
 
         Never raises for analysis-internal failures: a crash anywhere in
         the run yields a CheckResult whose diagnostics name what was
-        quarantined.
-
-        Under ``--pta=fs`` this is where the precision tier applies: the
-        checker first runs against the cheap fi preparation; every
-        function implicated in a report is then *escalated* — re-prepared
-        under the sparse flow-sensitive tier — and, if any escalation
-        actually changed points-to facts (a proof-driven strong update
-        fired), the checker re-runs against the upgraded functions so
-        only reports that survive the precise tier are returned."""
-        result = self._check_once(checker)
-        if self.pta_tier != "fs" or not result.reports:
-            result.stats.escalated_functions = len(self._escalated)
-            return result
-        candidates = sorted(
-            {report.source.function for report in result.reports}
-            | {report.sink.function for report in result.reports}
-        )
-        changed = False
-        for name in candidates:
-            changed = self._escalate_function(name) or changed
-        if changed:
-            result = self._check_once(checker)
-        result.stats.escalated_functions = len(self._escalated)
-        return result
-
-    def _check_once(self, checker: Checker) -> CheckResult:
+        quarantined."""
         progress = get_progress()
         progress.set_stage("checker", checker=checker.name)
         with obs_trace("checker.run", unit=checker.name):
@@ -415,131 +389,6 @@ class Pinpoint:
             result = run.finish()
             progress.checker_done(checker.name, len(result.reports))
             return result
-
-    # ------------------------------------------------------------------
-    # Per-function escalation to the fs precision tier
-    # ------------------------------------------------------------------
-    def _escalate_function(self, name: str) -> bool:
-        """Re-prepare ``name`` under the fs tier; returns True when the
-        upgrade changed its points-to facts (so reports must re-confirm).
-
-        Escalation is conservative end to end: any failure — missing
-        AST, preparation crash, changed connector signature, a verify
-        error on the upgraded artifacts — keeps the fi version, so fs
-        can lose precision back to fi but never coverage."""
-        if name in self._escalated:
-            return False
-        self._escalated[name] = False
-        current = self.module.functions.get(name)
-        func_ast = self.module.asts.get(name)
-        if current is None or func_ast is None or name not in self.functions:
-            return False
-        from repro.obs.metrics import get_registry
-
-        get_registry().counter(
-            "pta.escalations",
-            "Functions re-prepared under the fs tier by report escalation",
-        ).inc()
-        with obs_trace("pta.escalate", unit=name):
-            try:
-                prepared_fs, seg = self._prepare_fs(name, func_ast)
-            except Exception as error:
-                self.diagnostics.record(
-                    STAGE_CHECKER,
-                    name,
-                    REASON_REDUCED_PRECISION,
-                    detail=f"fs escalation failed, keeping fi: "
-                    f"{type(error).__name__}: {error}",
-                )
-                return False
-        if prepared_fs is None:
-            return False
-        from repro.cache.keys import signature_fingerprint
-
-        if signature_fingerprint(prepared_fs.signature) != signature_fingerprint(
-            current.signature
-        ):
-            # Cannot happen (Mod/Ref is tier-independent), but if it ever
-            # did, swapping would desynchronize already-prepared callers.
-            self.diagnostics.record(
-                STAGE_CHECKER,
-                name,
-                REASON_REDUCED_PRECISION,
-                detail="fs escalation changed the connector signature; keeping fi",
-            )
-            return False
-        if self.verify_mode != verify_mod.MODE_OFF:
-            with verify_mod.timed_verify("pta"), obs_trace(
-                "verify.pta", unit=name
-            ):
-                violations = verify_mod.verify_flow_tier(prepared_fs, current)
-            if violations:
-                errors = verify_mod.record_violations(
-                    violations, self.diagnostics
-                )
-                if errors:
-                    return False
-        if not prepared_fs.points_to.strong_uids:
-            # No proof-driven strong update fired: the fs facts are the
-            # fi facts, so the fi artifacts (and reports) stand as-is.
-            return False
-        zone = Quarantine(self.diagnostics, STAGE_SEG, name)
-        with zone:
-            pf = PinpointFunction(prepared_fs, seg=seg)
-        if zone.tripped:
-            return False
-        self.module.functions[name] = prepared_fs
-        self.functions[name] = pf
-        self._escalated[name] = True
-        log.info("function escalated to fs tier", function=name)
-        return True
-
-    def _prepare_fs(self, name: str, func_ast):
-        """Prepare one function under the fs tier, through the artifact
-        store when one is attached (fs digests never collide with fi)."""
-        from repro.cache.keys import key_digest, prepare_cache_key
-        from repro.core.pipeline import prepare_function
-
-        callgraph = self.module.callgraph
-        scc_of: Dict[str, int] = {}
-        if callgraph is not None:
-            for index, scc in enumerate(callgraph.sccs()):
-                for member in scc:
-                    scc_of[member] = index
-        usable = {
-            other: prepared.signature
-            for other, prepared in self.module.functions.items()
-            if other != name
-            and scc_of.get(other, -1) != scc_of.get(name, -2)
-        }
-        digest = ""
-        if self._store is not None and callgraph is not None:
-            digest = key_digest(
-                prepare_cache_key(
-                    func_ast,
-                    usable,
-                    callgraph.callees.get(name, ()),
-                    pta_tier="fs",
-                )
-            )
-            hit = self._store.get(digest)
-            if hit is not None:
-                _stored, result, seg = hit
-                return result, seg
-        # budget=None: escalation must be deterministic — a cooperative
-        # budget could degrade conditions differently run to run.
-        prepared_fs = prepare_function(
-            func_ast, usable, self.module.linear, budget=None, pta_tier="fs"
-        )
-        if self._store is not None and digest:
-            seg = None
-            try:
-                seg = build_seg(prepared_fs)
-            except Exception:
-                seg = None
-            self._store.put(digest, name, prepared_fs, seg)
-            return prepared_fs, seg
-        return prepared_fs, None
 
 
 @dataclass
@@ -670,13 +519,11 @@ class _CheckerRun:
         self._search_start = time.perf_counter()
         # Session check memo (only under an IncrementalAnalyzer).  Off
         # whenever results could be time-dependent: a limited budget may
-        # degrade mid-run, and the fs tier mutates prepared artifacts
-        # between the two _check_once passes.
+        # degrade mid-run.
         self._memo_table: Optional[Dict[str, CheckMemoEntry]] = None
         if (
             engine.check_memo is not None
             and engine.prepare_digests
-            and engine.pta_tier != "fs"
             and not self.budget.limited
         ):
             self._memo_table = engine.check_memo.table(checker.name)
@@ -719,7 +566,6 @@ class _CheckerRun:
             pf.prepared.points_to.weak_updates
             for pf in self.engine.functions.values()
         )
-        self.stats.escalated_functions = len(self.engine._escalated)
         diagnostics = list(self.engine.diagnostics) + list(self.diagnostics)
         self.stats.quarantined_units += len(
             self.engine.diagnostics.quarantined_units()
@@ -809,10 +655,13 @@ class _CheckerRun:
 
     @staticmethod
     def _numeric_stats(stats: EngineStats) -> Dict[str, float]:
+        # Timings stay out: a replay spends no time searching or solving.
         return {
             key: value
             for key, value in stats.as_dict().items()
-            if isinstance(value, (int, float)) and not isinstance(value, bool)
+            if isinstance(value, (int, float))
+            and not isinstance(value, bool)
+            and not key.startswith("seconds_")
         }
 
     def _replay(self, name: str, entry: CheckMemoEntry) -> None:

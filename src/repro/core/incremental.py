@@ -53,7 +53,7 @@ class IncrementalAnalyzer:
     def __init__(
         self, config: Optional[EngineConfig] = None, store=None
     ) -> None:
-        self.config = config
+        self.config = config or EngineConfig()
         self.store = store
         self._tier = MemoryTier(store)
         # Function name -> content address, from the last run.
@@ -84,16 +84,17 @@ class IncrementalAnalyzer:
 
     def analyze_program(self, program: ast.Program, budget=None) -> Pinpoint:
         """Prepare ``program`` the way :meth:`Pinpoint.from_source` does —
-        on the fi tier (``--pta=fs`` escalates per function at check
-        time), under ``budget``, with the config's IR verification — but
-        against this analyzer's memory tier."""
+        at the config's points-to tier, under ``budget``, with the
+        config's verification — but against this analyzer's memory
+        tier."""
         from repro.sched.scheduler import prepare_program
 
         prepared = prepare_program(
             program,
             budget=budget,
-            verify=self.config.verify if self.config is not None else "",
+            verify=self.config.verify,
             store=self._tier,
+            pta_tier=self.config.pta_tier,
         )
         self._tier.end_run()
         self._digests = prepared.digests

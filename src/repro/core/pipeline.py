@@ -93,10 +93,10 @@ class PreparedModule:
     # from the on-disk artifact cache).  The engine consumes these
     # instead of rebuilding; absence just means "build it yourself".
     segs: Dict[str, object] = field(default_factory=dict)
-    # Surface ASTs of every successfully parsed function, kept so the
-    # engine's per-function escalation path (--pta=fs) can re-prepare a
-    # candidate function under the precise tier without re-parsing.
-    asts: Dict[str, ast.FuncDef] = field(default_factory=dict)
+    # Points-to precision tier every function was prepared at ("fi" or
+    # "fs"); a function whose fs artifacts fail the pta verifier rules
+    # keeps its fi artifacts (PreparedFunction.pta_tier).
+    pta_tier: str = "fi"
     # Filled when preparation ran against an artifact store: each
     # function's content address (repro.cache.keys) and the functions
     # whose artifacts the store served instead of recomputing them.

@@ -4,10 +4,17 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import MetricsRegistry, get_registry
-from repro.robust.diagnostics import Diagnostic
+from repro.robust.diagnostics import STAGE_VERIFY, Diagnostic
+
+# Exit codes of a check, from least to most severe; a later rung
+# dominates an earlier one.
+EXIT_CLEAN = 0
+EXIT_FINDINGS = 1
+EXIT_DEGRADED = 3
+EXIT_VERIFY = 4
 
 
 @dataclass(frozen=True)
@@ -115,15 +122,13 @@ class EngineStats:
     degraded_candidates: int = 0
     smt_deadline_hits: int = 0
     quarantined_units: int = 0
-    # Points-to precision tier of this run ("fi" or "fs") and the fs
-    # tier's store-update/escalation accounting.  ``strong_updates``
-    # counts syntactic + proof-driven strong updates over every prepared
-    # function; ``escalated_functions`` counts functions the engine
-    # re-prepared under the precise tier to re-confirm reports.
+    # Points-to precision tier the module was prepared at ("fi" or
+    # "fs") and its store-update accounting: ``strong_updates`` counts
+    # syntactic + proof-driven strong updates over every prepared
+    # function.
     pta_tier: str = "fi"
     strong_updates: int = 0
     weak_updates: int = 0
-    escalated_functions: int = 0
     seconds_prepare: float = 0.0
     seconds_seg: float = 0.0
     seconds_search: float = 0.0
@@ -138,9 +143,13 @@ class EngineStats:
         """Mirror this run's stats into the metrics registry.
 
         Integer fields become ``engine.<field>`` counters and the
-        ``seconds_*`` timings ``engine.seconds`` counters labeled by
-        phase, all labeled ``checker=<name>``.  Summary-cache lookups
-        additionally feed ``engine.summaries.{hit,miss}``.
+        checker's own timings (``search``, ``solving``) ``engine.seconds``
+        counters labeled by phase, all labeled ``checker=<name>``.  The
+        shared ``prepare``/``seg`` phases are published once per engine
+        by :class:`~repro.core.engine.Pinpoint`, so summing
+        ``engine.seconds`` never counts them once per checker.
+        Summary-cache lookups additionally feed
+        ``engine.summaries.{hit,miss}``.
         """
         # Explicit None check: an empty MetricsRegistry is falsy (it has
         # __len__), so ``registry or get_registry()`` would ignore it.
@@ -149,6 +158,8 @@ class EngineStats:
         for name, value in self.as_dict().items():
             if isinstance(value, str):
                 continue  # e.g. pta_tier: not a number, not a counter
+            if name in ("seconds_prepare", "seconds_seg"):
+                continue
             if name.startswith("seconds_"):
                 registry.counter(
                     "engine.seconds", "Engine time by phase (seconds)"
@@ -209,3 +220,30 @@ class CheckResult:
         if self.diagnostics:
             line += f" [degraded: {len(self.diagnostics)} diagnostic(s)]"
         return line
+
+
+def aggregate_results(
+    results: Sequence[CheckResult],
+) -> Tuple[List[Diagnostic], int]:
+    """The diagnostics of several checker runs, deduplicated, and the
+    exit code they imply — shared by ``repro check`` and the daemon so
+    both report the same document.
+
+    Checkers run on one engine share its module-level diagnostics, so
+    the same entry arrives once per checker; it is kept once, in first
+    arrival order.  The exit code follows the ladder findings (1) <
+    degraded coverage (3) < verification failure (4): degraded findings
+    may be incomplete, and a broken internal invariant makes them
+    untrusted."""
+    # Diagnostic is a frozen dataclass: equal means every field equal.
+    diagnostics = list(
+        dict.fromkeys(diag for result in results for diag in result.diagnostics)
+    )
+    exit_code = EXIT_CLEAN
+    if any(result.reports for result in results):
+        exit_code = EXIT_FINDINGS
+    if diagnostics:
+        exit_code = EXIT_DEGRADED
+    if any(diag.stage == STAGE_VERIFY for diag in diagnostics):
+        exit_code = EXIT_VERIFY
+    return diagnostics, exit_code

@@ -236,14 +236,13 @@ def collect_run_record(
             "digest": digest,
         },
         "pta": {
-            # Tier from the run config (the CLI records the resolved
-            # tier there); counters from the per-function analyses.
+            # Tier from the run config (the CLI records the tier the
+            # engine prepared at); counters from the per-function analyses.
             "tier": str((config or {}).get("pta", "") or "fi"),
             "strong_updates": int(
                 _counter_total(registry, "pta.strong_updates")
             ),
             "weak_updates": int(_counter_total(registry, "pta.weak_updates")),
-            "escalations": int(_counter_total(registry, "pta.escalations")),
         },
         "quantiles": quantiles,
     }

@@ -23,7 +23,6 @@ from repro.pta.flowsense import (
     FlowSenseResult,
     FlowSensitivePTA,
     MustAliasProof,
-    resolve_pta_tier,
 )
 
 __all__ = [
@@ -37,5 +36,4 @@ __all__ = [
     "MustAliasProof",
     "PointsToAnalysis",
     "PointsToResult",
-    "resolve_pta_tier",
 ]

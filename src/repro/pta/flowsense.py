@@ -369,20 +369,6 @@ class FlowSensitivePTA:
         return tuple(sorted(objs, key=lambda obj: obj.sort_key()))
 
 
-def resolve_pta_tier(value: str = "") -> str:
-    """Resolve a precision tier: explicit value > ``REPRO_PTA`` > ``fi``.
-
-    Raises ``ValueError`` on anything other than ``fi``/``fs`` so typos
-    in the environment variable fail loudly instead of silently running
-    the wrong tier."""
-    import os
-
-    tier = value or os.environ.get("REPRO_PTA", "") or "fi"
-    if tier not in ("fi", "fs"):
-        raise ValueError(f"unknown PTA tier {tier!r} (expected 'fi' or 'fs')")
-    return tier
-
-
 def analyze(function: cfg.Function) -> FlowSenseResult:
     """Convenience wrapper: run the sparse pass on an SSA function."""
     return FlowSensitivePTA(function).run()

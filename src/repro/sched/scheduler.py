@@ -32,7 +32,10 @@ Determinism is preserved by construction:
   ``jobs`` value and every store state;
 - verification (and the admit/quarantine decision it implies) runs at
   the wave barrier because a rejected function must not publish its
-  connector signature to later waves.
+  connector signature to later waves.  With verification on and
+  ``pta_tier="fs"``, the same gate audits each function's fs artifacts
+  against an fi preparation of it; one that fails keeps the fi
+  artifacts.
 
 Failure semantics: a Python exception while preparing a function (inline
 or inside a worker) becomes a ``prepare``-stage quarantine diagnostic; a
@@ -98,6 +101,8 @@ class _Outcome:
     detail: str = ""
     line: int = 0
     violations: List[Any] = field(default_factory=list)
+    # pta-rule violations of fs artifacts; recorded, never quarantining.
+    flow_violations: List[Any] = field(default_factory=list)
     admitted: bool = True
 
 
@@ -120,13 +125,13 @@ def prepare_program(
     it (``cached``).  ``verify`` (``off``/``fast``/``full``, defaulting to
     ``REPRO_VERIFY``) runs the IR verifier on every prepared function; a
     violating function is quarantined like one whose preparation
-    raised."""
+    raised.  ``pta_tier`` (``fi``/``fs``) is the points-to tier every
+    function is prepared at; with ``verify`` on, fs artifacts must also
+    pass the pta rules or the function falls back to fi."""
     from repro.verify import (
         MODE_OFF,
-        SEVERITY_ERROR,
         record_violations,
         resolve_mode,
-        severity_of,
         timed_verify,
     )
     from repro.verify.ir_verifier import verify_function_ir
@@ -156,9 +161,9 @@ def prepare_program(
         module = lower_program(program)
         callgraph = CallGraph(module)
     prepared.callgraph = callgraph
+    prepared.pta_tier = pta_tier
     serial_order = callgraph.bottom_up_order()
     ast_by_name = {f.name: f for f in program.functions}
-    prepared.asts = dict(ast_by_name)
     scc_of: Dict[str, int] = {}
     for index, scc in enumerate(callgraph.sccs()):
         for member in scc:
@@ -198,11 +203,12 @@ def prepare_program(
             names = [name for scc in wave for name in scc]
             wave_started = time.perf_counter()
             task_seconds: Dict[str, float] = {}
+            usable_of: Dict[str, Dict[str, Any]] = {}
             with trace("sched.wave", unit=str(wave_index)) as span:
                 pending: List[Tuple[str, ast.FuncDef, Dict[str, Any]]] = []
                 for name in names:
                     func_ast = ast_by_name[name]
-                    usable = {
+                    usable = usable_of[name] = {
                         callee: sig
                         for callee, sig in signatures.items()
                         if scc_of.get(callee) != scc_of.get(name)
@@ -246,33 +252,39 @@ def prepare_program(
 
                 # Wave-boundary admission gate: a function must pass the
                 # IR verifier before its connector signature becomes
-                # visible to later waves.  Diagnostics are recorded
-                # later, in serial order, during assembly.
+                # visible to later waves, and fs artifacts must pass the
+                # pta rules or fall back to fi.  Diagnostics are
+                # recorded later, in serial order, during assembly.
                 for name in names:
                     out = outcomes[name]
                     if out.kind != "prepared":
                         continue
-                    result = out.result
                     if verify_mode != MODE_OFF:
+                        result = out.result
                         with timed_verify("ir"), trace("verify.ir", unit=name):
                             out.violations = verify_function_ir(
                                 result.function,
                                 result.control_deps,
                                 dom=result.gates.dom,
                             )
-                        if any(
-                            severity_of(v.rule) == SEVERITY_ERROR
-                            for v in out.violations
-                        ):
+                        if _has_error(out.violations):
                             out.admitted = False
                             continue
+                        if pta_tier == "fs":
+                            _audit_flow_tier(
+                                out, ast_by_name[name], usable_of[name],
+                                prepared.linear,
+                            )
+                    result = out.result
                     signatures[name] = result.signature
                     # The one write-back site.  A budget-degraded result
-                    # must not land under the full-precision address.
+                    # or an fi fallback must not land under the address
+                    # of the full-precision, requested-tier result.
                     if (
                         store is not None
                         and not out.cached
                         and not result.points_to.degraded
+                        and result.pta_tier == pta_tier
                     ):
                         store.put(digests[name], name, result, out.seg)
                 if task_seconds:
@@ -341,6 +353,8 @@ def prepare_program(
             if errors:
                 prepared.verify_failures[name] = ("cfg", out.result.function)
                 continue
+        # On an error the gate already swapped in the fi artifacts.
+        record_violations(out.flow_violations, log)
         if out.result.points_to.degraded:
             log.record(
                 STAGE_PTA,
@@ -405,6 +419,32 @@ def _publish_attribution(
         "Share of wave wall not explained by critical-path compute "
         "(dispatch, pickling, queueing, barrier waste)",
     ).set(round(overhead_ratio, 4))
+
+
+def _has_error(violations: List[Any]) -> bool:
+    from repro.verify import SEVERITY_ERROR, severity_of
+
+    return any(severity_of(v.rule) == SEVERITY_ERROR for v in violations)
+
+
+def _audit_flow_tier(
+    out: _Outcome, func_ast: ast.FuncDef, usable: Dict[str, Any], linear
+) -> None:
+    """Run the ``pta-strong-update-proof`` and ``pta-tier-subset`` rules
+    on one function's fs artifacts, against an fi preparation of the
+    same function.  On an error the function keeps the fi artifacts, so
+    the fs tier can lose precision back to fi but never coverage."""
+    from repro.verify import timed_verify, verify_flow_tier
+
+    with timed_verify("pta"), trace("verify.pta", unit=func_ast.name):
+        # budget=None: the reference must not depend on how much of a
+        # cooperative budget the analysis itself has used up.
+        fi_result = prepare_function(
+            func_ast, usable, linear, budget=None, pta_tier="fi"
+        )
+        out.flow_violations = verify_flow_tier(out.result, fi_result)
+    if _has_error(out.flow_violations):
+        out.result, out.seg = fi_result, None
 
 
 # ----------------------------------------------------------------------

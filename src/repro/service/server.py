@@ -28,8 +28,9 @@ Contracts:
 - **Byte-identity** — a daemon result's ``reports`` and ``diagnostics``
   are exactly what one-shot ``repro check --json`` emits for the same
   program and checkers (both build on
-  :func:`repro.core.report.report_as_dict` and the same dedup/exit-code
-  logic, and the same prepare driver; see "The byte-identity contract"
+  :func:`repro.core.report.report_as_dict`, on
+  :func:`repro.core.report.aggregate_results` for the dedup and exit
+  code, and on the same ``prepare_program``; see "The byte-identity contract"
   in ``docs/service.md``).
 - **Overload degrades, never crashes** — admission control refuses
   excess work with ``429`` + ``Retry-After`` before it costs anything;
@@ -52,13 +53,12 @@ from typing import Any, Dict, List, Optional
 
 from repro.core.engine import EngineConfig
 from repro.core.incremental import apply_function_edit
-from repro.core.report import report_as_dict
+from repro.core.report import aggregate_results, report_as_dict
 from repro.lang.parser import ParseError, parse_program
 from repro.obs.metrics import get_registry
 from repro.obs.monitor import STREAM_POLL_SECONDS, _MonitorHandler
 from repro.obs.trace import trace
 from repro.robust import ResourceBudget
-from repro.robust.diagnostics import STAGE_VERIFY
 from repro.service.jobs import (
     STATUS_ABORTED,
     STATUS_DONE,
@@ -88,7 +88,7 @@ class ServiceConfig:
     depth: int = 6
     no_smt: bool = False
     verify: str = ""  # "" | off | fast | full (as `repro check --verify`)
-    pta: str = ""
+    pta: str = "fi"
     # Per-request budget defaults (0 = unlimited, as on the CLI).
     deadline: float = 0.0
     smt_deadline: float = 0.0
@@ -420,35 +420,17 @@ class ServiceServer:
         results = [engine.check(CHECKERS[name]()) for name in job.checkers]
         session.adopt(program)
 
-        # Exactly the cmd_check aggregation: dedup diagnostics across
-        # checkers, findings < degraded < verify-failure for exit_code.
-        reports: List[Dict[str, Any]] = []
-        diagnostics: List[Dict[str, Any]] = []
-        diag_seen = set()
-        findings = 0
-        for result in results:
-            for diag in result.diagnostics:
-                key = (diag.stage, diag.unit, diag.reason, diag.line, diag.detail)
-                if key not in diag_seen:
-                    diag_seen.add(key)
-                    diagnostics.append(diag.as_dict())
-            findings += len(result.reports)
-            reports.extend(report_as_dict(r) for r in result)
-        exit_code = 1 if findings else 0
-        if diagnostics:
-            exit_code = 3
-        if any(d.get("stage") == STAGE_VERIFY for d in diagnostics):
-            exit_code = 4
+        diagnostics, exit_code = aggregate_results(results)
         return {
             "job_id": job.job_id,
             "kind": kind,
             "session": job.session,
             "status": STATUS_DONE,
             "exit_code": exit_code,
-            "findings": findings,
+            "findings": sum(len(result.reports) for result in results),
             "checkers": list(job.checkers),
-            "reports": reports,
-            "diagnostics": diagnostics,
+            "reports": [report_as_dict(r) for result in results for r in result],
+            "diagnostics": [diag.as_dict() for diag in diagnostics],
             "fingerprint": session.fingerprint,
             "incremental": {
                 "analyzed": stats.analyzed,

@@ -20,15 +20,12 @@ Fig. 2: ``K``/``L`` at the call site, ``X``/``Y`` in the callee.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from repro.ir import cfg
 from repro.pta.memory import aux_param_name, aux_return_name
 from repro.transform.modref import ModRefSummary
-
-_CONNECTOR_ID = itertools.count(1)
 
 
 @dataclass
@@ -105,7 +102,10 @@ def transform_call_sites(
                 new_instrs.append(instr)
                 continue
             param_index = {name: i for i, name in enumerate(signature.params)}
-            site = next(_CONNECTOR_ID)
+            # The call's uid names its connectors: unique in the function
+            # and, under cfg.scoped_uids, independent of what else this
+            # process has prepared (so two tiers' artifacts compare).
+            site = instr.uid
 
             # A_i <- *(u_j, k): actual values for the callee's aux params.
             for param, depth in signature.aux_params:

@@ -35,7 +35,7 @@ def _lines_by_uid(function) -> Dict[int, int]:
 
 
 def verify_flow_tier(fs_prepared, fi_prepared) -> List[Violation]:
-    """Check the fs-tier invariants of one escalated function against
+    """Check the fs-tier invariants of one fs-prepared function against
     its fi-tier preparation; both must come from the same AST."""
     violations: List[Violation] = []
     fs_pta = fs_prepared.points_to

@@ -137,3 +137,16 @@ def test_incremental_speedup_on_large_program():
     assert analyzer.last_stats.reused > 100
     # Reuse must pay off; a generous bound keeps this stable under load.
     assert warm < cold, (cold, warm)
+
+
+def test_fully_replayed_recheck_spends_no_solving_time():
+    analyzer = IncrementalAnalyzer()
+    cold = analyzer.analyze(BASE).check(UseAfterFreeChecker())
+    assert cold.stats.seconds_solving > 0
+    warm = analyzer.analyze(BASE).check(UseAfterFreeChecker())
+    # Every function replays from the check memo: its counts come back,
+    # the cold run's solving time does not.
+    assert warm.reports == cold.reports
+    assert warm.stats.candidates == cold.stats.candidates
+    assert warm.stats.smt_queries == warm.stats.linear_queries == 0
+    assert warm.stats.seconds_solving == 0

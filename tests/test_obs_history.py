@@ -573,3 +573,20 @@ def test_bench_harness_records_history(tmp_path, monkeypatch, capsys):
     assert rec["command"] == "bench"
     assert rec["label"] == "table1"
     assert rec["wall_seconds"] == 0.5
+
+
+def test_check_all_record_counts_shared_stages_once(tmp_path, capsys):
+    # Prepare and SEG work is shared by every checker: counted once per
+    # checker, a six-checker record would exceed its own wall time.
+    from repro.synth.generator import GeneratorConfig, generate_program
+
+    path = tmp_path / "subject.pin"
+    path.write_text(
+        generate_program(GeneratorConfig(seed=3, target_lines=600)).source
+    )
+    hist = str(tmp_path / "hist")
+    main(["check", str(path), "--all", "--history-dir", hist])
+    capsys.readouterr()
+    (record,) = HistoryStore(hist).records()
+    assert {"prepare", "seg", "search"} <= set(record["stages"])
+    assert sum(record["stages"].values()) <= record["wall_seconds"]

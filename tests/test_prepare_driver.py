@@ -158,6 +158,49 @@ def test_budget_degraded_artifacts_stay_out_of_the_store(tmp_path, capsys):
     assert warm["reports"] == cold["reports"]
 
 
+#: The functions whose points-to conditions a 200-step budget degrades
+#: on ``_generated()``: wave order spends the steps, so the set is the
+#: same in every mode that prepares from scratch.
+DEGRADED_AT_200_STEPS = [
+    "u11_root", "u18_root", "u19_root", "u21_root", "u22_root",
+    "u23_m3", "u23_root", "u3_root", "u7_root", "u9_root",
+]
+
+
+def _budget_degraded(diagnostics):
+    return sorted(
+        d["unit"]
+        for d in diagnostics
+        if d["stage"] == STAGE_PTA and d["reason"] == REASON_BUDGET
+    )
+
+
+def test_tight_budget_degrades_the_same_functions_in_every_mode(
+    tmp_path, capsys
+):
+    # A warm rerun over the same cache dir is left out on purpose: store
+    # hits spend no steps, so it degrades fewer functions.
+    source = _generated()
+    path = tmp_path / "subject.pin"
+    path.write_text(source)
+    base = ["check", str(path), "--all", "--json", "--max-steps", "200"]
+    degraded = {}
+    for mode, flags in (
+        ("serial", []),
+        ("cold-cache", ["--cache-dir", str(tmp_path / "cache")]),
+        ("jobs2", ["--jobs", "2"]),
+    ):
+        set_registry(MetricsRegistry())
+        assert main(base + flags) == 3
+        document = json.loads(capsys.readouterr().out)
+        degraded[mode] = _budget_degraded(document["diagnostics"])
+    engine = IncrementalAnalyzer().analyze_program(
+        parse_program(source), budget=ResourceBudget(max_steps=200)
+    )
+    degraded["incremental"] = _budget_degraded(_findings(engine)[1])
+    assert degraded == {mode: DEGRADED_AT_200_STEPS for mode in degraded}
+
+
 # ----------------------------------------------------------------------
 # EngineStats.seconds_prepare is the driver's wall time
 # ----------------------------------------------------------------------

@@ -3,10 +3,12 @@
 Covers the tier end to end: must-alias-proven strong updates remove the
 null-branch false positive, kill-then-branch shapes, loop-carried
 pointers and loop-allocated objects refuse the singleton proof, aliased
-stores through phis stay weak, escalation reproduces the fi findings
+stores through phis stay weak, the fs tier reproduces the fi findings
 byte-for-byte when fs adds nothing, fs points-to stays a subset of fi,
-the cache keys of the two tiers never collide, and reports are
-deterministic across ``--jobs`` and hash seeds.
+``prepare_program`` audits every fs function with the pta rules and
+falls back to fi on a violation, the cache keys of the two tiers never
+collide, warm incremental fs sessions replay the check memo, and reports
+are deterministic across ``--jobs`` and hash seeds.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from repro.core.pipeline import prepare_source
 from repro.ir import cfg
 from repro.lang.parser import parse_program
 from repro.obs.metrics import MetricsRegistry, set_registry
-from repro.pta.flowsense import FlowSensitivePTA, resolve_pta_tier
+from repro.pta.flowsense import FlowSensitivePTA
 from repro.pta.memory import MustAlias
 from repro.synth.precision import generate_precision_suite, suite_source
 from repro.verify import verify_flow_tier
@@ -66,7 +68,6 @@ def test_strong_update_removes_null_branch_fp():
     prepared = engine.functions["fp_null_branch"].prepared
     assert prepared.pta_tier == "fs"
     assert prepared.points_to.strong_uids  # the kill was proof-driven
-    assert fs.stats.escalated_functions == 1
 
 
 def test_kill_then_branch():
@@ -156,8 +157,8 @@ fn loop_carried(c) {
     assert flow.must_target(stores[-1].pointer.name).is_singleton is False
 
 
-# ----------------------------------------------------- escalation exact
-def test_escalation_reproduces_fi_findings_when_fs_adds_nothing():
+# ------------------------------------------------------------- fs exact
+def test_fs_reproduces_fi_findings_when_fs_adds_nothing():
     # Only genuine bugs: fs must re-confirm every fi report unchanged.
     bugs = [c for c in generate_precision_suite() if c.is_bug]
     source = suite_source(bugs)
@@ -216,22 +217,128 @@ def test_cache_keys_differ_by_tier():
     assert prepare_cache_key(func_ast, {}, [], pta_tier="fs") == fs_key
 
 
-def test_resolve_pta_tier():
-    assert resolve_pta_tier() == "fi"
-    assert resolve_pta_tier("fs") == "fs"
-    os.environ["REPRO_PTA"] = "fs"
-    try:
-        assert resolve_pta_tier() == "fs"
-        assert resolve_pta_tier("fi") == "fi"  # explicit wins
-    finally:
-        del os.environ["REPRO_PTA"]
-    with pytest.raises(ValueError):
-        resolve_pta_tier("sparse")
-
-
 def test_engine_config_rejects_unknown_tier():
     with pytest.raises(ValueError):
         EngineConfig(pta_tier="cs")
+
+
+def test_tier_is_plain_fi_or_fs():
+    assert EngineConfig().pta_tier == "fi"
+    with pytest.raises(ValueError):
+        EngineConfig(pta_tier="")  # no deferred tier: fi is the default
+    engine = Pinpoint.from_source(
+        _case("fp_null_branch").source, EngineConfig(pta_tier="fs")
+    )
+    assert engine.pta_tier == engine.module.pta_tier == "fs"
+
+
+# ------------------------------------------------------ wave-gate audit
+def test_wave_gate_audits_every_fs_function(monkeypatch):
+    import repro.verify
+
+    audited = []
+    real = repro.verify.verify_flow_tier
+
+    def recording(fs_prepared, fi_prepared):
+        audited.append(fs_prepared.name)
+        return real(fs_prepared, fi_prepared)
+
+    monkeypatch.setattr(repro.verify, "verify_flow_tier", recording)
+    source = suite_source(generate_precision_suite())
+    engine, _ = _reports(source, "fs")
+    # Not only report endpoints: every prepared function, once.
+    assert sorted(audited) == sorted(engine.module.functions)
+    assert all(
+        pf.prepared.pta_tier == "fs" for pf in engine.functions.values()
+    )
+
+
+def test_audit_is_clean_across_call_connectors():
+    # The fi reference is prepared after the fs artifacts in the same
+    # process; the rules only hold if both name every call connector
+    # (A$/C$ values) alike.
+    from repro.synth.generator import GeneratorConfig, generate_program
+
+    source = generate_program(GeneratorConfig(seed=3, target_lines=600)).source
+    engine = Pinpoint.from_source(
+        source, EngineConfig(pta_tier="fs", verify="fast")
+    )
+    assert not engine.diagnostics.entries
+    assert all(
+        pf.prepared.pta_tier == "fs" for pf in engine.functions.values()
+    )
+
+
+def test_pta_rule_violation_keeps_fi_artifacts_and_exits_4(
+    monkeypatch, tmp_path, capsys
+):
+    from repro.cli import main
+    import repro.sched.scheduler as scheduler
+
+    victim = "bug_phi_two_objects"
+    real = scheduler.prepare_function
+
+    def forging(func_ast, usable, linear=None, budget=None, pta_tier="fi"):
+        # Forge a strong update no must-alias proof backs on the fs
+        # artifacts of one function; its fi reference stays honest.
+        result = real(func_ast, usable, linear, budget=budget, pta_tier=pta_tier)
+        if pta_tier == "fs" and func_ast.name == victim:
+            proven = set(result.flow.proofs)
+            result.points_to.strong_uids = (
+                next(u for u in result.points_to.store_targets if u not in proven),
+            )
+        return result
+
+    monkeypatch.setattr(scheduler, "prepare_function", forging)
+    source = suite_source(generate_precision_suite())
+    engine = Pinpoint.from_source(
+        source, EngineConfig(pta_tier="fs", verify="fast")
+    )
+    assert [
+        (d.unit, d.reason) for d in engine.diagnostics
+    ] == [(victim, "invariant-violation:pta-strong-update-proof")]
+    # Analysed, not quarantined, and on its fi artifacts.
+    assert engine.functions[victim].prepared.pta_tier == "fi"
+    assert engine.functions["fp_null_branch"].prepared.pta_tier == "fs"
+    reports = engine.check(UseAfterFreeChecker()).reports
+    assert any(r.sink.function == victim for r in reports)
+
+    path = tmp_path / "precision.pin"
+    path.write_text(source)
+    set_registry(MetricsRegistry())
+    assert main(["check", str(path), "--pta", "fs", "--verify", "fast"]) == 4
+    assert "pta-strong-update-proof" in capsys.readouterr().out
+
+
+# --------------------------------------------------- incremental fs
+def test_incremental_fs_session_replays_the_check_memo():
+    from repro.cli import CHECKERS
+    from repro.core.incremental import IncrementalAnalyzer
+    from repro.core.report import aggregate_results, report_as_dict
+    from repro.obs.metrics import get_registry
+
+    def findings(engine):
+        results = [engine.check(CHECKERS[name]()) for name in CHECKERS]
+        diagnostics, _ = aggregate_results(results)
+        return (
+            [report_as_dict(r) for result in results for r in result],
+            [d.as_dict() for d in diagnostics],
+        )
+
+    config = EngineConfig(pta_tier="fs")
+    source = suite_source(generate_precision_suite())
+    # A body edit that keeps every line number in place.
+    edited = source.replace(
+        "fn fp_null_branch(c) {\n", "fn fp_null_branch(c) { k = 1;\n"
+    )
+    assert edited != source
+    analyzer = IncrementalAnalyzer(config)
+    findings(analyzer.analyze(source))
+    set_registry(MetricsRegistry())
+    warm = findings(analyzer.analyze(edited))
+    assert analyzer.last_stats.analyzed == 1
+    assert get_registry().counter("engine.check_cache.hit").total() > 0
+    assert warm == findings(Pinpoint.from_source(edited, config))
 
 
 def test_stats_surface_tier_and_counters():
@@ -240,10 +347,8 @@ def test_stats_surface_tier_and_counters():
     stats = fs.stats.as_dict()
     assert stats["pta_tier"] == "fs"
     assert stats["strong_updates"] > 0
-    assert stats["escalated_functions"] > 0
     _, fi = _reports(source, "fi")
     assert fi.stats.as_dict()["pta_tier"] == "fi"
-    assert fi.stats.as_dict()["escalated_functions"] == 0
 
 
 def test_history_record_carries_pta_section():
@@ -262,7 +367,6 @@ def test_history_record_carries_pta_section():
     )
     assert record["pta"]["tier"] == "fs"
     assert record["pta"]["strong_updates"] > 0
-    assert record["pta"]["escalations"] > 0
 
 
 # -------------------------------------------------------- determinism
