@@ -34,16 +34,14 @@ from repro import (
 from repro.core.report import EXIT_CLEAN, EXIT_VERIFY, aggregate_results
 from repro.lang.parser import ParseError
 from repro.obs import (
-    atomic_write,
+    Measurement,
     configure_logging,
     cost_breakdown,
     get_progress,
     get_registry,
     get_tracer,
     measure,
-    profile_dict,
     render_profile,
-    render_why_slow,
 )
 from repro.obs.history import (
     BENCH_FILE,
@@ -146,27 +144,17 @@ def _export_obs(args: argparse.Namespace) -> None:
 
 def _start_monitor(args: argparse.Namespace):
     """Start the live monitor when ``--monitor-port`` was given (0 picks
-    an ephemeral port); enables progress tracking for the run."""
-    port = getattr(args, "monitor_port", None)
-    if port is None:
+    an ephemeral port); enables progress tracking for the run.  The
+    bound port is announced on stderr, so stdout carries only the
+    report."""
+    if args.monitor_port is None:
         return None
     from repro.obs import MonitorServer
 
-    progress = get_progress()
-    progress.enabled = True
-    monitor = MonitorServer(port=port)
+    get_progress().enabled = True
+    monitor = MonitorServer(port=args.monitor_port)
     bound = monitor.start()
-    # `repro serve` announces the bound port on *stdout* so scripts
-    # started with --port 0 can read it (unless stdout carries the
-    # machine report); `check --monitor-port` keeps stdout pristine.
-    announce_stdout = getattr(args, "_announce_port_stdout", False) and not (
-        getattr(args, "json", False) or getattr(args, "sarif", False)
-    )
-    print(
-        f"[monitor] serving on http://127.0.0.1:{bound}",
-        file=sys.stdout if announce_stdout else sys.stderr,
-        flush=True,
-    )
+    print(f"[monitor] serving on http://127.0.0.1:{bound}", file=sys.stderr, flush=True)
     return monitor
 
 
@@ -269,22 +257,36 @@ def _print_stats(stats) -> None:
         )
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    _setup_obs(args)
+def _run_checkers(
+    args: argparse.Namespace,
+    command: str,
+    source: str,
+    names: List[str],
+    *,
+    measured: bool,
+    verify: str = "",
+    use_linear_filter: bool = True,
+    recover: bool = True,
+):
+    """The analysis ``check`` and ``profile`` share: build the engine
+    config from the shared engine flags, start the monitor when
+    ``--monitor-port`` asks, prepare ``source`` and run the ``names``
+    checkers (under :func:`measure` when ``measured``).
+
+    Returns ``(engine, results, measurement, monitor, run_config)``;
+    ``run_config`` is the run record's config, so both commands record
+    the tier and job count that ran."""
     if args.fault:
         install_faults(args.fault)
-    source = _read(args.file)
     config = EngineConfig(
         max_call_depth=args.depth,
         use_smt=not args.no_smt,
-        use_linear_filter=not args.no_linear_filter,
-        verify=args.verify,
+        use_linear_filter=use_linear_filter,
+        verify=verify,
         pta_tier=args.pta,
     )
-    names = list(CHECKERS) if args.all else [args.checker]
-    history_on = bool(resolve_history_dir(getattr(args, "history_dir", "")))
     monitor = _start_monitor(args)
-    get_progress().begin_run("check", label=args.file)
+    get_progress().begin_run(command, label=args.file)
 
     def analyze():
         slow_point()
@@ -292,22 +294,49 @@ def cmd_check(args: argparse.Namespace) -> int:
             source,
             config,
             budget=_build_budget(args),
-            recover=not args.strict,
+            recover=recover,
             jobs=args.jobs or None,
             cache_dir=args.cache_dir or None,
             worker_timeout=args.worker_timeout,
         )
         return engine, [engine.check(CHECKERS[name]()) for name in names]
 
+    if measured:
+        (engine, results), measurement = measure(analyze)
+    else:
+        # An unmeasured run writes no run record, so these zeros are
+        # never read.
+        (engine, results), measurement = analyze(), Measurement(0.0, 0)
+    run_config = {
+        "checkers": names,
+        "jobs": args.jobs or 0,
+        "cache": bool(args.cache_dir),
+        "depth": args.depth,
+        "smt": not args.no_smt,
+        "verify": verify,
+        "fault": args.fault,
+        "pta": engine.pta_tier,
+    }
+    return engine, results, measurement, monitor, run_config
+
+
+def cmd_check(args: argparse.Namespace) -> int:
+    _setup_obs(args)
+    source = _read(args.file)
+    names = list(CHECKERS) if args.all else [args.checker]
     # Wall time and peak memory are only captured when a history record
     # will want them — tracemalloc has real overhead, and a plain check
     # should stay as fast as before this feature existed.
-    if history_on:
-        (engine, results), measurement = measure(analyze)
-        wall_seconds, peak_mb = measurement.seconds, measurement.peak_mb
-    else:
-        engine, results = analyze()
-        wall_seconds = peak_mb = 0.0
+    engine, results, measurement, monitor, run_config = _run_checkers(
+        args,
+        "check",
+        source,
+        names,
+        measured=bool(resolve_history_dir(args.history_dir)),
+        verify=args.verify,
+        use_linear_filter=not args.no_linear_filter,
+        recover=not args.strict,
+    )
 
     baseline = None
     if args.baseline:
@@ -392,18 +421,9 @@ def cmd_check(args: argparse.Namespace) -> int:
         command="check",
         label=args.file,
         fingerprint=fingerprint_text(source),
-        config={
-            "checkers": names,
-            "jobs": args.jobs or 0,
-            "cache": bool(args.cache_dir),
-            "depth": args.depth,
-            "smt": not args.no_smt,
-            "verify": args.verify,
-            "fault": args.fault,
-            "pta": engine.pta_tier,
-        },
-        wall_seconds=wall_seconds,
-        peak_mb=peak_mb,
+        config=run_config,
+        wall_seconds=measurement.seconds,
+        peak_mb=measurement.peak_mb,
         exit_code=exit_code,
         findings=sum(len(result.reports) for result in results),
         findings_by_checker={
@@ -420,9 +440,12 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    """Run the checkers with tracing on and print where time/memory/SMT
-    effort went — per pass and per function (paper Figs. 7-10)."""
-    if getattr(args, "compare", None):
+    """Run the checkers with tracing on and print where the time,
+    memory and SMT effort went: per pass and per function (paper Figs.
+    7-10), then along the critical path through the wave barriers, per
+    wave, and split into compute vs. dispatch overhead
+    (:mod:`repro.obs.attr`)."""
+    if args.compare:
         return _profile_compare(args)
     if not args.file:
         print(
@@ -431,33 +454,15 @@ def cmd_profile(args: argparse.Namespace) -> int:
         )
         return EXIT_ERROR
     _setup_obs(args, force_trace=True)
-    tracer = get_tracer()
     source = _read(args.file)
-    config = EngineConfig(
-        max_call_depth=args.depth,
-        use_smt=not args.no_smt,
-        pta_tier=args.pta,
-    )
     names = [args.checker] if args.checker else list(CHECKERS)
-
-    def analyze():
-        engine = Pinpoint.from_source(
-            source,
-            config,
-            budget=_build_budget(args),
-            recover=True,
-            jobs=args.jobs or None,
-            cache_dir=args.cache_dir or None,
-            worker_timeout=args.worker_timeout,
-        )
-        return [engine.check(CHECKERS[name]()) for name in names]
-
-    get_progress().begin_run("profile", label=args.file)
-    results, measurement = measure(analyze)
+    _, results, measurement, monitor, run_config = _run_checkers(
+        args, "profile", source, names, measured=True
+    )
     reports = sum(len(result.reports) for result in results)
     degraded = sum(len(result.diagnostics) for result in results)
-    document = profile_dict(
-        tracer,
+    document = cost_breakdown(
+        get_tracer(),
         get_registry(),
         measurement,
         source_label=args.file,
@@ -470,15 +475,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         json.dump(document, sys.stdout, indent=2)
         print()
     else:
-        print(
-            render_profile(
-                tracer,
-                get_registry(),
-                measurement,
-                source_label=args.file,
-                top=args.top,
-            )
-        )
+        print(render_profile(document, top=args.top))
         print()
         print(
             f"checkers: {', '.join(names)} — {reports} report(s), "
@@ -490,7 +487,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         command="profile",
         label=args.file,
         fingerprint=fingerprint_text(source),
-        config={"checkers": names, "top": args.top, "smt": not args.no_smt},
+        config=run_config,
         wall_seconds=measurement.seconds,
         peak_mb=measurement.peak_mb,
         exit_code=EXIT_CLEAN,
@@ -498,7 +495,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         profile=document,
         quiet=args.json,
     )
-    get_progress().finish(EXIT_CLEAN)
+    _finish_monitor(monitor, args, EXIT_CLEAN)
     return EXIT_CLEAN
 
 
@@ -511,11 +508,10 @@ def _delta_line(label: str, a: float, b: float, unit: str = "") -> str:
 
 
 def _load_profile_document(path: str) -> Dict:
-    """Load a profile-shaped JSON artifact for ``profile --compare``.
-
-    Accepts a ``profile --json`` dump, a ``why-slow --out`` artifact, or
-    a full run record from ``history show`` (whose embedded ``profile``
-    document is unwrapped, inheriting the record's wall time/label)."""
+    """Load a profile document for ``profile --compare``: a ``profile
+    --json`` dump or a full run record from ``history show`` (whose
+    embedded ``profile`` document is unwrapped, inheriting the record's
+    wall time/label)."""
     with open(path, "r", encoding="utf-8") as handle:
         document = json.load(handle)
     if not isinstance(document, dict):
@@ -529,7 +525,7 @@ def _load_profile_document(path: str) -> Dict:
 
 
 def _profile_stage_map(document: Dict) -> Dict[str, float]:
-    """pass/stage name -> self seconds, across the accepted doc shapes."""
+    """pass/stage name -> self seconds."""
     stages: Dict[str, float] = {}
     for row in document.get("passes", []):
         if isinstance(row, dict) and row.get("name"):
@@ -539,7 +535,7 @@ def _profile_stage_map(document: Dict) -> Dict[str, float]:
 
 def _profile_function_map(document: Dict) -> Dict[str, float]:
     functions: Dict[str, float] = {}
-    for row in document.get("functions", document.get("top_functions", [])):
+    for row in document.get("functions", []):
         if isinstance(row, dict) and row.get("unit"):
             functions[str(row["unit"])] = float(row.get("self_seconds", 0.0))
     return functions
@@ -547,8 +543,8 @@ def _profile_function_map(document: Dict) -> Dict[str, float]:
 
 def _profile_compare(args: argparse.Namespace) -> int:
     """``repro profile --compare OLD NEW``: per-stage deltas between two
-    profile/why-slow/history JSON artifacts — the one-command before/after
-    view of a perf PR."""
+    profile/history JSON artifacts — the one-command before/after view
+    of a perf change."""
     old_path, new_path = args.compare
     try:
         old = _load_profile_document(old_path)
@@ -654,72 +650,6 @@ def _profile_compare(args: argparse.Namespace) -> int:
                     float(new.get("shares", {}).get(key, 0.0)),
                 )
             )
-    return EXIT_CLEAN
-
-
-def cmd_why_slow(args: argparse.Namespace) -> int:
-    """Run the checkers with tracing forced on, then answer "where did
-    the wall time go": critical path through the wave barriers, per-wave
-    stragglers, compute-vs-dispatch-overhead split, top functions and
-    SMT consumers (repro.obs.attr)."""
-    _setup_obs(args, force_trace=True)
-    tracer = get_tracer()
-    source = _read(args.file)
-    config = EngineConfig(
-        max_call_depth=args.depth,
-        use_smt=not args.no_smt,
-        pta_tier=args.pta,
-    )
-    names = [args.checker] if args.checker else list(CHECKERS)
-
-    def analyze():
-        engine = Pinpoint.from_source(
-            source,
-            config,
-            budget=_build_budget(args),
-            recover=True,
-            jobs=args.jobs or None,
-            cache_dir=args.cache_dir or None,
-            worker_timeout=args.worker_timeout,
-        )
-        return [engine.check(CHECKERS[name]()) for name in names]
-
-    get_progress().begin_run("why-slow", label=args.file)
-    results, measurement = measure(analyze)
-    reports = sum(len(result.reports) for result in results)
-    document = cost_breakdown(
-        tracer,
-        get_registry(),
-        measurement,
-        source_label=args.file,
-        top=args.top,
-    )
-    document["checkers"] = names
-    document["reports"] = reports
-    if args.json:
-        json.dump(document, sys.stdout, indent=2)
-        print()
-    else:
-        print(render_why_slow(document, top=args.top))
-    if args.out:
-        atomic_write(args.out, json.dumps(document, indent=2, sort_keys=True) + "\n")
-        if not args.json:
-            print(f"[why-slow] wrote {args.out}")
-    _export_obs(args)
-    _record_history(
-        args,
-        command="why-slow",
-        label=args.file,
-        fingerprint=fingerprint_text(source),
-        config={"checkers": names, "jobs": args.jobs or 0, "top": args.top},
-        wall_seconds=measurement.seconds,
-        peak_mb=measurement.peak_mb,
-        exit_code=EXIT_CLEAN,
-        findings=reports,
-        profile=document,
-        quiet=args.json,
-    )
-    get_progress().finish(EXIT_CLEAN)
     return EXIT_CLEAN
 
 
@@ -962,15 +892,6 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
     )
     _finish_monitor(monitor, args, exit_code)
     return exit_code
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    """``repro check`` with the live monitor on: serve /healthz /metrics
-    /status /events while the analysis runs (and afterwards, with
-    --linger)."""
-    args.monitor_port = args.port
-    args._announce_port_stdout = True
-    return cmd_check(args)
 
 
 def cmd_daemon(args: argparse.Namespace) -> int:
@@ -1500,19 +1421,22 @@ def build_parser() -> argparse.ArgumentParser:
         "REPRO_HISTORY_DIR environment variable, else off); see the "
         "'history' subcommand",
     )
-    obs.add_argument(
+
+    # The live monitor, for the commands that start it (repro.obs.monitor).
+    monitor = argparse.ArgumentParser(add_help=False)
+    monitor.add_argument(
         "--monitor-port",
         type=int,
         default=None,
         metavar="PORT",
         help="serve the live monitor (/healthz /metrics /status /events) "
-        "on this port while the run is in flight (0 picks a free port)",
+        "on this port while the run is in flight (0 picks a free port, "
+        "announced on stderr)",
     )
 
-    # Flags shared by every analysis-running subcommand: the parallel
-    # wave scheduler and the persistent artifact cache (repro.sched /
-    # repro.cache).  Reports are byte-identical whatever the job count
-    # or cache state.
+    # The parallel wave scheduler and the persistent artifact cache
+    # (repro.sched / repro.cache).  Reports are byte-identical whatever
+    # the job count or cache state.
     par = argparse.ArgumentParser(add_help=False)
     par.add_argument(
         "--jobs",
@@ -1530,7 +1454,44 @@ def build_parser() -> argparse.ArgumentParser:
         "runs (default: the REPRO_CACHE_DIR environment variable, else "
         "off); see also the 'cache' subcommand",
     )
-    par.add_argument(
+
+    # The engine, budget and fault flags of the two commands that run
+    # the checkers, 'check' and 'profile'.
+    engine = argparse.ArgumentParser(add_help=False)
+    engine.add_argument("--depth", type=int, default=6, help="max calling contexts")
+    engine.add_argument(
+        "--pta",
+        default="fi",
+        choices=["fi", "fs"],
+        help="points-to precision tier every function is prepared at: fi "
+        "(flow-insensitive baseline, default) or fs (adds sparse "
+        "flow-sensitive strong updates)",
+    )
+    engine.add_argument("--no-smt", action="store_true", help="path-insensitive mode")
+    engine.add_argument(
+        "--deadline",
+        type=float,
+        default=0.0,
+        metavar="SECONDS",
+        help="wall-clock budget; past it the analysis degrades precision "
+        "instead of running on (exit 3 reports degraded coverage)",
+    )
+    engine.add_argument(
+        "--smt-deadline",
+        type=float,
+        default=0.0,
+        metavar="SECONDS",
+        help="per-query SMT ceiling; a query past it falls back to the "
+        "linear solver's verdict with verdict=unknown",
+    )
+    engine.add_argument(
+        "--max-steps",
+        type=int,
+        default=0,
+        metavar="N",
+        help="cooperative step budget for points-to + value-flow search",
+    )
+    engine.add_argument(
         "--worker-timeout",
         type=float,
         default=0.0,
@@ -1539,9 +1500,18 @@ def build_parser() -> argparse.ArgumentParser:
         "past it walks the retry ladder (backoff, isolation) and is "
         "quarantined (exit 3) only when that is exhausted",
     )
+    engine.add_argument(
+        "--fault",
+        default="",
+        metavar="SPEC",
+        help="deterministic fault injection, e.g. 'prepare:foo' or 'smt*1' "
+        "(also via REPRO_FAULTS; for testing the degradation paths)",
+    )
 
     check = sub.add_parser(
-        "check", help="statically check a program", parents=[obs, par]
+        "check",
+        help="statically check a program",
+        parents=[obs, monitor, par, engine],
     )
     check.add_argument("file", help="program file ('-' for stdin)")
     check.add_argument(
@@ -1561,54 +1531,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the (remaining) findings to this JSON baseline file",
     )
     check.add_argument("--stats", action="store_true", help="print engine stats")
-    check.add_argument("--depth", type=int, default=6, help="max calling contexts")
-    check.add_argument(
-        "--pta",
-        default="fi",
-        choices=["fi", "fs"],
-        help="points-to precision tier every function is prepared at: fi "
-        "(flow-insensitive baseline, default) or fs (adds sparse "
-        "flow-sensitive strong updates)",
-    )
-    check.add_argument("--no-smt", action="store_true", help="path-insensitive mode")
     check.add_argument(
         "--no-linear-filter", action="store_true", help="skip the linear pre-filter"
-    )
-    check.add_argument(
-        "--deadline",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="wall-clock budget; past it the analysis degrades precision "
-        "instead of running on (exit 3 reports degraded coverage)",
-    )
-    check.add_argument(
-        "--smt-deadline",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="per-query SMT ceiling; a query past it falls back to the "
-        "linear solver's verdict with verdict=unknown",
-    )
-    check.add_argument(
-        "--max-steps",
-        type=int,
-        default=0,
-        metavar="N",
-        help="cooperative step budget for points-to + value-flow search",
     )
     check.add_argument(
         "--strict",
         action="store_true",
         help="fail on the first parse error instead of quarantining the "
         "malformed function and continuing",
-    )
-    check.add_argument(
-        "--fault",
-        default="",
-        metavar="SPEC",
-        help="deterministic fault injection, e.g. 'prepare:foo' or 'smt*1' "
-        "(also via REPRO_FAULTS; for testing the degradation paths)",
     )
     check.add_argument(
         "--verify",
@@ -1627,12 +1557,20 @@ def build_parser() -> argparse.ArgumentParser:
         "quarantined (CFG or SEG, with the violated rules as comments) "
         "into this directory",
     )
+    check.add_argument(
+        "--linger",
+        action="store_true",
+        help="with --monitor-port, keep serving after the analysis "
+        "finishes (Ctrl-C to stop)",
+    )
     check.set_defaults(func=cmd_check)
 
     profile = sub.add_parser(
         "profile",
-        help="run the checkers and print the hottest passes/functions",
-        parents=[obs, par],
+        help="run the checkers and print where the time went: hottest "
+        "passes/functions, critical path, per-wave stragglers, compute "
+        "vs dispatch overhead",
+        parents=[obs, monitor, par, engine],
     )
     profile.add_argument(
         "file",
@@ -1645,8 +1583,8 @@ def build_parser() -> argparse.ArgumentParser:
         nargs=2,
         metavar=("OLD", "NEW"),
         default=None,
-        help="instead of running, diff two profile/why-slow/history JSON "
-        "artifacts and print per-stage deltas (before/after of a perf PR)",
+        help="instead of running, diff two profile/history JSON "
+        "artifacts and print per-stage deltas (before/after of a perf change)",
     )
     profile.add_argument(
         "--checker",
@@ -1662,64 +1600,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit the profile as JSON (the machine twin of the tables)",
     )
-    profile.add_argument("--depth", type=int, default=6, help="max calling contexts")
-    profile.add_argument(
-        "--pta",
-        default="fi",
-        choices=["fi", "fs"],
-        help="points-to precision tier (fi | fs; default fi)",
-    )
-    profile.add_argument(
-        "--no-smt", action="store_true", help="path-insensitive mode"
-    )
-    profile.add_argument("--deadline", type=float, default=0.0, metavar="SECONDS")
-    profile.add_argument("--smt-deadline", type=float, default=0.0, metavar="SECONDS")
-    profile.add_argument("--max-steps", type=int, default=0, metavar="N")
     profile.set_defaults(func=cmd_profile)
-
-    why_slow = sub.add_parser(
-        "why-slow",
-        help="run the checkers and attribute the wall time: critical "
-        "path, per-wave stragglers, compute vs dispatch overhead",
-        parents=[obs, par],
-    )
-    why_slow.add_argument("file", help="program file ('-' for stdin)")
-    why_slow.add_argument(
-        "--checker",
-        choices=sorted(CHECKERS),
-        default="",
-        help="analyze a single checker (default: all of them)",
-    )
-    why_slow.add_argument(
-        "--top", type=int, default=10, help="rows per table (default 10)"
-    )
-    why_slow.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the breakdown as JSON instead of tables",
-    )
-    why_slow.add_argument(
-        "--out",
-        default="",
-        metavar="FILE",
-        help="also write the breakdown JSON artifact here (atomic)",
-    )
-    why_slow.add_argument("--depth", type=int, default=6, help="max calling contexts")
-    why_slow.add_argument(
-        "--pta",
-        default="fi",
-        choices=["fi", "fs"],
-        help="points-to precision tier (fi | fs; default fi)",
-    )
-    why_slow.add_argument(
-        "--no-smt", action="store_true", help="path-insensitive mode"
-    )
-    why_slow.add_argument("--deadline", type=float, default=0.0, metavar="SECONDS")
-    why_slow.add_argument(
-        "--smt-deadline", type=float, default=0.0, metavar="SECONDS"
-    )
-    why_slow.add_argument("--max-steps", type=int, default=0, metavar="N")
-    why_slow.set_defaults(func=cmd_why_slow)
 
     run = sub.add_parser("run", help="execute a program in the interpreter")
     run.add_argument("file")
@@ -1784,7 +1665,7 @@ def build_parser() -> argparse.ArgumentParser:
         "selfcheck",
         help="differential sanitizer harness: seeded synth programs, "
         "static results cross-checked against the interpreter oracle",
-        parents=[obs, par],
+        parents=[obs, monitor, par],
     )
     selfcheck.add_argument(
         "--seeds",
@@ -1811,60 +1692,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default="", metavar="FILE", help="also write the JSON report here"
     )
     selfcheck.set_defaults(func=cmd_selfcheck)
-
-    serve = sub.add_parser(
-        "serve",
-        help="run 'check' with the live monitor serving /healthz /metrics "
-        "/status /events during (and, with --linger, after) the analysis",
-        parents=[obs, par],
-    )
-    serve.add_argument("file", help="program file ('-' for stdin)")
-    serve.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        metavar="PORT",
-        help="monitor port (default 0 = pick a free port, printed to "
-        "stderr)",
-    )
-    serve.add_argument(
-        "--linger",
-        action="store_true",
-        help="keep serving after the analysis finishes (Ctrl-C to stop)",
-    )
-    serve.add_argument(
-        "--checker", choices=sorted(CHECKERS), default="use-after-free"
-    )
-    serve.add_argument("--all", action="store_true", help="run every checker")
-    serve.add_argument("--json", action="store_true", help="JSON output")
-    serve.add_argument("--sarif", action="store_true", help="SARIF 2.1.0 output")
-    serve.add_argument("--baseline", default="", help=argparse.SUPPRESS)
-    serve.add_argument("--update-baseline", default="", help=argparse.SUPPRESS)
-    serve.add_argument("--stats", action="store_true", help="print engine stats")
-    serve.add_argument("--depth", type=int, default=6, help="max calling contexts")
-    serve.add_argument(
-        "--pta",
-        default="fi",
-        choices=["fi", "fs"],
-        help="points-to precision tier (fi | fs; default fi)",
-    )
-    serve.add_argument("--no-smt", action="store_true", help="path-insensitive mode")
-    serve.add_argument(
-        "--no-linear-filter", action="store_true", help=argparse.SUPPRESS
-    )
-    serve.add_argument("--deadline", type=float, default=0.0, metavar="SECONDS")
-    serve.add_argument("--smt-deadline", type=float, default=0.0, metavar="SECONDS")
-    serve.add_argument("--max-steps", type=int, default=0, metavar="N")
-    serve.add_argument("--strict", action="store_true", help=argparse.SUPPRESS)
-    serve.add_argument("--fault", default="", metavar="SPEC", help=argparse.SUPPRESS)
-    serve.add_argument(
-        "--verify", default="", choices=["off", "fast", "full"],
-        help="self-verification mode (as in 'check')",
-    )
-    serve.add_argument(
-        "--dump-on-verify-fail", default="", metavar="DIR", help=argparse.SUPPRESS
-    )
-    serve.set_defaults(func=cmd_serve)
 
     daemon = sub.add_parser(
         "daemon",

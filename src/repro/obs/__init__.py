@@ -14,11 +14,11 @@ SMT):
   ``--log-json`` over stdlib logging;
 - **measurement** (:mod:`repro.obs.measure`): nesting-safe wall-time /
   peak-memory capture shared with the benchmark harness;
-- **profiling** (:mod:`repro.obs.profiling`): the ``repro profile``
-  per-pass / per-function report (``--json`` for the machine twin);
-- **cost attribution** (:mod:`repro.obs.attr`): critical-path analysis
-  over the cross-process span tree plus the compute-vs-dispatch
-  overhead split behind ``repro why-slow``;
+- **profiling** (:mod:`repro.obs.profiling` + :mod:`repro.obs.attr`):
+  the one ``repro profile`` report — per-pass / per-function tables,
+  critical path over the cross-process span tree, per-wave stragglers
+  and the compute-vs-dispatch overhead split (``--json`` for the
+  machine twin);
 - **run history** (:mod:`repro.obs.history`): schema-versioned run
   records in an append-only store (``--history-dir`` /
   ``$REPRO_HISTORY_DIR``) with rolling-baseline regression detection
@@ -26,7 +26,8 @@ SMT):
 - **live monitor** (:mod:`repro.obs.progress` +
   :mod:`repro.obs.monitor`): progress events from stage/wave boundaries
   served over HTTP (``/healthz`` ``/metrics`` ``/status`` ``/events``)
-  by ``repro serve`` / ``--monitor-port``;
+  by ``repro check --monitor-port`` (``--linger`` keeps serving after
+  the run);
 - **atomic exports** (:mod:`repro.obs.export`): temp-file+rename writes
   shared by every artifact above.
 
@@ -35,7 +36,7 @@ and golden files are deterministic.  See ``docs/observability.md`` for
 naming conventions and wiring recipes.
 """
 
-from repro.obs.attr import cost_breakdown, critical_path, render_why_slow
+from repro.obs.attr import cost_breakdown, critical_path, render_profile
 from repro.obs.clock import DEFAULT_CLOCK, ManualClock
 from repro.obs.export import atomic_write, ensure_parent_dir
 from repro.obs.history import (
@@ -60,7 +61,7 @@ from repro.obs.metrics import (
     set_registry,
 )
 from repro.obs.monitor import MonitorServer, get_active_monitor
-from repro.obs.profiling import pass_table, profile_dict, render_profile, unit_table
+from repro.obs.profiling import pass_table, unit_table
 from repro.obs.progress import ProgressTracker, get_progress, set_progress
 from repro.obs.trace import (
     Span,
@@ -75,7 +76,7 @@ from repro.obs.trace import (
 __all__ = [
     "cost_breakdown",
     "critical_path",
-    "render_why_slow",
+    "render_profile",
     "DEFAULT_CLOCK",
     "ManualClock",
     "StructuredLogger",
@@ -107,8 +108,6 @@ __all__ = [
     "get_progress",
     "set_progress",
     "pass_table",
-    "profile_dict",
-    "render_profile",
     "unit_table",
     "Span",
     "Tracer",

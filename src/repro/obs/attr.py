@@ -1,13 +1,13 @@
-"""Cross-process cost attribution: the ``repro why-slow`` analyzer.
+"""Cross-process cost attribution: the ``repro profile`` document.
 
-PR 2's spans and PR 5's run history stopped at the process boundary —
-worker spans were absorbed post-hoc with no causal link to the wave
-that dispatched them, so "parallel overhead" was the unexplained
-remainder of every ``--jobs`` run.  With trace-context propagation
-(worker spans re-parent under their dispatching ``sched.wave`` span)
-and the ``sched.dispatch.*`` overhead counters, the assembled span tree
-supports the questions the ROADMAP's parallelism item actually asks:
+Worker spans re-parent under the ``sched.wave`` span that dispatched
+them (trace-context propagation), and the scheduler meters its own
+``sched.dispatch.*`` overhead, so one run's span tree and registry
+answer the questions the paper's evaluation (Figs. 7-10) and the
+parallelism work ask of a slow run:
 
+- **passes and functions** — per-pass and per-function self time with
+  SMT-query attribution (:mod:`repro.obs.profiling`);
 - **critical path** — the longest parent→child chain through the wave
   barriers; the run cannot finish faster than this chain no matter how
   many workers are added;
@@ -17,10 +17,9 @@ supports the questions the ROADMAP's parallelism item actually asks:
   wall, denominated against measured wall time so the shares sum to
   1.0 and can be regression-gated in run history.
 
-:func:`cost_breakdown` builds the machine-readable document (the
-``why-slow`` JSON artifact, also attached to run records);
-:func:`render_why_slow` prints it as the ranked tables of the
-``repro why-slow`` subcommand.
+:func:`cost_breakdown` builds the machine-readable document (``repro
+profile --json``, also attached to run records); :func:`render_profile`
+prints it as the ranked tables of ``repro profile``.
 """
 
 from __future__ import annotations
@@ -29,11 +28,11 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.obs.measure import Measurement
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.profiling import _fmt_seconds, _table, pass_table, unit_table
+from repro.obs.profiling import pass_table, unit_table
 from repro.obs.trace import Span, Tracer
 
 #: Document schema tag, bumped on incompatible shape changes.
-SCHEMA = "repro.why_slow/2"
+SCHEMA = "repro.profile/1"
 
 #: Parent-side ``sched.dispatch.*`` seconds, in display order: wall
 #: time of the run, summed into ``overhead.total_seconds``.
@@ -134,7 +133,7 @@ def cost_breakdown(
     source_label: str = "",
     top: int = 10,
 ) -> Dict[str, Any]:
-    """Assemble the ``why-slow`` document from one run's observability.
+    """Assemble the ``repro profile`` document from one run's observability.
 
     The compute/dispatch split is denominated against the largest wall
     figure we have (measured wall, traced root time, or wave-loop
@@ -207,7 +206,7 @@ def cost_breakdown(
         if s.name != "sched.wave" and not s.name.startswith("sched.dispatch")
     ]
     units = unit_table(unit_spans)
-    top_functions = [
+    functions = [
         {
             "unit": row.unit,
             "self_seconds": round(row.self_seconds, 6),
@@ -261,9 +260,7 @@ def cost_breakdown(
         ],
         "critical_path_seconds": round(critical_seconds, 6),
         "waves": _wave_rows(spans),
-        "top_functions": top_functions,
-        # Same shape as profile_dict's pass table, so ``repro profile
-        # --compare`` can diff a why-slow artifact against a profile.
+        "functions": functions,
         "passes": [
             {
                 "name": row.name,
@@ -284,23 +281,89 @@ def cost_breakdown(
 # ----------------------------------------------------------------------
 # Rendering
 # ----------------------------------------------------------------------
-def render_why_slow(document: Dict[str, Any], top: int = 10) -> str:
-    """Human-readable ``repro why-slow`` report for a breakdown doc."""
+def _fmt_seconds(seconds: float) -> str:
+    if seconds >= 1:
+        return f"{seconds:.2f}s"
+    return f"{seconds * 1000:.2f}ms"
+
+
+def _table(headers: List[str], rows: List[List[str]]) -> str:
+    widths = [len(h) for h in headers]
+    for row in rows:
+        for index, cell in enumerate(row):
+            widths[index] = max(widths[index], len(cell))
+    lines = [
+        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip(),
+        "  ".join("-" * widths[i] for i in range(len(headers))),
+    ]
+    for row in rows:
+        lines.append(
+            "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
+        )
+    return "\n".join(lines)
+
+
+def render_profile(document: Dict[str, Any], top: int = 10) -> str:
+    """Human-readable ``repro profile`` report for a :func:`cost_breakdown`
+    document: passes and functions first, then where the wall time went."""
     label = document.get("label", "")
-    title = f"repro why-slow — {label}" if label else "repro why-slow"
+    title = f"repro profile — {label}" if label else "repro profile"
     lines: List[str] = [title, "=" * len(title)]
 
     shares = document.get("shares", {})
     parallel = document.get("parallel", {})
+    smt = document.get("smt", {})
+    traced = document.get("traced_seconds", 0.0)
     bits = [
+        f"{document.get('spans', 0)} spans",
+        f"{_fmt_seconds(traced)} traced",
         f"{_fmt_seconds(document.get('wall_seconds', 0.0))} wall",
-        f"{100 * shares.get('compute', 0.0):.1f}% compute",
-        f"{100 * shares.get('dispatch_overhead', 0.0):.1f}% dispatch overhead",
     ]
+    if "peak_mb" in document:
+        bits.append(f"{document['peak_mb']:.1f} MB peak")
+    bits.append(f"{100 * shares.get('compute', 0.0):.1f}% compute")
+    bits.append(f"{100 * shares.get('dispatch_overhead', 0.0):.1f}% dispatch overhead")
     if parallel.get("jobs", 1) > 1:
         bits.append(f"jobs={parallel['jobs']}")
         bits.append(f"utilization {100 * parallel.get('utilization', 0.0):.1f}%")
+    if smt.get("queries"):
+        bits.append(f"{smt['queries']} SMT queries")
     lines.append(", ".join(bits))
+    lines.append("")
+
+    lines.append(f"hottest passes (top {top}, by self time)")
+    lines.append(
+        _table(
+            ["pass", "calls", "total", "self", "%run"],
+            [
+                [
+                    row["name"],
+                    str(row["calls"]),
+                    _fmt_seconds(row["total_seconds"]),
+                    _fmt_seconds(row["self_seconds"]),
+                    f"{100 * row['self_seconds'] / (traced or 1.0):.1f}%",
+                ]
+                for row in document.get("passes", [])[:top]
+            ],
+        )
+    )
+    lines.append("")
+
+    lines.append(f"hottest functions (top {top}, by self time)")
+    lines.append(
+        _table(
+            ["function", "self", "smt queries", "hottest pass"],
+            [
+                [
+                    row["unit"],
+                    _fmt_seconds(row["self_seconds"]),
+                    str(row["smt_queries"]),
+                    row["hottest_pass"],
+                ]
+                for row in document.get("functions", [])[:top]
+            ],
+        )
+    )
     lines.append("")
 
     chain = document.get("critical_path", [])
@@ -372,26 +435,6 @@ def render_why_slow(document: Dict[str, Any], top: int = 10) -> str:
         lines.append(_table(["segment", "summed", "mean per task"], rows))
         lines.append("")
 
-    functions = document.get("top_functions", [])
-    if functions:
-        lines.append(f"hottest functions (top {top}, by self time)")
-        lines.append(
-            _table(
-                ["function", "self", "smt queries", "hottest pass"],
-                [
-                    [
-                        row["unit"],
-                        _fmt_seconds(row["self_seconds"]),
-                        str(row["smt_queries"]),
-                        row["hottest_pass"],
-                    ]
-                    for row in functions[:top]
-                ],
-            )
-        )
-        lines.append("")
-
-    smt = document.get("smt", {})
     if smt.get("top_units"):
         lines.append(f"hottest SMT consumers (top {top}, by query count)")
         lines.append(

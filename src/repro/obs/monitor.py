@@ -1,8 +1,9 @@
 """Live analysis monitor: a tiny stdlib HTTP server over the obs layer.
 
-``repro serve`` (and ``repro check --monitor-port N``) start a
-:class:`MonitorServer` on a daemon thread next to the analysis.  Four
-endpoints, all read-only:
+``repro check --monitor-port N`` (also ``profile`` and ``selfcheck``)
+starts a :class:`MonitorServer` on a daemon thread next to the
+analysis; ``--linger`` keeps it serving after the run.  Four endpoints,
+all read-only:
 
 ``/healthz``
     Liveness probe — ``{"ok": true}`` plus the current stage.  Returns
@@ -24,7 +25,9 @@ endpoints, all read-only:
 
 The server binds ``127.0.0.1`` only — it is a local inspection hatch,
 not a service — and port ``0`` picks an ephemeral port (``start()``
-returns the bound port).
+returns the bound port).  The analysis daemon (:mod:`repro.service`)
+serves its ``/v1`` API through the same server lifecycle by passing a
+handler class that extends :class:`_MonitorHandler`.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import json
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.obs.metrics import get_registry
@@ -137,18 +140,27 @@ class _MonitorHandler(BaseHTTPRequestHandler):
 
 
 class MonitorServer:
-    """The monitor HTTP server on a daemon thread."""
+    """The monitor HTTP server on a daemon thread.
 
-    def __init__(self, port: int = 0, host: str = "127.0.0.1") -> None:
+    ``handler`` builds the request handler (default: the four monitor
+    endpoints); its ``/events`` stream ends when ``running`` drops."""
+
+    def __init__(
+        self,
+        port: int = 0,
+        host: str = "127.0.0.1",
+        handler: Callable[..., BaseHTTPRequestHandler] = _MonitorHandler,
+    ) -> None:
         self.host = host
         self.port = port
+        self.handler = handler
         self.running = False
         self._httpd: Optional[ThreadingHTTPServer] = None
         self._thread: Optional[threading.Thread] = None
 
     def start(self) -> int:
         """Bind and begin serving; returns the bound port."""
-        httpd = ThreadingHTTPServer((self.host, self.port), _MonitorHandler)
+        httpd = ThreadingHTTPServer((self.host, self.port), self.handler)
         httpd.daemon_threads = True
         httpd.monitor = self  # type: ignore[attr-defined]
         self._httpd = httpd

@@ -1,9 +1,10 @@
-"""Aggregate spans + metrics into the ``repro profile`` report.
+"""Per-pass and per-function span tables for the ``repro profile`` report.
 
 Answers the questions the paper's evaluation (Figs. 7-10) asks of any
 value-flow framework: which *pass* dominates (SEG build vs. summary
 search vs. SMT solving) and which *function* is hottest, with SMT-query
-attribution per function.
+attribution per function.  :func:`repro.obs.attr.cost_breakdown` puts
+these tables into the profile document.
 
 Self-time is duration minus the duration of direct child spans (same
 thread, linked by parent uid), so a pass that merely contains another
@@ -13,11 +14,9 @@ pass is not double-charged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from repro.obs.measure import Measurement
-from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.obs.trace import Span, Tracer
+from repro.obs.trace import Span
 
 
 @dataclass
@@ -84,138 +83,3 @@ def unit_table(spans: Sequence[Span]) -> List[UnitRow]:
         if queries:
             row.smt_queries += int(queries)
     return sorted(rows.values(), key=lambda r: r.self_seconds, reverse=True)
-
-
-def profile_dict(
-    tracer: Tracer,
-    registry: MetricsRegistry,
-    measurement: Optional[Measurement] = None,
-    source_label: str = "",
-    top: int = 10,
-) -> dict:
-    """The machine-readable twin of :func:`render_profile`.
-
-    Same per-pass / per-function top-N content as the printed tables
-    (``repro profile --json`` emits this, and history records attach it),
-    with seconds kept as floats instead of formatted strings.
-    """
-    spans = list(tracer.spans)
-    total = sum(s.duration for s in spans if s.parent is None)
-    document: dict = {
-        "label": source_label,
-        "spans": len(spans),
-        "traced_seconds": round(total, 6),
-        "passes": [
-            {
-                "name": row.name,
-                "calls": row.count,
-                "total_seconds": round(row.total_seconds, 6),
-                "self_seconds": round(row.self_seconds, 6),
-            }
-            for row in pass_table(spans)[:top]
-        ],
-        "functions": [
-            {
-                "unit": row.unit,
-                "self_seconds": round(row.self_seconds, 6),
-                "smt_queries": row.smt_queries,
-                "hottest_pass": row.hottest_pass,
-            }
-            for row in unit_table(spans)[:top]
-        ],
-    }
-    if measurement is not None:
-        document["wall_seconds"] = round(measurement.seconds, 6)
-        document["peak_mb"] = round(measurement.peak_mb, 3)
-    smt_queries = registry.get("smt.queries")
-    smt_hist = registry.get("smt.solve_seconds")
-    smt: dict = {}
-    if smt_queries is not None and smt_queries.total():
-        smt["queries"] = int(smt_queries.total())
-    if isinstance(smt_hist, Histogram) and smt_hist.total_count():
-        smt["solve_seconds"] = {
-            key: round(value, 6)
-            for key, value in smt_hist.merged_quantiles().items()
-        }
-    if smt:
-        document["smt"] = smt
-    return document
-
-
-def _fmt_seconds(seconds: float) -> str:
-    if seconds >= 1:
-        return f"{seconds:.2f}s"
-    return f"{seconds * 1000:.2f}ms"
-
-
-def _table(headers: List[str], rows: List[List[str]]) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for index, cell in enumerate(row):
-            widths[index] = max(widths[index], len(cell))
-    lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip(),
-        "  ".join("-" * widths[i] for i in range(len(headers))),
-    ]
-    for row in rows:
-        lines.append(
-            "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-        )
-    return "\n".join(lines)
-
-
-def render_profile(
-    tracer: Tracer,
-    registry: MetricsRegistry,
-    measurement: Optional[Measurement] = None,
-    source_label: str = "",
-    top: int = 10,
-) -> str:
-    """The human-readable ``repro profile`` report."""
-    spans = list(tracer.spans)
-    total = sum(s.duration for s in spans if s.parent is None)
-    lines: List[str] = []
-    title = f"repro profile — {source_label}" if source_label else "repro profile"
-    lines.append(title)
-    lines.append("=" * len(title))
-
-    summary_bits = [f"{len(spans)} spans", f"{_fmt_seconds(total)} traced"]
-    if measurement is not None:
-        summary_bits.append(f"{measurement.seconds:.2f}s wall")
-        summary_bits.append(f"{measurement.peak_mb:.1f} MB peak")
-    smt_hist = registry.get("smt.solve_seconds")
-    smt_queries = registry.get("smt.queries")
-    if smt_queries is not None and smt_queries.total():
-        summary_bits.append(f"{int(smt_queries.total())} SMT queries")
-    if isinstance(smt_hist, Histogram) and smt_hist.count():
-        summary_bits.append(f"SMT p95 {_fmt_seconds(smt_hist.quantile(0.95))}")
-    lines.append(", ".join(summary_bits))
-    lines.append("")
-
-    lines.append(f"hottest passes (top {top}, by self time)")
-    denominator = total or 1.0
-    rows = [
-        [
-            row.name,
-            str(row.count),
-            _fmt_seconds(row.total_seconds),
-            _fmt_seconds(row.self_seconds),
-            f"{100 * row.self_seconds / denominator:.1f}%",
-        ]
-        for row in pass_table(spans)[:top]
-    ]
-    lines.append(_table(["pass", "calls", "total", "self", "%run"], rows))
-    lines.append("")
-
-    lines.append(f"hottest functions (top {top}, by self time)")
-    rows = [
-        [
-            row.unit,
-            _fmt_seconds(row.self_seconds),
-            str(row.smt_queries),
-            row.hottest_pass,
-        ]
-        for row in unit_table(spans)[:top]
-    ]
-    lines.append(_table(["function", "self", "smt queries", "hottest pass"], rows))
-    return "\n".join(lines)

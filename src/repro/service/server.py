@@ -21,7 +21,9 @@ stdlib-only (:class:`ThreadingHTTPServer`), bound to ``127.0.0.1``:
     Resident warm sessions.
 ``GET /healthz`` / ``/metrics`` / ``/status`` / ``/events``
     The monitor surface, inherited from :mod:`repro.obs.monitor`
-    (healthz is extended with port, queue depth and job counts).
+    (healthz is extended with port, queue depth and job counts).  The
+    HTTP front end is a :class:`~repro.obs.monitor.MonitorServer` run
+    with the daemon's handler class.
 
 Contracts:
 
@@ -43,12 +45,12 @@ Contracts:
 
 from __future__ import annotations
 
+import functools
 import json
 import threading
 import time
 import traceback
 from dataclasses import dataclass, field
-from http.server import ThreadingHTTPServer
 from typing import Any, Dict, List, Optional
 
 from repro.core.engine import EngineConfig
@@ -56,7 +58,7 @@ from repro.core.incremental import apply_function_edit
 from repro.core.report import aggregate_results, report_as_dict
 from repro.lang.parser import ParseError, parse_program
 from repro.obs.metrics import get_registry
-from repro.obs.monitor import STREAM_POLL_SECONDS, _MonitorHandler
+from repro.obs.monitor import STREAM_POLL_SECONDS, MonitorServer, _MonitorHandler
 from repro.obs.trace import trace
 from repro.robust import ResourceBudget
 from repro.service.jobs import (
@@ -155,8 +157,7 @@ class ServiceServer:
         self.started_at = 0.0
         self.port = 0
         self.host = "127.0.0.1"
-        self._httpd: Optional[ThreadingHTTPServer] = None
-        self._serve_thread: Optional[threading.Thread] = None
+        self._http: Optional[MonitorServer] = None
         self._workers: List[threading.Thread] = []
         self._anon = 0
         self._anon_lock = threading.Lock()
@@ -164,22 +165,12 @@ class ServiceServer:
     # -- lifecycle -----------------------------------------------------
     def start(self, port: int = 0) -> int:
         """Bind (port 0 = ephemeral), start workers; returns the port."""
-        httpd = ThreadingHTTPServer((self.host, port), _ServiceHandler)
-        httpd.daemon_threads = True
-        httpd.service = self  # type: ignore[attr-defined]
-        # The inherited /events SSE loop polls ``server.monitor.running``.
-        httpd.monitor = self  # type: ignore[attr-defined]
-        self._httpd = httpd
-        self.port = httpd.server_address[1]
+        self._http = MonitorServer(
+            port, self.host, functools.partial(_ServiceHandler, service=self)
+        )
+        self.port = self._http.start()
         self.running = True
         self.started_at = time.monotonic()
-        self._serve_thread = threading.Thread(
-            target=httpd.serve_forever,
-            kwargs={"poll_interval": STREAM_POLL_SECONDS},
-            name="repro-service-http",
-            daemon=True,
-        )
-        self._serve_thread.start()
         for index in range(self.config.workers):
             worker = threading.Thread(
                 target=self._worker_loop,
@@ -207,13 +198,9 @@ class ServiceServer:
             if job is None:
                 break
             self.jobs.finish(job, STATUS_ABORTED, error="daemon shutting down")
-        if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
-            self._httpd = None
-        if self._serve_thread is not None:
-            self._serve_thread.join(timeout=5.0)
-            self._serve_thread = None
+        if self._http is not None:
+            self._http.stop()
+            self._http = None
 
     @property
     def url(self) -> str:
@@ -479,9 +466,10 @@ class _ServiceHandler(_MonitorHandler):
 
     server_version = "repro-service/1"
 
-    @property
-    def _service(self) -> ServiceServer:
-        return self.server.service  # type: ignore[attr-defined]
+    def __init__(self, *args, service: ServiceServer, **kwargs) -> None:
+        # Set before the base constructor, which handles the request.
+        self._service = service
+        super().__init__(*args, **kwargs)
 
     # -- GET -----------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming

@@ -245,27 +245,30 @@ def test_check_stats_quantile_line(uaf_file, capsys):
     assert "p50=" in out and "p95=" in out and "p99=" in out
 
 
-def test_why_slow_smoke(uaf_file, capsys):
-    code = main(["why-slow", uaf_file, "--top", "5"])
+def test_profile_text_reports_critical_path(uaf_file, capsys):
+    code = main(["profile", uaf_file, "--top", "5"])
     assert code == 0
     out = capsys.readouterr().out
-    assert "repro why-slow" in out
+    assert "repro profile" in out
     assert "critical path" in out
     assert "hottest functions" in out
     assert "% compute" in out and "% dispatch overhead" in out
 
 
-def test_why_slow_json_artifact(uaf_file, tmp_path, capsys):
-    target = tmp_path / "why.json"
-    code = main(["why-slow", uaf_file, "--json", "--out", str(target)])
+def test_profile_json_document_matches_run_record(uaf_file, tmp_path, capsys):
+    from repro.obs import HistoryStore
+
+    hist = str(tmp_path / "hist")
+    code = main(["profile", uaf_file, "--json", "--history-dir", hist])
     assert code == 0
     printed = json.loads(capsys.readouterr().out)
-    written = json.loads(target.read_text())
-    assert printed["schema"] == "repro.why_slow/2"
+    (record,) = HistoryStore(hist).records()
+    written = record["profile"]
+    assert printed["schema"] == "repro.profile/1"
     assert printed["critical_path"], "critical path must be non-empty"
     shares = printed["shares"]
     assert shares["compute"] + shares["dispatch_overhead"] <= 1.0 + 1e-6
-    # The artifact is the same document the CLI printed.
+    # The run record carries the same document the CLI printed.
     assert written["schema"] == printed["schema"]
     assert written["critical_path"] == printed["critical_path"]
 
@@ -291,17 +294,45 @@ def test_profile_compare_diffs_two_artifacts(uaf_file, tmp_path, capsys):
     assert payload["passes"], "per-pass deltas missing"
 
 
-def test_profile_compare_accepts_why_slow_artifact(uaf_file, tmp_path, capsys):
-    prof = tmp_path / "prof.json"
-    why = tmp_path / "why.json"
+def test_profile_compare_serial_against_jobs2(uaf_file, tmp_path, capsys):
+    serial = tmp_path / "serial.json"
+    jobs2 = tmp_path / "jobs2.json"
     main(["profile", uaf_file, "--json"])
-    prof.write_text(capsys.readouterr().out)
-    main(["why-slow", uaf_file, "--json"])
-    why.write_text(capsys.readouterr().out)
-    code = main(["profile", "--compare", str(prof), str(why)])
+    serial.write_text(capsys.readouterr().out)
+    main(["profile", uaf_file, "--json", "--jobs", "2"])
+    jobs2.write_text(capsys.readouterr().out)
+    code = main(["profile", "--compare", str(serial), str(jobs2)])
     assert code == 0
     out = capsys.readouterr().out
     assert "wall_seconds" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["why-slow", "prog.pin"],
+        ["serve", "prog.pin"],
+        ["daemon", "--monitor-port", "0"],
+        ["loadgen", "--port", "1", "--monitor-port", "0"],
+        ["selfcheck", "--worker-timeout", "1"],
+        ["dump-seg", "prog.pin", "--function", "main", "--worker-timeout", "1"],
+        ["dump-cfg", "prog.pin", "--function", "main", "--worker-timeout", "1"],
+    ],
+    ids=[
+        "why-slow",
+        "serve",
+        "daemon-monitor-port",
+        "loadgen-monitor-port",
+        "selfcheck-worker-timeout",
+        "dump-seg-worker-timeout",
+        "dump-cfg-worker-timeout",
+    ],
+)
+def test_removed_commands_and_unused_flags_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_profile_without_file_or_compare_errors(capsys):

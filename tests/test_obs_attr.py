@@ -1,4 +1,4 @@
-"""Cost attribution: critical path, the why-slow document, and the
+"""Cost attribution: critical path, the profile document, and the
 cross-process span tree a ``--jobs 2`` run actually assembles.
 
 The acceptance contract of the attribution layer:
@@ -17,7 +17,7 @@ from repro import Pinpoint, UseAfterFreeChecker
 from repro.obs.attr import (
     cost_breakdown,
     critical_path,
-    render_why_slow,
+    render_profile,
 )
 from repro.obs.clock import ManualClock
 from repro.obs.measure import Measurement
@@ -172,19 +172,21 @@ def test_task_seconds_are_kept_out_of_wall_overhead():
     assert sums["mean"] == pytest.approx(
         {"deserialize_seconds": 0.5, "queue_seconds": 2.5, "warmup_seconds": 0.1}
     )
-    text = render_why_slow(doc)
+    text = render_profile(doc)
     wall_table, _, task_table = text.partition("summed over 4 tasks (not wall time)")
     assert task_table, text
     assert "queue seconds" not in wall_table.split("dispatch overhead breakdown")[1]
     assert "queue seconds" in task_table and "mean per task" in task_table
 
 
-def test_render_why_slow_mentions_key_sections():
+def test_render_profile_mentions_key_sections():
     tracer, registry, measurement = _synthetic_run()
     doc = cost_breakdown(tracer, registry, measurement, source_label="synth")
-    text = render_why_slow(doc)
-    assert "repro why-slow — synth" in text
+    text = render_profile(doc)
+    assert "repro profile — synth" in text
     assert "critical path" in text
+    # One report: the pass table first, then where the wall time went.
+    assert text.index("hottest passes") < text.index("critical path")
     assert "dispatch overhead breakdown" in text
     assert "parallel efficiency" in text
     assert "speedup bound" in text

@@ -556,6 +556,20 @@ def test_profile_records_history_with_profile_payload(uaf_file, tmp_path, capsys
     assert "passes" in rec["profile"]
 
 
+def test_profile_records_the_tier_and_jobs_that_ran(uaf_file, tmp_path, capsys):
+    hist = str(tmp_path / "hist")
+    argv = [uaf_file, "--pta", "fs", "--jobs", "2", "--history-dir", hist]
+    main(["profile", *argv])
+    main(["check", "--all", *argv])
+    profiled, checked = HistoryStore(hist).records()
+    assert profiled["command"] == "profile"
+    assert profiled["config"]["pta"] == "fs"
+    assert profiled["pta"]["tier"] == "fs"
+    assert profiled["config"]["jobs"] == 2
+    # Both commands record the same config fields, with the same values.
+    assert profiled["config"] == checked["config"]
+
+
 def test_bench_harness_records_history(tmp_path, monkeypatch, capsys):
     """benchmarks/conftest.py appends a command='bench' record per result."""
     import importlib.util

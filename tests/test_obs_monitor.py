@@ -280,10 +280,14 @@ def _run_cli_with_monitor(argv):
 
 
 def test_serve_all_endpoints_respond_during_run(uaf_file):
-    """Acceptance criterion: all four endpoints answer while a --jobs 2
-    analysis is in flight (a slow fault holds the run open)."""
+    """Acceptance criterion: all four endpoints of `check --monitor-port`
+    answer while a --jobs 2 analysis is in flight (a slow fault holds
+    the run open)."""
     monitor, result, thread = _run_cli_with_monitor(
-        ["serve", uaf_file, "--jobs", "2", "--fault", "slow:0.8", "--linger"]
+        [
+            "check", uaf_file, "--monitor-port", "0", "--jobs", "2",
+            "--fault", "slow:0.8", "--linger",
+        ]
     )
     try:
         status, body = fetch(monitor.url + "/healthz")
@@ -316,7 +320,7 @@ def test_serve_all_endpoints_respond_during_run(uaf_file):
 
 def test_serve_records_wave_progress_with_jobs(uaf_file):
     monitor, result, thread = _run_cli_with_monitor(
-        ["serve", uaf_file, "--jobs", "2", "--linger"]
+        ["check", uaf_file, "--monitor-port", "0", "--jobs", "2", "--linger"]
     )
     try:
         # wait for the analysis itself to finish (linger keeps serving)
@@ -354,11 +358,26 @@ def test_check_monitor_port_flag(uaf_file, capsys):
     assert "[monitor] serving on http://127.0.0.1:" in capsys.readouterr().err
 
 
+def test_profile_monitor_port_answers_mid_run(uaf_file, capsys):
+    monitor, result, thread = _run_cli_with_monitor(
+        ["profile", uaf_file, "--monitor-port", "0", "--fault", "slow:0.5"]
+    )
+    status, body = fetch(monitor.url + "/healthz")
+    assert status == 200
+    assert json.loads(body)["running"] is True  # analysis still sleeping
+    thread.join(timeout=15)
+    assert result["code"] == 0
+    assert not monitor.running
+    captured = capsys.readouterr()
+    assert "[monitor] serving on http://127.0.0.1:" in captured.err
+    assert "repro profile" in captured.out
+
+
 def test_monitor_reports_degraded_run(uaf_file):
     """A fault-quarantined (exit 3) run shows up as degraded on
     /healthz and /status while the monitor is still serving."""
     monitor, result, thread = _run_cli_with_monitor(
-        ["serve", uaf_file, "--fault", "prepare", "--linger"]
+        ["check", uaf_file, "--monitor-port", "0", "--fault", "prepare", "--linger"]
     )
     try:
         for _ in range(200):
