@@ -1,7 +1,8 @@
 """Benchmark harness utilities.
 
 - :mod:`repro.obs.measure` (re-exported here) — wall-clock and
-  peak-memory measurement (tracemalloc) for the Figs. 7-9 comparisons;
+  peak-heap measurement (tracemalloc) for the Figs. 7-9 comparisons;
+  only the benchmarks use it, CLI runs record the clock and peak RSS;
 - :mod:`repro.bench.fitting` — least-squares curve fitting with R², for
   the Fig. 10 scalability study;
 - :mod:`repro.bench.tables` — plain-text table rendering so every bench

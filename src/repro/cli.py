@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from typing import Dict, List
 
 from repro import (
@@ -34,13 +35,12 @@ from repro import (
 from repro.core.report import EXIT_CLEAN, EXIT_VERIFY, aggregate_results
 from repro.lang.parser import ParseError
 from repro.obs import (
-    Measurement,
     configure_logging,
     cost_breakdown,
     get_progress,
     get_registry,
     get_tracer,
-    measure,
+    peak_rss_mb,
     render_profile,
 )
 from repro.obs.history import (
@@ -164,15 +164,13 @@ def _finish_monitor(monitor, args: argparse.Namespace, exit_code: int) -> None:
     if monitor is None:
         return
     if getattr(args, "linger", False):
-        import time as _time
-
         print(
             "[monitor] analysis done; still serving (Ctrl-C to stop)",
             file=sys.stderr,
         )
         try:
             while monitor.running:
-                _time.sleep(0.2)
+                time.sleep(0.2)
         except KeyboardInterrupt:
             pass
     monitor.stop()
@@ -186,7 +184,6 @@ def _record_history(
     fingerprint: str,
     config: Dict,
     wall_seconds: float,
-    peak_mb: float,
     exit_code: int,
     findings: int = 0,
     findings_by_checker=None,
@@ -196,7 +193,9 @@ def _record_history(
     quiet: bool = False,
 ) -> str:
     """Append a run record when history recording is on; returns the
-    run id ('' when recording is off)."""
+    run id ('' when recording is off).  ``wall_seconds`` is clock time;
+    the record's ``peak_mb`` is the resident-set high-water mark of this
+    process and its waited-for workers."""
     history_dir = resolve_history_dir(getattr(args, "history_dir", ""))
     if not history_dir:
         return ""
@@ -207,7 +206,7 @@ def _record_history(
         fingerprint=fingerprint,
         config=config,
         wall_seconds=wall_seconds,
-        peak_mb=peak_mb,
+        peak_mb=peak_rss_mb(),
         exit_code=exit_code,
         findings=findings,
         findings_by_checker=findings_by_checker,
@@ -221,22 +220,23 @@ def _record_history(
     return run_id
 
 
-def _print_stats(stats) -> None:
+def _print_stats(result) -> None:
     """Every EngineStats field, generated from as_dict() so a new field
-    can never be silently missing from --stats output."""
-    data = stats.as_dict()
-    timings = {k: v for k, v in data.items() if k.startswith("seconds_")}
+    can never be silently missing from --stats output, then the stage
+    times from the ``engine.seconds`` counter: the shared prepare and
+    seg phases and this checker's search and solving."""
+    data = result.stats.as_dict()
     robust_keys = ("degraded_candidates", "smt_deadline_hits", "quarantined_units")
-    core = {
-        k: v
-        for k, v in data.items()
-        if k not in timings and k not in robust_keys
-    }
+    core = {k: v for k, v in data.items() if k not in robust_keys}
     print("  [stats] " + " ".join(f"{k}={v}" for k, v in core.items()))
-    print(
-        "  [timing] "
-        + " ".join(f"{k[len('seconds_'):]}={v:.3f}s" for k, v in timings.items())
-    )
+    seconds = get_registry().counter("engine.seconds")
+    timings = {
+        "prepare": seconds.value(phase="prepare"),
+        "seg": seconds.value(phase="seg"),
+        "search": seconds.value(phase="search", checker=result.checker),
+        "solving": seconds.value(phase="solving", checker=result.checker),
+    }
+    print("  [timing] " + " ".join(f"{k}={v:.3f}s" for k, v in timings.items()))
     if any(data[k] for k in robust_keys):
         print("  [robust] " + " ".join(f"{k}={data[k]}" for k in robust_keys))
     from repro.obs.metrics import Counter
@@ -263,7 +263,6 @@ def _run_checkers(
     source: str,
     names: List[str],
     *,
-    measured: bool,
     verify: str = "",
     use_linear_filter: bool = True,
     recover: bool = True,
@@ -271,9 +270,9 @@ def _run_checkers(
     """The analysis ``check`` and ``profile`` share: build the engine
     config from the shared engine flags, start the monitor when
     ``--monitor-port`` asks, prepare ``source`` and run the ``names``
-    checkers (under :func:`measure` when ``measured``).
+    checkers, timed by the clock.
 
-    Returns ``(engine, results, measurement, monitor, run_config)``;
+    Returns ``(engine, results, wall_seconds, monitor, run_config)``;
     ``run_config`` is the run record's config, so both commands record
     the tier and job count that ran."""
     if args.fault:
@@ -288,25 +287,19 @@ def _run_checkers(
     monitor = _start_monitor(args)
     get_progress().begin_run(command, label=args.file)
 
-    def analyze():
-        slow_point()
-        engine = Pinpoint.from_source(
-            source,
-            config,
-            budget=_build_budget(args),
-            recover=recover,
-            jobs=args.jobs or None,
-            cache_dir=args.cache_dir or None,
-            worker_timeout=args.worker_timeout,
-        )
-        return engine, [engine.check(CHECKERS[name]()) for name in names]
-
-    if measured:
-        (engine, results), measurement = measure(analyze)
-    else:
-        # An unmeasured run writes no run record, so these zeros are
-        # never read.
-        (engine, results), measurement = analyze(), Measurement(0.0, 0)
+    started = time.perf_counter()
+    slow_point()
+    engine = Pinpoint.from_source(
+        source,
+        config,
+        budget=_build_budget(args),
+        recover=recover,
+        jobs=args.jobs or None,
+        cache_dir=args.cache_dir or None,
+        worker_timeout=args.worker_timeout,
+    )
+    results = [engine.check(CHECKERS[name]()) for name in names]
+    wall_seconds = time.perf_counter() - started
     run_config = {
         "checkers": names,
         "jobs": args.jobs or 0,
@@ -317,22 +310,33 @@ def _run_checkers(
         "fault": args.fault,
         "pta": engine.pta_tier,
     }
-    return engine, results, measurement, monitor, run_config
+    return engine, results, wall_seconds, monitor, run_config
+
+
+def _findings_fields(results) -> Dict:
+    """The run record's findings figures for ``results``, the same for
+    ``check`` and ``profile`` so their records compare in ``history
+    diff``."""
+    return {
+        "findings": sum(len(result.reports) for result in results),
+        "findings_by_checker": {
+            result.checker: len(result.reports) for result in results
+        },
+        "digest": findings_digest(
+            [report.key() for result in results for report in result]
+        ),
+    }
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     _setup_obs(args)
     source = _read(args.file)
     names = list(CHECKERS) if args.all else [args.checker]
-    # Wall time and peak memory are only captured when a history record
-    # will want them — tracemalloc has real overhead, and a plain check
-    # should stay as fast as before this feature existed.
-    engine, results, measurement, monitor, run_config = _run_checkers(
+    engine, results, wall_seconds, monitor, run_config = _run_checkers(
         args,
         "check",
         source,
         names,
-        measured=bool(resolve_history_dir(args.history_dir)),
         verify=args.verify,
         use_linear_filter=not args.no_linear_filter,
         recover=not args.strict,
@@ -364,7 +368,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                 print()
                 print(report)
         if args.stats and not args.json:
-            _print_stats(result.stats)
+            _print_stats(result)
     # After the baseline filter, so suppressed findings set no exit code.
     diagnostics, exit_code = aggregate_results(results)
     if args.update_baseline:
@@ -422,18 +426,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         label=args.file,
         fingerprint=fingerprint_text(source),
         config=run_config,
-        wall_seconds=measurement.seconds,
-        peak_mb=measurement.peak_mb,
+        wall_seconds=wall_seconds,
         exit_code=exit_code,
-        findings=sum(len(result.reports) for result in results),
-        findings_by_checker={
-            result.checker: len(result.reports) for result in results
-        },
-        digest=findings_digest(
-            [report.key() for result in results for report in result]
-        ),
         diagnostics=[diag.as_dict() for diag in diagnostics],
         quiet=args.json or args.sarif,
+        **_findings_fields(results),
     )
     _finish_monitor(monitor, args, exit_code)
     return exit_code
@@ -444,27 +441,22 @@ def cmd_profile(args: argparse.Namespace) -> int:
     memory and SMT effort went: per pass and per function (paper Figs.
     7-10), then along the critical path through the wave barriers, per
     wave, and split into compute vs. dispatch overhead
-    (:mod:`repro.obs.attr`)."""
-    if args.compare:
-        return _profile_compare(args)
-    if not args.file:
-        print(
-            "error: profile needs a program file (or --compare OLD NEW)",
-            file=sys.stderr,
-        )
-        return EXIT_ERROR
+    (:mod:`repro.obs.attr`).  ``history diff`` compares two profiles
+    recorded with ``--history-dir``."""
     _setup_obs(args, force_trace=True)
     source = _read(args.file)
     names = [args.checker] if args.checker else list(CHECKERS)
-    _, results, measurement, monitor, run_config = _run_checkers(
-        args, "profile", source, names, measured=True
+    _, results, wall_seconds, monitor, run_config = _run_checkers(
+        args, "profile", source, names
     )
-    reports = sum(len(result.reports) for result in results)
+    findings = _findings_fields(results)
+    reports = findings["findings"]
     degraded = sum(len(result.diagnostics) for result in results)
     document = cost_breakdown(
         get_tracer(),
         get_registry(),
-        measurement,
+        wall_seconds,
+        peak_rss_mb(),
         source_label=args.file,
         top=args.top,
     )
@@ -488,169 +480,50 @@ def cmd_profile(args: argparse.Namespace) -> int:
         label=args.file,
         fingerprint=fingerprint_text(source),
         config=run_config,
-        wall_seconds=measurement.seconds,
-        peak_mb=measurement.peak_mb,
+        wall_seconds=wall_seconds,
         exit_code=EXIT_CLEAN,
-        findings=reports,
         profile=document,
         quiet=args.json,
+        **findings,
     )
     _finish_monitor(monitor, args, EXIT_CLEAN)
     return EXIT_CLEAN
 
 
 def _delta_line(label: str, a: float, b: float, unit: str = "") -> str:
-    """One ``old -> new`` comparison line, shared by ``history diff``
-    and ``profile --compare``."""
+    """One ``old -> new`` comparison line of ``history diff``."""
     change = b - a
     pct = f" ({change / a * 100:+.1f}%)" if a else ""
     return f"  {label:<16} {a:>10.3f} -> {b:>10.3f}{unit} {change:+.3f}{pct}"
 
 
-def _load_profile_document(path: str) -> Dict:
-    """Load a profile document for ``profile --compare``: a ``profile
-    --json`` dump or a full run record from ``history show`` (whose
-    embedded ``profile`` document is unwrapped, inheriting the record's
-    wall time/label)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    if not isinstance(document, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    if isinstance(document.get("profile"), dict):  # run record
-        inner = dict(document["profile"])
-        inner.setdefault("wall_seconds", document.get("wall_seconds", 0.0))
-        inner.setdefault("label", document.get("label", ""))
-        document = inner
-    return document
+def _profile_deltas(old: Dict, new: Dict) -> Dict[str, Dict[str, List[float]]]:
+    """Pass, function and compute/dispatch-share deltas between two
+    profile documents, each entry ``name -> [old, new]``: passes by
+    name, functions hottest first."""
 
-
-def _profile_stage_map(document: Dict) -> Dict[str, float]:
-    """pass/stage name -> self seconds."""
-    stages: Dict[str, float] = {}
-    for row in document.get("passes", []):
-        if isinstance(row, dict) and row.get("name"):
-            stages[str(row["name"])] = float(row.get("self_seconds", 0.0))
-    return stages
-
-
-def _profile_function_map(document: Dict) -> Dict[str, float]:
-    functions: Dict[str, float] = {}
-    for row in document.get("functions", []):
-        if isinstance(row, dict) and row.get("unit"):
-            functions[str(row["unit"])] = float(row.get("self_seconds", 0.0))
-    return functions
-
-
-def _profile_compare(args: argparse.Namespace) -> int:
-    """``repro profile --compare OLD NEW``: per-stage deltas between two
-    profile/history JSON artifacts — the one-command before/after view
-    of a perf change."""
-    old_path, new_path = args.compare
-    try:
-        old = _load_profile_document(old_path)
-        new = _load_profile_document(new_path)
-    except (OSError, ValueError) as error:
-        print(f"error: cannot read profile document: {error}", file=sys.stderr)
-        return EXIT_ERROR
-
-    stages = sorted(set(_profile_stage_map(old)) | set(_profile_stage_map(new)))
-    old_stages, new_stages = _profile_stage_map(old), _profile_stage_map(new)
-    old_funcs, new_funcs = _profile_function_map(old), _profile_function_map(new)
-    functions = sorted(
-        set(old_funcs) | set(new_funcs),
-        key=lambda unit: max(old_funcs.get(unit, 0.0), new_funcs.get(unit, 0.0)),
-        reverse=True,
-    )[: args.top]
-
-    if args.json:
-        document = {
-            "old": {"path": old_path, "label": old.get("label", "")},
-            "new": {"path": new_path, "label": new.get("label", "")},
-            "wall_seconds": [
-                float(old.get("wall_seconds", 0.0)),
-                float(new.get("wall_seconds", 0.0)),
-            ],
-            "traced_seconds": [
-                float(old.get("traced_seconds", 0.0)),
-                float(new.get("traced_seconds", 0.0)),
-            ],
-            "passes": {
-                name: [old_stages.get(name, 0.0), new_stages.get(name, 0.0)]
-                for name in stages
-            },
-            "functions": {
-                unit: [old_funcs.get(unit, 0.0), new_funcs.get(unit, 0.0)]
-                for unit in functions
-            },
+    def self_seconds(document: Dict, section: str, key: str) -> Dict[str, float]:
+        return {
+            str(row[key]): float(row.get("self_seconds", 0.0))
+            for row in document.get(section, [])
+            if isinstance(row, dict) and row.get(key)
         }
-        if old.get("shares") or new.get("shares"):
-            document["shares"] = {
-                key: [
-                    float(old.get("shares", {}).get(key, 0.0)),
-                    float(new.get("shares", {}).get(key, 0.0)),
-                ]
-                for key in ("compute", "dispatch_overhead")
-            }
-        json.dump(document, sys.stdout, indent=2)
-        print()
-        return EXIT_CLEAN
 
-    print(f"{old_path} ({old.get('label', '?')}) -> {new_path} ({new.get('label', '?')})")
-    print(
-        _delta_line(
-            "wall_seconds",
-            float(old.get("wall_seconds", 0.0)),
-            float(new.get("wall_seconds", 0.0)),
-            "s",
-        )
-    )
-    print(
-        _delta_line(
-            "traced_seconds",
-            float(old.get("traced_seconds", 0.0)),
-            float(new.get("traced_seconds", 0.0)),
-            "s",
-        )
-    )
-    if old.get("peak_mb") or new.get("peak_mb"):
-        print(
-            _delta_line(
-                "peak_mb",
-                float(old.get("peak_mb", 0.0)),
-                float(new.get("peak_mb", 0.0)),
-                "MB",
-            )
-        )
-    for name in stages:
-        print(
-            _delta_line(
-                f"pass {name}",
-                old_stages.get(name, 0.0),
-                new_stages.get(name, 0.0),
-                "s",
-            )
-        )
-    if functions:
-        print("hottest functions (self seconds):")
-        for unit in functions:
-            print(
-                _delta_line(
-                    f"fn {unit}",
-                    old_funcs.get(unit, 0.0),
-                    new_funcs.get(unit, 0.0),
-                    "s",
-                )
-            )
-    if old.get("shares") or new.get("shares"):
-        for key in ("compute", "dispatch_overhead"):
-            print(
-                _delta_line(
-                    f"share {key}",
-                    float(old.get("shares", {}).get(key, 0.0)),
-                    float(new.get("shares", {}).get(key, 0.0)),
-                )
-            )
-    return EXIT_CLEAN
+    deltas: Dict[str, Dict[str, List[float]]] = {}
+    for section, key in (("passes", "name"), ("functions", "unit")):
+        a, b = self_seconds(old, section, key), self_seconds(new, section, key)
+        names = sorted(set(a) | set(b))
+        if section == "functions":
+            names.sort(key=lambda n: max(a.get(n, 0.0), b.get(n, 0.0)), reverse=True)
+        deltas[section] = {n: [a.get(n, 0.0), b.get(n, 0.0)] for n in names}
+    deltas["shares"] = {
+        key: [
+            float(old.get("shares", {}).get(key, 0.0)),
+            float(new.get("shares", {}).get(key, 0.0)),
+        ]
+        for key in ("compute", "dispatch_overhead")
+    }
+    return deltas
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -808,27 +681,19 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
 
     _setup_obs(args)
     seeds = parse_seed_spec(args.seeds)
-    history_on = bool(resolve_history_dir(getattr(args, "history_dir", "")))
     monitor = _start_monitor(args)
     get_progress().begin_run("selfcheck", label=args.seeds)
-
-    def analyze():
-        slow_point()
-        return run_selfcheck(
-            seeds,
-            lines=args.lines,
-            mode=args.verify or "full",
-            oracle=not args.no_oracle,
-            jobs=args.jobs or None,
-            cache_dir=args.cache_dir or None,
-        )
-
-    if history_on:
-        report, measurement = measure(analyze)
-        wall_seconds, peak_mb = measurement.seconds, measurement.peak_mb
-    else:
-        report = analyze()
-        wall_seconds = peak_mb = 0.0
+    started = time.perf_counter()
+    slow_point()
+    report = run_selfcheck(
+        seeds,
+        lines=args.lines,
+        mode=args.verify or "full",
+        oracle=not args.no_oracle,
+        jobs=args.jobs or None,
+        cache_dir=args.cache_dir or None,
+    )
+    wall_seconds = time.perf_counter() - started
     document = report.as_dict()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -884,7 +749,6 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
             "jobs": args.jobs or 0,
         },
         wall_seconds=wall_seconds,
-        peak_mb=peak_mb,
         exit_code=exit_code,
         findings=document.get("trap_reports", 0)
         + document.get("other_false_positives", 0),
@@ -900,7 +764,6 @@ def cmd_daemon(args: argparse.Namespace) -> int:
     scripts read the ephemeral port from that line."""
     import signal
     import threading
-    import time as time_mod
 
     from repro.cache import resolve_cache_dir as _resolve_cache
     from repro.service import ServiceConfig, ServiceServer
@@ -932,7 +795,7 @@ def cmd_daemon(args: argparse.Namespace) -> int:
         signal.signal(signal.SIGINT, lambda *_: stop_requested.set())
     except ValueError:
         pass  # not the main thread (in-process tests drive stop() directly)
-    started = time_mod.monotonic()
+    started = time.monotonic()
     try:
         while not stop_requested.is_set() and server.running:
             stop_requested.wait(timeout=0.2)
@@ -940,7 +803,7 @@ def cmd_daemon(args: argparse.Namespace) -> int:
         pass
     finally:
         server.stop()
-    uptime = time_mod.monotonic() - started
+    uptime = time.monotonic() - started
     counts = server.jobs.counts()
     _export_obs(args)
     get_progress().finish(EXIT_CLEAN)
@@ -961,7 +824,6 @@ def cmd_daemon(args: argparse.Namespace) -> int:
             "cache": bool(config.cache_dir),
         },
         wall_seconds=uptime,
-        peak_mb=0.0,
         exit_code=EXIT_CLEAN,
     )
     print(
@@ -1113,7 +975,6 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
             "seed": args.seed,
         },
         wall_seconds=report.wall_seconds,
-        peak_mb=0.0,
         exit_code=EXIT_CLEAN if not report.errors else EXIT_ERROR,
         quiet=args.json,
     )
@@ -1195,6 +1056,12 @@ def cmd_history_diff(args: argparse.Namespace) -> int:
         return EXIT_ERROR
 
     delta = _delta_line
+    # Two profile records also compare their passes, functions and shares.
+    profiles = (
+        _profile_deltas(old["profile"], new["profile"])
+        if isinstance(old.get("profile"), dict) and isinstance(new.get("profile"), dict)
+        else {}
+    )
 
     if args.json:
         document = {
@@ -1249,6 +1116,7 @@ def cmd_history_diff(args: argparse.Namespace) -> int:
                     int(new.get("pta", {}).get("weak_updates", 0)),
                 ],
             },
+            **profiles,
         }
         json.dump(document, sys.stdout, indent=2)
         print()
@@ -1259,6 +1127,11 @@ def cmd_history_diff(args: argparse.Namespace) -> int:
             "  NOTE: different source fingerprints "
             f"({old['fingerprint']} vs {new['fingerprint']}); timings are "
             "not comparable"
+        )
+    if old.get("schema") != new.get("schema"):
+        print(
+            f"  NOTE: record schemas differ ({old.get('schema')} vs "
+            f"{new.get('schema')}); wall and peak figures measure different things"
         )
     print(delta("wall_seconds", old["wall_seconds"], new["wall_seconds"], "s"))
     print(delta("peak_mb", old["peak_mb"], new["peak_mb"], "MB"))
@@ -1323,6 +1196,15 @@ def cmd_history_diff(args: argparse.Namespace) -> int:
                 float(new_s.get("utilization", 0.0)),
             )
         )
+    if profiles:
+        for name, (a, b) in profiles["passes"].items():
+            print(delta(f"pass {name}", a, b, "s"))
+        if profiles["functions"]:
+            print("hottest functions (self seconds):")
+            for unit, (a, b) in profiles["functions"].items():
+                print(delta(f"fn {unit}", a, b, "s"))
+        for key, (a, b) in profiles["shares"].items():
+            print(delta(f"share {key}", a, b))
     return EXIT_CLEAN
 
 
@@ -1572,20 +1454,7 @@ def build_parser() -> argparse.ArgumentParser:
         "vs dispatch overhead",
         parents=[obs, monitor, par, engine],
     )
-    profile.add_argument(
-        "file",
-        nargs="?",
-        default="",
-        help="program file ('-' for stdin); omit with --compare",
-    )
-    profile.add_argument(
-        "--compare",
-        nargs=2,
-        metavar=("OLD", "NEW"),
-        default=None,
-        help="instead of running, diff two profile/history JSON "
-        "artifacts and print per-stage deltas (before/after of a perf change)",
-    )
+    profile.add_argument("file", help="program file ('-' for stdin)")
     profile.add_argument(
         "--checker",
         choices=sorted(CHECKERS),
@@ -1889,7 +1758,9 @@ def build_parser() -> argparse.ArgumentParser:
     h_show.add_argument("--history-dir", default="", metavar="DIR", help=history_dir_help)
     h_show.set_defaults(func=cmd_history_show)
     h_diff = history_sub.add_parser(
-        "diff", help="compare two recorded runs (timings, stages, findings)"
+        "diff",
+        help="compare two recorded runs (timings, stages, findings; "
+        "passes, functions and shares when both are profile runs)",
     )
     h_diff.add_argument(
         "old", nargs="?", default="", help="run id of the baseline run "

@@ -291,14 +291,12 @@ class Pinpoint:
                         self.verify_failures.setdefault(
                             violation.unit, ("seg", dropped.seg)
                         )
-        self.seg_seconds = time.perf_counter() - start
-        # Prepare and SEG work is shared by every checker run on this
-        # engine, so it is published once here, not per checker.
-        seconds = get_registry().counter(
+        # SEG work is shared by every checker run on this engine, so it
+        # is published once here, not per checker (the prepare driver
+        # publishes the shared ``prepare`` phase the same way).
+        get_registry().counter(
             "engine.seconds", "Engine time by phase (seconds)"
-        )
-        seconds.inc(module.seconds, phase="prepare")
-        seconds.inc(self.seg_seconds, phase="seg")
+        ).inc(time.perf_counter() - start, phase="seg")
 
     # ------------------------------------------------------------------
     @classmethod
@@ -517,6 +515,9 @@ class _CheckerRun:
         # path-insensitively (no condition assembly, no solving).
         self.reduced_precision = False
         self._search_start = time.perf_counter()
+        # Time spent deciding candidates (linear filter + SMT), part of
+        # the search; published with it by finish().
+        self._solving_seconds = 0.0
         # Session check memo (only under an IncrementalAnalyzer).  Off
         # whenever results could be time-dependent: a limited budget may
         # degrade mid-run.
@@ -550,9 +551,6 @@ class _CheckerRun:
         vertices, edges = self.engine.seg_size()
         self.stats.seg_vertices = vertices
         self.stats.seg_edges = edges
-        self.stats.seconds_prepare = self.module.seconds
-        self.stats.seconds_seg = self.engine.seg_seconds
-        self.stats.seconds_search = time.perf_counter() - self._search_start
         self.stats.smt_queries = self.smt.queries
         self.stats.smt_deadline_hits = self.smt.deadline_hits
         self.stats.linear_queries = self.linear.queries
@@ -571,6 +569,12 @@ class _CheckerRun:
             self.engine.diagnostics.quarantined_units()
         )
         self.stats.publish(self.checker.name)
+        seconds = get_registry().counter(
+            "engine.seconds", "Engine time by phase (seconds)"
+        )
+        search = time.perf_counter() - self._search_start
+        seconds.inc(search, phase="search", checker=self.checker.name)
+        seconds.inc(self._solving_seconds, phase="solving", checker=self.checker.name)
         log.info(
             "checker finished",
             checker=self.checker.name,
@@ -655,13 +659,10 @@ class _CheckerRun:
 
     @staticmethod
     def _numeric_stats(stats: EngineStats) -> Dict[str, float]:
-        # Timings stay out: a replay spends no time searching or solving.
         return {
             key: value
             for key, value in stats.as_dict().items()
-            if isinstance(value, (int, float))
-            and not isinstance(value, bool)
-            and not key.startswith("seconds_")
+            if isinstance(value, (int, float)) and not isinstance(value, bool)
         }
 
     def _replay(self, name: str, entry: CheckMemoEntry) -> None:
@@ -1613,19 +1614,19 @@ class _CheckerRun:
         else:
             if self.config.use_linear_filter and self.linear.is_obviously_unsat(term):
                 self.stats.pruned_linear += 1
-                self.stats.seconds_solving += time.perf_counter() - start
+                self._solving_seconds += time.perf_counter() - start
                 return
             if self.config.use_smt:
                 answer = self._checked_smt(term, function_name, sink_line)
                 if answer is Result.UNSAT:
                     self.stats.pruned_smt += 1
-                    self.stats.seconds_solving += time.perf_counter() - start
+                    self._solving_seconds += time.perf_counter() - start
                     return
                 if answer is Result.UNKNOWN:
                     verdict = "unknown"
                 else:
                     witness = _format_witness(self.smt.last_model)
-        self.stats.seconds_solving += time.perf_counter() - start
+        self._solving_seconds += time.perf_counter() - start
 
         path = []
         for node in self._trace_vertices(trace):

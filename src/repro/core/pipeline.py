@@ -102,8 +102,6 @@ class PreparedModule:
     # whose artifacts the store served instead of recomputing them.
     digests: Dict[str, str] = field(default_factory=dict)
     cached: Set[str] = field(default_factory=set)
-    # Wall seconds the prepare driver spent on this module.
-    seconds: float = 0.0
 
     def __getitem__(self, name: str) -> PreparedFunction:
         return self.functions[name]

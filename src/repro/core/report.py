@@ -95,7 +95,10 @@ class EngineStats:
     This is the *per-checker-run* view; :meth:`publish` mirrors every
     field into the process metrics registry (``engine.<field>``, labeled
     by checker) so ``--stats``, ``--metrics-out``, the JSON payload and
-    SARIF all report from the same numbers.
+    SARIF all report from the same numbers.  Stage times are not kept
+    here: their one home is the ``engine.seconds`` counter, labeled by
+    ``phase``, which the prepare driver, :class:`~repro.core.engine.Pinpoint`
+    and each checker run increment themselves.
     """
 
     functions: int = 0
@@ -129,10 +132,6 @@ class EngineStats:
     pta_tier: str = "fi"
     strong_updates: int = 0
     weak_updates: int = 0
-    seconds_prepare: float = 0.0
-    seconds_seg: float = 0.0
-    seconds_search: float = 0.0
-    seconds_solving: float = 0.0
 
     def as_dict(self) -> dict:
         """Every field, by name — nothing hand-enumerated, so a field
@@ -142,13 +141,8 @@ class EngineStats:
     def publish(self, checker: str, registry: Optional[MetricsRegistry] = None) -> None:
         """Mirror this run's stats into the metrics registry.
 
-        Integer fields become ``engine.<field>`` counters and the
-        checker's own timings (``search``, ``solving``) ``engine.seconds``
-        counters labeled by phase, all labeled ``checker=<name>``.  The
-        shared ``prepare``/``seg`` phases are published once per engine
-        by :class:`~repro.core.engine.Pinpoint`, so summing
-        ``engine.seconds`` never counts them once per checker.
-        Summary-cache lookups additionally feed
+        Integer fields become ``engine.<field>`` counters labeled
+        ``checker=<name>``.  Summary-cache lookups additionally feed
         ``engine.summaries.{hit,miss}``.
         """
         # Explicit None check: an empty MetricsRegistry is falsy (it has
@@ -158,16 +152,9 @@ class EngineStats:
         for name, value in self.as_dict().items():
             if isinstance(value, str):
                 continue  # e.g. pta_tier: not a number, not a counter
-            if name in ("seconds_prepare", "seconds_seg"):
-                continue
-            if name.startswith("seconds_"):
-                registry.counter(
-                    "engine.seconds", "Engine time by phase (seconds)"
-                ).inc(value, phase=name[len("seconds_"):], checker=checker)
-            else:
-                registry.counter(
-                    f"engine.{name}", f"EngineStats field {name!r}"
-                ).inc(value, checker=checker)
+            registry.counter(
+                f"engine.{name}", f"EngineStats field {name!r}"
+            ).inc(value, checker=checker)
         registry.counter(
             "engine.summaries.hit", "Callee summaries found at call sites"
         ).inc(self.summary_hits, checker=checker)

@@ -12,8 +12,9 @@ SMT):
   as JSON or Prometheus text (``--metrics-out``);
 - **structured logging** (:mod:`repro.obs.log`): ``--log-level`` /
   ``--log-json`` over stdlib logging;
-- **measurement** (:mod:`repro.obs.measure`): nesting-safe wall-time /
-  peak-memory capture shared with the benchmark harness;
+- **measurement** (:mod:`repro.obs.measure`): the benchmarks'
+  nesting-safe tracemalloc meter, and the resident-set high-water mark
+  CLI run records carry;
 - **profiling** (:mod:`repro.obs.profiling` + :mod:`repro.obs.attr`):
   the one ``repro profile`` report — per-pass / per-function tables,
   critical path over the cross-process span tree, per-wave stragglers
@@ -48,7 +49,7 @@ from repro.obs.history import (
     write_bench_file,
 )
 from repro.obs.log import StructuredLogger, configure as configure_logging, get_logger
-from repro.obs.measure import Measurement, measure, time_only
+from repro.obs.measure import Measurement, measure, peak_rss_mb, time_only
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -84,6 +85,7 @@ __all__ = [
     "get_logger",
     "Measurement",
     "measure",
+    "peak_rss_mb",
     "time_only",
     "Counter",
     "Gauge",

@@ -14,19 +14,20 @@ parallelism work ask of a slow run:
 - **per-wave stragglers** — the one task each barrier waits on, with
   the barrier waste (wave wall minus straggler) made explicit;
 - **compute vs. dispatch overhead** — a two-way split of scheduler
-  wall, denominated against measured wall time so the shares sum to
+  wall, denominated against the run's clock time (no tracemalloc, so
+  a profiled run costs what a plain one does) so the shares sum to
   1.0 and can be regression-gated in run history.
 
 :func:`cost_breakdown` builds the machine-readable document (``repro
-profile --json``, also attached to run records); :func:`render_profile`
-prints it as the ranked tables of ``repro profile``.
+profile --json``, also attached to run records, where ``repro history
+diff`` compares two of them); :func:`render_profile` prints it as the
+ranked tables of ``repro profile``.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.obs.measure import Measurement
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.profiling import pass_table, unit_table
 from repro.obs.trace import Span, Tracer
@@ -129,20 +130,23 @@ def _wave_rows(spans: Sequence[Span]) -> List[Dict[str, Any]]:
 def cost_breakdown(
     tracer: Tracer,
     registry: MetricsRegistry,
-    measurement: Optional[Measurement] = None,
+    wall_seconds: float = 0.0,
+    peak_mb: Optional[float] = None,
     source_label: str = "",
     top: int = 10,
 ) -> Dict[str, Any]:
     """Assemble the ``repro profile`` document from one run's observability.
 
-    The compute/dispatch split is denominated against the largest wall
-    figure we have (measured wall, traced root time, or wave-loop
-    wall), so the two shares always sum to 1.0 — "overhead" is a
-    measured share of real time, not an unexplained remainder.
+    ``wall_seconds`` is the run's clock time and ``peak_mb`` its
+    resident-set high-water mark (:func:`repro.obs.measure.peak_rss_mb`;
+    left out of the document when None).  The compute/dispatch split is
+    denominated against the largest wall figure we have (measured wall,
+    traced root time, or wave-loop wall), so the two shares always sum
+    to 1.0 — "overhead" is a measured share of real time, not an
+    unexplained remainder.
     """
     spans = list(tracer.spans)
     traced_seconds = sum(s.duration for s in spans if s.parent is None)
-    wall_seconds = measurement.seconds if measurement is not None else 0.0
 
     wave_seconds = _gauge_value(registry, "attr.wave_seconds")
     work_seconds = _gauge_value(registry, "attr.work_seconds")
@@ -271,8 +275,8 @@ def cost_breakdown(
             for row in pass_table(spans)[:top]
         ],
     }
-    if measurement is not None:
-        document["peak_mb"] = round(measurement.peak_mb, 3)
+    if peak_mb is not None:
+        document["peak_mb"] = round(peak_mb, 3)
     if smt:
         document["smt"] = smt
     return document

@@ -1,10 +1,11 @@
 """Run-history telemetry store and perf-regression detection.
 
 Every ``repro check`` / ``selfcheck`` / bench run can persist a compact,
-schema-versioned **run record** — source fingerprint, config, per-stage
-timings, peak memory, cache traffic, scheduler wave counts, degradation
-diagnostics, a findings digest, and key histogram quantiles — into an
-append-only store under ``--history-dir`` / ``$REPRO_HISTORY_DIR``:
+schema-versioned **run record** — source fingerprint, config, wall
+time, per-stage timings, peak RSS, cache traffic, scheduler wave
+counts, degradation diagnostics, a findings digest, and key histogram
+quantiles — into an append-only store under ``--history-dir`` /
+``$REPRO_HISTORY_DIR``:
 
 ``runs.jsonl``
     One JSON object per line, append-only; the full record.
@@ -15,9 +16,9 @@ append-only store under ``--history-dir`` / ``$REPRO_HISTORY_DIR``:
 On top of the store, :func:`compute_trend` answers the question CI
 actually asks: *did this run regress against its own history?*  The
 baseline is the **median of the prior N runs with the same source
-fingerprint and command** — medians shrug off one noisy run, and the
-fingerprint guard keeps a changed benchmark from masquerading as a
-slowdown.  Wall-time and memory regress only past a ratio threshold
+fingerprint, command and schema** — medians shrug off one noisy run,
+and the fingerprint guard keeps a changed benchmark from masquerading
+as a slowdown.  Wall-time and memory regress only past a ratio threshold
 *and* an absolute floor (a 2ms run doubling to 4ms is noise, not news);
 finding counts regress on any drift from the baseline median, since
 findings are deterministic.
@@ -38,8 +39,11 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.obs.export import append_line, atomic_write, ensure_parent_dir
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
-#: Bump when a record field changes meaning; readers skip newer schemas.
-SCHEMA_VERSION = 1
+#: Bump when a record field changes meaning; readers skip newer schemas
+#: and trend baselines only compare records of one schema.  2:
+#: ``wall_seconds`` is plain clock time and ``peak_mb`` the resident-set
+#: high-water mark (1 measured both under tracemalloc).
+SCHEMA_VERSION = 2
 
 #: Environment fallback for ``--history-dir``.
 HISTORY_DIR_ENV = "REPRO_HISTORY_DIR"
@@ -434,7 +438,8 @@ def compute_trend(
     """Compare the latest record against the rolling baseline.
 
     Baseline = median of up to ``baseline_runs`` *prior* runs sharing
-    the latest run's source fingerprint and command.  Fewer than
+    the latest run's source fingerprint, command and record schema (a
+    schema bump changes what the figures measure).  Fewer than
     ``min_runs`` comparable prior runs → ``ok`` (a first run has nothing
     to regress against; failing it would make every fresh checkout red).
     """
@@ -447,6 +452,7 @@ def compute_trend(
         for r in records[:-1]
         if r.get("fingerprint") == latest.get("fingerprint")
         and r.get("command") == latest.get("command")
+        and r.get("schema") == latest.get("schema")
     ][-thresholds.baseline_runs:]
     if len(prior) < thresholds.min_runs:
         return TrendReport(

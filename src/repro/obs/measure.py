@@ -1,13 +1,19 @@
-"""Wall-time and peak-memory measurement (nesting-safe).
+"""Wall-time and memory measurement.
 
-This is the home of the ``Measurement`` machinery the benchmark harness
-and ``repro profile`` share.
+Two meters, for two questions:
 
-Peak memory is tracemalloc's high-water mark over the call — the same
-"how much memory does building this graph take" question the paper's
-Figs. 8-9 ask.  tracemalloc adds overhead, so time and memory
-comparisons stay apples-to-apples as long as both systems are measured
-this way.
+- :func:`measure` is the benchmarks' heap meter.  Peak memory is
+  tracemalloc's high-water mark over the call — the "how much memory
+  does building this graph take" question the paper's Figs. 8-9 ask,
+  comparing a SEG build with an SVF build inside one process.
+  tracemalloc slows the measured code several-fold, so time and memory
+  comparisons stay apples-to-apples only as long as both systems are
+  measured this way.
+- CLI runs never trace memory: ``check``, ``profile`` and
+  ``selfcheck`` time the analysis with ``time.perf_counter()``, and
+  every run record carries :func:`peak_rss_mb`, the resident-set
+  high-water mark the kernel keeps for free.  So a recorded or
+  profiled run costs what a plain run costs.
 
 Nesting: earlier versions unconditionally ``tracemalloc.start()`` /
 ``stop()`` and ``reset_peak()``, so a ``measure`` inside a ``measure``
@@ -21,10 +27,16 @@ measurement that started it.
 from __future__ import annotations
 
 import gc
+import sys
 import time
 import tracemalloc
 from dataclasses import dataclass
 from typing import Callable, List, Tuple, TypeVar
+
+try:
+    import resource
+except ImportError:  # pragma: no cover - not on POSIX
+    resource = None  # type: ignore[assignment]
 
 T = TypeVar("T")
 
@@ -94,3 +106,16 @@ def time_only(thunk: Callable[[], T]) -> Tuple[T, float]:
     start = time.perf_counter()
     result = thunk()
     return result, time.perf_counter() - start
+
+
+def peak_rss_mb() -> float:
+    """Largest resident set, in MiB, of this process and of any child it
+    has waited for (scheduler workers); 0.0 where ``resource`` is
+    missing.  ``ru_maxrss`` is in KiB on Linux and in bytes on macOS."""
+    if resource is None:
+        return 0.0
+    peak = max(
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+        resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,
+    )
+    return peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0)

@@ -370,7 +370,10 @@ def prepare_program(
         if out.cached:
             prepared.cached.add(name)
 
-    prepared.seconds = time.perf_counter() - started
+    # Shared by every checker run on the module: published once, here.
+    registry.counter("engine.seconds", "Engine time by phase (seconds)").inc(
+        time.perf_counter() - started, phase="prepare"
+    )
     _log.info(
         "module prepared",
         functions=len(prepared.functions),

@@ -273,38 +273,48 @@ def test_profile_json_document_matches_run_record(uaf_file, tmp_path, capsys):
     assert written["critical_path"] == printed["critical_path"]
 
 
-def test_profile_compare_diffs_two_artifacts(uaf_file, tmp_path, capsys):
-    old = tmp_path / "old.json"
-    new = tmp_path / "new.json"
-    main(["profile", uaf_file, "--json"])
-    old.write_text(capsys.readouterr().out)
-    main(["profile", uaf_file, "--json"])
-    new.write_text(capsys.readouterr().out)
+def test_history_diff_shows_profile_deltas(uaf_file, tmp_path, capsys):
+    hist = str(tmp_path / "hist")
+    main(["profile", uaf_file, "--history-dir", hist])
+    main(["profile", uaf_file, "--history-dir", hist])
+    capsys.readouterr()
 
-    code = main(["profile", "--compare", str(old), str(new)])
+    code = main(["history", "diff", "--history-dir", hist])
     assert code == 0
     out = capsys.readouterr().out
     assert "wall_seconds" in out
     assert "pass " in out  # per-pass delta lines
+    assert "fn main" in out and "share compute" in out
 
-    code = main(["profile", "--compare", str(old), str(new), "--json"])
+    code = main(["history", "diff", "--history-dir", hist, "--json"])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["old"] and payload["new"]
     assert payload["passes"], "per-pass deltas missing"
+    assert payload["functions"]["main"]
+    assert set(payload["shares"]) == {"compute", "dispatch_overhead"}
 
 
-def test_profile_compare_serial_against_jobs2(uaf_file, tmp_path, capsys):
-    serial = tmp_path / "serial.json"
-    jobs2 = tmp_path / "jobs2.json"
-    main(["profile", uaf_file, "--json"])
-    serial.write_text(capsys.readouterr().out)
-    main(["profile", uaf_file, "--json", "--jobs", "2"])
-    jobs2.write_text(capsys.readouterr().out)
-    code = main(["profile", "--compare", str(serial), str(jobs2)])
+def test_history_diff_profile_serial_against_jobs2(uaf_file, tmp_path, capsys):
+    hist = str(tmp_path / "hist")
+    main(["profile", uaf_file, "--history-dir", hist])
+    main(["profile", uaf_file, "--history-dir", hist, "--jobs", "2"])
+    capsys.readouterr()
+    code = main(["history", "diff", "--history-dir", hist])
     assert code == 0
     out = capsys.readouterr().out
     assert "wall_seconds" in out
+    assert "share dispatch_overhead" in out
+
+
+def test_history_diff_needs_two_profiles_for_profile_deltas(uaf_file, tmp_path, capsys):
+    hist = str(tmp_path / "hist")
+    main(["check", uaf_file, "--history-dir", hist])
+    main(["profile", uaf_file, "--history-dir", hist])
+    capsys.readouterr()
+    main(["history", "diff", "--history-dir", hist, "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert not {"passes", "functions", "shares"} & set(payload)
 
 
 @pytest.mark.parametrize(
@@ -317,6 +327,7 @@ def test_profile_compare_serial_against_jobs2(uaf_file, tmp_path, capsys):
         ["selfcheck", "--worker-timeout", "1"],
         ["dump-seg", "prog.pin", "--function", "main", "--worker-timeout", "1"],
         ["dump-cfg", "prog.pin", "--function", "main", "--worker-timeout", "1"],
+        ["profile", "--compare", "old.json", "new.json"],
     ],
     ids=[
         "why-slow",
@@ -326,6 +337,7 @@ def test_profile_compare_serial_against_jobs2(uaf_file, tmp_path, capsys):
         "selfcheck-worker-timeout",
         "dump-seg-worker-timeout",
         "dump-cfg-worker-timeout",
+        "profile-compare",
     ],
 )
 def test_removed_commands_and_unused_flags_are_usage_errors(argv, capsys):
@@ -335,9 +347,11 @@ def test_removed_commands_and_unused_flags_are_usage_errors(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_profile_without_file_or_compare_errors(capsys):
-    assert main(["profile"]) == 2
-    assert "--compare" in capsys.readouterr().err
+def test_profile_without_file_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["profile"])
+    assert exc.value.code == 2
+    assert "required: file" in capsys.readouterr().err
 
 
 def test_check_stats_quantiles_absent_without_smt(uaf_file, capsys):

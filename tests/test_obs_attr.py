@@ -20,7 +20,6 @@ from repro.obs.attr import (
     render_profile,
 )
 from repro.obs.clock import ManualClock
-from repro.obs.measure import Measurement
 from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 from repro.obs.trace import Tracer, get_tracer, set_tracer
 
@@ -104,25 +103,26 @@ def _synthetic_run():
     registry.counter("sched.dispatch.serialize_seconds", "s").inc(0.02)
     registry.counter("sched.dispatch.serialize_bytes", "b").inc(2048)
     registry.counter("sched.dispatch.result_bytes", "b").inc(4096)
-    measurement = Measurement(seconds=1.2, peak_bytes=10 * 1024 * 1024)
-    return tracer, registry, measurement
+    return tracer, registry, 1.2
 
 
 def test_cost_breakdown_shares_sum_to_one():
-    tracer, registry, measurement = _synthetic_run()
-    doc = cost_breakdown(tracer, registry, measurement, source_label="synth")
+    tracer, registry, wall = _synthetic_run()
+    doc = cost_breakdown(tracer, registry, wall, 10.0, source_label="synth")
     shares = doc["shares"]
     assert abs(shares["compute"] + shares["dispatch_overhead"] - 1.0) < 1e-6
     assert 0.0 <= shares["dispatch_overhead"] <= 1.0
     # Denominator is the largest wall figure available (measured 1.2s).
     assert doc["accounted_seconds"] == pytest.approx(1.2)
+    assert doc["peak_mb"] == 10.0
     # dispatch wall = wave 1.0 - critical 0.7 = 0.3 -> share 0.25.
     assert shares["dispatch_overhead"] == pytest.approx(0.25)
 
 
 def test_cost_breakdown_parallel_and_waves():
-    tracer, registry, measurement = _synthetic_run()
-    doc = cost_breakdown(tracer, registry, measurement)
+    tracer, registry, wall = _synthetic_run()
+    doc = cost_breakdown(tracer, registry, wall)
+    assert "peak_mb" not in doc
     parallel = doc["parallel"]
     assert parallel["jobs"] == 2
     assert parallel["speedup_bound"] == pytest.approx(1.4 / 0.7, abs=0.01)
@@ -153,13 +153,13 @@ def test_cost_breakdown_serial_fallback_uses_chain_root():
 def test_task_seconds_are_kept_out_of_wall_overhead():
     """Worker-side seconds are summed over tasks that overlap each other
     and the parent; they must not add into the wall-clock overhead."""
-    tracer, registry, measurement = _synthetic_run()
+    tracer, registry, wall = _synthetic_run()
     registry.counter("sched.dispatch.decode_seconds", "d").inc(0.01)
     registry.counter("sched.tasks", "t").inc(4)
     registry.counter("sched.dispatch.queue_seconds", "q").inc(10.0)
     registry.counter("sched.dispatch.deserialize_seconds", "d").inc(2.0)
     registry.counter("sched.dispatch.warmup_seconds", "w").inc(0.4)
-    doc = cost_breakdown(tracer, registry, measurement)
+    doc = cost_breakdown(tracer, registry, wall)
     overhead = doc["overhead"]
     assert overhead["total_seconds"] == pytest.approx(0.03)
     task_keys = {"queue_seconds", "deserialize_seconds", "warmup_seconds"}
@@ -180,8 +180,8 @@ def test_task_seconds_are_kept_out_of_wall_overhead():
 
 
 def test_render_profile_mentions_key_sections():
-    tracer, registry, measurement = _synthetic_run()
-    doc = cost_breakdown(tracer, registry, measurement, source_label="synth")
+    tracer, registry, wall = _synthetic_run()
+    doc = cost_breakdown(tracer, registry, wall, 10.0, source_label="synth")
     text = render_profile(doc)
     assert "repro profile — synth" in text
     assert "critical path" in text
@@ -221,25 +221,23 @@ def test_worker_spans_parent_under_wave_spans():
 
 def test_why_slow_split_consistent_with_wall():
     tracer, registry = _parallel_traced_run()
-    from repro.obs.measure import measure
+    import time
 
-    # Re-measure a fresh run under the same tracer so the measurement
-    # and the spans describe the same work envelope.
+    # Re-time a fresh run under the same tracer so the wall time and
+    # the spans describe the same work envelope.
     tracer.clear()
     set_registry(MetricsRegistry())
-
-    def run():
-        engine = Pinpoint.from_source(PROGRAM, jobs=2)
-        return engine.check(UseAfterFreeChecker())
-
-    _, m = measure(run)
-    doc = cost_breakdown(tracer, get_registry(), m, source_label="test")
+    started = time.perf_counter()
+    engine = Pinpoint.from_source(PROGRAM, jobs=2)
+    engine.check(UseAfterFreeChecker())
+    wall = time.perf_counter() - started
+    doc = cost_breakdown(tracer, get_registry(), wall, source_label="test")
     shares = doc["shares"]
     total = shares["compute"] + shares["dispatch_overhead"]
     assert total <= 1.0 + 1e-6
     # Consistency with wall time: the accounted denominator is within
     # 10% of (>=) the measured wall, and the shares explain all of it.
-    assert doc["accounted_seconds"] >= m.seconds * 0.999
+    assert doc["accounted_seconds"] >= wall * 0.999
     assert total == pytest.approx(1.0, abs=0.1)
     assert doc["parallel"]["jobs"] == 2
     assert doc["critical_path"], "critical path must be non-empty"

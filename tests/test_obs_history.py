@@ -292,6 +292,16 @@ def test_trend_baseline_uses_last_n_runs():
     assert report.baseline["wall_seconds"] == 1.0
 
 
+def test_trend_baseline_ignores_records_of_another_schema():
+    # Schema 1 measured under tracemalloc; its figures are no baseline
+    # for a schema-2 record, whose peak is the (larger) resident set.
+    old = dict(record(wall=4.0, peak=29.0), schema=1)
+    report = compute_trend([old, old, record(wall=1.0, peak=59.0)])
+    assert report.ok
+    assert report.baseline_count == 0
+    assert "insufficient history" in report.reason
+
+
 def test_trend_median_shrugs_off_one_noisy_run():
     runs = [record(wall=1.0), record(wall=50.0), record(wall=1.0), record(wall=1.1)]
     report = compute_trend(runs)
@@ -554,6 +564,70 @@ def test_profile_records_history_with_profile_payload(uaf_file, tmp_path, capsys
     (rec,) = HistoryStore(hist).records()
     assert rec["command"] == "profile"
     assert "passes" in rec["profile"]
+
+
+def test_profile_record_carries_the_findings_digest(uaf_file, tmp_path, capsys):
+    hist = str(tmp_path / "hist")
+    main(["check", uaf_file, "--all", "--history-dir", hist])
+    main(["profile", uaf_file, "--history-dir", hist])
+    capsys.readouterr()
+    checked, profiled = HistoryStore(hist).records()
+    assert profiled["findings"] == checked["findings"]
+    assert profiled["findings"]["digest"]
+    assert main(["history", "diff", "--history-dir", hist]) == 0
+    assert "findings digest changed" not in capsys.readouterr().out
+
+
+def test_recorded_runs_do_not_trace_memory(uaf_file, tmp_path, capsys, monkeypatch):
+    import tracemalloc
+
+    from repro.core.engine import Pinpoint
+
+    seen = []
+    check = Pinpoint.check
+
+    def spy(self, checker):
+        seen.append(tracemalloc.is_tracing())
+        return check(self, checker)
+
+    monkeypatch.setattr(Pinpoint, "check", spy)
+    hist = str(tmp_path / "hist")
+    main(["check", uaf_file, "--history-dir", hist])
+    main(["profile", uaf_file, "--checker", "use-after-free"])
+    main(["selfcheck", "--seeds", "3", "--lines", "150", "--history-dir", hist])
+    capsys.readouterr()
+    assert seen and not any(seen)
+    recorded = [r["command"] for r in HistoryStore(hist).records()]
+    assert recorded == ["check", "selfcheck"]
+
+
+def test_recorded_wall_and_peak_are_clock_and_rss(uaf_file, tmp_path, capsys):
+    import time
+
+    hist = str(tmp_path / "hist")
+    started = time.perf_counter()
+    main(["check", uaf_file, "--history-dir", hist])
+    elapsed = time.perf_counter() - started
+    (rec,) = HistoryStore(hist).records()
+    assert 0 < rec["wall_seconds"] <= elapsed
+    # An interpreter with repro imported holds well over 8 MB resident.
+    assert rec["peak_mb"] > 8.0
+
+
+def test_trend_check_passes_over_an_older_schema_history(uaf_file, tmp_path, capsys):
+    hist = str(tmp_path / "hist")
+    store = HistoryStore(hist)
+    for _ in range(3):
+        old = record(fingerprint=fingerprint_text(UAF), wall=0.001, peak=0.5)
+        store.append(dict(old, schema=1))
+    main(["check", uaf_file, "--history-dir", hist])
+    capsys.readouterr()
+    code = main(
+        ["history", "trend", "--history-dir", hist, "--check",
+         "--bench-out", str(tmp_path / "b.json")]
+    )
+    assert code == 0
+    assert "insufficient history" in capsys.readouterr().out
 
 
 def test_profile_records_the_tier_and_jobs_that_ran(uaf_file, tmp_path, capsys):

@@ -6,7 +6,7 @@ One-shot runs (``Pinpoint.from_source``) and incremental sessions
 reports *and* diagnostics under fault injection, step budgets and IR
 verification.  The driver's single store write-back must keep
 budget-degraded artifacts out of the content-addressed store, and its
-wall time feeds ``EngineStats.seconds_prepare``.
+wall time feeds ``engine.seconds{phase=prepare}``.
 """
 
 import json
@@ -202,7 +202,7 @@ def test_tight_budget_degrades_the_same_functions_in_every_mode(
 
 
 # ----------------------------------------------------------------------
-# EngineStats.seconds_prepare is the driver's wall time
+# The driver publishes its wall time as engine.seconds{phase=prepare}
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("mode", ["serial", "jobs2", "incremental"])
 def test_seconds_prepare_is_populated(mode):
@@ -210,9 +210,17 @@ def test_seconds_prepare_is_populated(mode):
         engine = IncrementalAnalyzer().analyze(PROGRAM)
     else:
         engine = Pinpoint.from_source(PROGRAM, jobs=2 if mode == "jobs2" else 1)
-    stats = engine.check(CHECKERS["use-after-free"]()).stats
-    assert stats.seconds_prepare > 0
-    assert stats.seconds_prepare == engine.module.seconds
+    seconds = get_registry().counter("engine.seconds")
+    prepare = seconds.value(phase="prepare")
+    assert prepare > 0
+    # Published once per prepared module, with no checker label: neither
+    # the checker runs nor another engine over the module add to it.
+    engine.check(CHECKERS["use-after-free"]())
+    engine.check(CHECKERS["double-free"]())
+    Pinpoint(engine.module, engine.config)
+    phases = [labels for labels, _ in seconds.items() if labels["phase"] == "prepare"]
+    assert phases == [{"phase": "prepare"}]
+    assert seconds.value(phase="prepare") == prepare
 
 
 def test_serial_preparation_never_imports_the_process_pool():
