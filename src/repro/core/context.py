@@ -50,23 +50,11 @@ class Context:
 
 
 class ContextAllocator:
-    """Allocates fresh contexts; one per engine run.
-
-    The checker run calls :meth:`reset` before processing each function,
-    so the idents a function's search allocates — and therefore the
-    ``~N`` suffixes baked into its summarized conditions and report
-    condition strings — depend only on that function's own artifacts and
-    callee summaries, never on how much work preceded it in the run.
-    That history-independence is what lets the session-level check memo
-    replay a function's results byte-identically.  Suffix *chains* stay
-    unambiguous because :func:`clone_term` renames every variable of the
-    cloned constraint, so nested clones accumulate ``~i~j`` paths that
-    are unique within the function even though idents restart."""
+    """Allocates fresh contexts, numbered from 1.  A checker run creates
+    one per function it processes (see ``_CheckerRun._process_function``
+    in :mod:`repro.core.engine`)."""
 
     def __init__(self) -> None:
-        self._counter = itertools.count(1)
-
-    def reset(self) -> None:
         self._counter = itertools.count(1)
 
     def new(

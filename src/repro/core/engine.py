@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -491,6 +492,78 @@ class _TeeReports:
         return self._target.setdefault(key, report)
 
 
+class _LazyCondition:
+    """A summary's condition, built as ``build(*args)`` on its first
+    ``.term``, ``.params`` or ``.receivers`` read, like the
+    :class:`Constraint` it stands for; afterwards only the result is
+    kept.  Most recorded summaries are never spliced into a candidate,
+    so most conditions are never built.
+
+    ``prev`` is the recording function's previous unbuilt VF condition.
+    A function's VF conditions are built in record order, so each one
+    draws the context numbers it would have drawn when it was recorded.
+    Each build adds one to ``tally[kind]``, the run's count of built
+    conditions (published as ``engine.summaries.forced``)."""
+
+    __slots__ = ("_built", "_build", "_args", "_prev", "_tally", "_kind")
+
+    def __init__(
+        self, build, args: tuple, tally: Dict[str, int], kind: str, prev=None
+    ) -> None:
+        self._built: Optional[Constraint] = None
+        self._build = build
+        self._args = args
+        self._prev: Optional[_LazyCondition] = prev
+        self._tally = tally
+        self._kind = kind
+
+    def force(self) -> Constraint:
+        if self._built is None:
+            chain = []
+            node: Optional[_LazyCondition] = self
+            while node is not None and node._built is None:
+                chain.append(node)
+                node = node._prev
+            for node in reversed(chain):
+                if node._built is None:
+                    node._built = node._build(*node._args)
+                    node._tally[node._kind] += 1
+                    node._build = node._args = node._prev = node._tally = None
+        return self._built
+
+    @property
+    def term(self) -> Term:
+        return self.force().term
+
+    @property
+    def params(self):
+        return self.force().params
+
+    @property
+    def receivers(self):
+        return self.force().receivers
+
+
+def _build_path_condition(run_ref, pf, trace, contexts) -> Constraint:
+    """A VF condition's ``build``.  It holds its checker run weakly: a
+    strong reference from the run's own summaries would keep every
+    finished run, and its engine, alive until a cycle collection."""
+    run = run_ref()
+    if run is None:
+        raise RuntimeError("summary condition read after its checker run ended")
+    return run._summary_constraint(pf, trace, contexts)
+
+
+def _force_conditions(summaries: FunctionSummaries) -> None:
+    """Build every lazy condition of one function's summaries."""
+    for summary in (
+        *summaries.rv.values(), *summaries.vf1, *summaries.vf2,
+        *summaries.vf3, *summaries.vf4,
+    ):
+        if isinstance(summary.constraint, _LazyCondition):
+            summary.constraint.force()
+
+
 class _CheckerRun:
     """One checker's bottom-up pass (summaries + bug search)."""
 
@@ -502,7 +575,16 @@ class _CheckerRun:
         self.budget = engine.budget
         self.linear = LinearSolver()
         self.smt = SMTSolver()
-        self.contexts = ContextAllocator()
+        # Set per function by _process_function: its allocator and its
+        # newest unbuilt summary condition.
+        self.contexts: Optional[ContextAllocator] = None
+        self._pending: Optional[_LazyCondition] = None
+        # Summary conditions built so far, by kind; see finish().
+        self._forced = {"vf": 0, "rv": 0}
+        # A summary condition built later sees only the callee summaries
+        # that existed when it was recorded: those of functions processed
+        # no later than the recording one.
+        self._ranks = {name: rank for rank, name in enumerate(self.module.order)}
         self.summaries: Dict[str, FunctionSummaries] = {}
         self.stats = EngineStats()
         self.reports: Dict[tuple, BugReport] = {}
@@ -515,8 +597,8 @@ class _CheckerRun:
         # path-insensitively (no condition assembly, no solving).
         self.reduced_precision = False
         self._search_start = time.perf_counter()
-        # Time spent deciding candidates (linear filter + SMT), part of
-        # the search; published with it by finish().
+        # Time spent deciding candidates (linear filter + SMT); finish()
+        # publishes it as ``solving`` and the rest of the run as ``search``.
         self._solving_seconds = 0.0
         # Session check memo (only under an IncrementalAnalyzer).  Off
         # whenever results could be time-dependent: a limited budget may
@@ -572,9 +654,20 @@ class _CheckerRun:
         seconds = get_registry().counter(
             "engine.seconds", "Engine time by phase (seconds)"
         )
-        search = time.perf_counter() - self._search_start
+        # Disjoint phases: a run record's stages then add up to at most
+        # its wall time.
+        search = time.perf_counter() - self._search_start - self._solving_seconds
         seconds.inc(search, phase="search", checker=self.checker.name)
         seconds.inc(self._solving_seconds, phase="solving", checker=self.checker.name)
+        # A registry counter, not an EngineStats field: a session builds
+        # every condition it records (force on write), so the count
+        # differs between one-shot and session runs, and `stats` must not.
+        forced = get_registry().counter(
+            "engine.summaries.forced",
+            "Summary conditions built because something read them",
+        )
+        for kind, count in self._forced.items():
+            forced.inc(count, checker=self.checker.name, kind=kind)
         log.info(
             "checker finished",
             checker=self.checker.name,
@@ -697,6 +790,9 @@ class _CheckerRun:
         finally:
             self.diagnostics = run_log
             self.reports = run_reports
+        # Force on write: an entry outlives this run, so it must not hold
+        # conditions that still need the run, its engine or its builders.
+        _force_conditions(self.summaries[name])
         stats_after = self._numeric_stats(self.stats)
         delta = {
             field_name: value - stats_before[field_name]
@@ -720,14 +816,28 @@ class _CheckerRun:
         pf = self.engine.functions.get(name)
         if pf is None:
             return  # quarantined at SEG construction
-        # Per-function ident numbering: see ContextAllocator.reset.
-        self.contexts.reset()
         key = self._memo_keys.get(name)
         if key is not None:
             entry = self._memo_table.get(name)
             if entry is not None and entry.key == key:
                 self._replay(name, entry)
                 return
+        # Each function numbers its contexts with its own allocator, so
+        # the idents its conditions allocate — and therefore the ``~N``
+        # suffixes baked into its summarized conditions and report
+        # condition strings — depend only on that function's own
+        # artifacts and callee summaries, never on how much work
+        # preceded it in the run.  (A lazy condition keeps this
+        # allocator, and the function's conditions and candidates draw
+        # from it in record order, whenever they are built.)  That
+        # history-independence is what lets the session-level check memo
+        # replay a function's results byte-identically.  Suffix *chains*
+        # stay unambiguous because clone_term renames every variable of
+        # the cloned constraint, so nested clones accumulate ``~i~j``
+        # paths that are unique within the function even though idents
+        # restart.
+        self.contexts = ContextAllocator()
+        self._pending = None
         with obs_trace("checker.fn", unit=name) as span:
             smt_before = self.smt.queries
             if key is None:
@@ -887,7 +997,9 @@ class _CheckerRun:
             if value is None:
                 continue
             if isinstance(value, cfg.Var):
-                constraint = pf.conditions.dd(value.name)
+                constraint = _LazyCondition(
+                    pf.conditions.dd, (value.name,), self._forced, "rv"
+                )
             else:
                 constraint = TRUE_CONSTRAINT
             summaries.rv[slot] = RVSummary(function.name, slot, value, constraint)
@@ -1176,29 +1288,15 @@ class _CheckerRun:
         nodes.reverse()
         return nodes
 
-    def _local_path(self, trace: _TraceNode, function: str) -> List[tuple]:
-        """The suffix of vertices within ``function`` (after the last
-        junction), used for local PC computation."""
-        path = []
-        node: Optional[_TraceNode] = trace
-        while node is not None and node.kind == "vertex":
-            if node.payload[0] == function:
-                path.append(node.payload[1])
-            node = node.prev
-        path.reverse()
-        return path
-
-    def _assemble(self, pf: PinpointFunction, trace: _TraceNode) -> Constraint:
-        """Assemble the global constraint for a trace (Eqs. 1-3)."""
-        nodes = self._trace_vertices(trace)
+    def _assemble(
+        self, pf: PinpointFunction, trace: _TraceNode, contexts: ContextAllocator
+    ) -> Term:
+        """Assemble the global condition of a trace (Eqs. 1-3), drawing
+        its clone contexts from ``contexts``."""
         pieces: List[Term] = []
-        params: List[Tuple[str, str, Optional[Context]]] = []  # (func, param, ctx)
-        all_params: Set[Tuple[str, Optional[Context]]] = set()
         receiver_queue: List[Tuple[str, str, Optional[Context]]] = []
-
         current_run: List[tuple] = []
         run_function = pf.prepared.function.name
-        previous_vertex: Optional[tuple] = None
 
         def flush_run():
             nonlocal current_run
@@ -1206,39 +1304,23 @@ class _CheckerRun:
                 return
             constraint = pf.conditions.pc(current_run)
             pieces.append(constraint.term)
-            for param in constraint.params:
-                all_params.add((param, None))
             for receiver in constraint.receivers:
                 receiver_queue.append((run_function, receiver, None))
             current_run = []
 
-        for node in nodes:
+        for node in self._trace_vertices(trace):
             if node.kind == "vertex":
-                func, vertex = node.payload
-                current_run.append(vertex)
-                previous_vertex = vertex
-            elif node.kind == "vf1":
-                call, summary = node.payload
+                current_run.append(node.payload[1])
+            else:  # a 'vf1' jump, or the 'origin-*' root of the trace
                 flush_run()
-                self._splice_summary(
-                    pf, call, summary, pieces, all_params, receiver_queue,
-                    link_entry=previous_vertex,
-                )
-            elif node.kind in ("origin-vf2", "origin-vf3"):
                 call, summary = node.payload
-                self._splice_summary(
-                    pf, call, summary, pieces, all_params, receiver_queue,
-                    link_entry=None,
-                )
-
+                self._splice_summary(pf, call, summary, pieces, receiver_queue, contexts)
         flush_run()
 
-        constraint = Constraint(T.and_(*pieces))
-        term = constraint.term
-
-        # Lazily bind surfaced parameters and resolve receivers (Eqs. 2/3).
-        term = self._resolve(term, all_params, receiver_queue)
-        return Constraint(term)
+        # Resolve surfaced receivers (Eq. 2); root parameters stay free.
+        return self._resolve(
+            T.and_(*pieces), receiver_queue, contexts, self._ranks[run_function]
+        )
 
     def _splice_summary(
         self,
@@ -1246,13 +1328,12 @@ class _CheckerRun:
         call: cfg.Call,
         summary: VFSummary,
         pieces: List[Term],
-        all_params: Set[Tuple[str, Optional[Context]]],
         receiver_queue: List[Tuple[str, str, Optional[Context]]],
-        link_entry: Optional[tuple],
+        contexts: ContextAllocator,
     ) -> None:
         """Clone a callee VF summary into a fresh context and add the
         junction equalities of Equation (3)."""
-        context = self.contexts.new(summary.function, call, None)
+        context = contexts.new(summary.function, call, None)
         if context.depth > self.config.max_call_depth:
             return
         cloned = clone_term(summary.constraint.term, context)
@@ -1264,8 +1345,6 @@ class _CheckerRun:
         # call to anchor CD through the local PC).
         call_cd = pf.conditions.cd(call.uid)
         pieces.append(call_cd.term)
-        for param in call_cd.params:
-            all_params.add((param, None))
         for receiver in call_cd.receivers:
             receiver_queue.append((pf.prepared.function.name, receiver, None))
 
@@ -1292,8 +1371,6 @@ class _CheckerRun:
                     )
                     caller_dd = pf.conditions.dd(actual.name)
                     pieces.append(caller_dd.term)
-                    for p2 in caller_dd.params:
-                        all_params.add((p2, None))
                     for r2 in caller_dd.receivers:
                         receiver_queue.append(
                             (pf.prepared.function.name, r2, None)
@@ -1321,25 +1398,25 @@ class _CheckerRun:
                             pieces.append(
                                 T.eq(T.int_var(receiver), T.const(value.value))
                             )
-
         # The summary's own receiver deps were resolved when it was
-        # created; nothing further to enqueue for it.
-        del link_entry
+        # built; nothing further to enqueue for it.
 
     def _resolve(
         self,
         term: Term,
-        params: Set[Tuple[str, Optional[Context]]],
         receiver_queue: List[Tuple[str, str, Optional[Context]]],
+        contexts: ContextAllocator,
+        rank: int,
     ) -> Term:
         """Resolve receiver dependencies via RV summaries (Eq. 2).
 
         Root-context parameters stay free variables.  Receivers are
         expanded by cloning the callee's RV summary and binding its
         parameters to the call's actuals, recursively, bounded by the
-        context depth limit.
+        context depth limit.  Only the summaries of functions processed
+        no later than the one of processing rank ``rank`` count: those
+        are the summaries that existed when its condition was recorded.
         """
-        del params  # root parameters stay free
         pieces: List[Term] = [term]
         processed: Set[Tuple[str, str, Optional[Context]]] = set()
         queue = list(receiver_queue)
@@ -1357,7 +1434,11 @@ class _CheckerRun:
                 continue
             callee_summaries = self.summaries.get(call.callee)
             callee_pf = self.engine.functions.get(call.callee)
-            if callee_summaries is None or callee_pf is None:
+            if (
+                callee_summaries is None
+                or callee_pf is None
+                or self._ranks[call.callee] > rank
+            ):
                 continue
             slot = 0 if call.dest == receiver else None
             if slot is None:
@@ -1368,7 +1449,7 @@ class _CheckerRun:
             rv = callee_summaries.rv.get(slot)
             if rv is None:
                 continue
-            new_context = self.contexts.new(call.callee, call, context)
+            new_context = contexts.new(call.callee, call, context)
             if new_context.depth > self.config.max_call_depth:
                 continue
             cloned = clone_term(rv.constraint.term, new_context)
@@ -1415,18 +1496,8 @@ class _CheckerRun:
         ret_slot: Optional[int] = None,
         nested: Optional[VFSummary] = None,
     ) -> None:
-        constraint = self._summary_constraint(pf, trace)
-        function = pf.prepared.function
-        path = tuple(
-            node.payload[1]
-            for node in self._trace_vertices(trace)
-            if node.kind == "vertex"
-        )
-        summary = VFSummary(
-            kind=kind,
-            function=function.name,
-            path=path,
-            constraint=constraint,
+        self._record(
+            summaries, kind, pf, trace,
             param_slot=param_slot,
             ret_slot=ret_slot,
             sink_line=sink.line if sink else (nested.sink_line if nested else 0),
@@ -1436,7 +1507,6 @@ class _CheckerRun:
             origin_line=(nested.origin_line or nested.sink_line) if nested else 0,
             origin_var=(nested.origin_var or nested.sink_var) if nested else "",
         )
-        getattr(summaries, kind).append(summary)
 
     def _record_vf2(
         self,
@@ -1446,44 +1516,63 @@ class _CheckerRun:
         trace: _TraceNode,
         ret_slot: int,
     ) -> None:
-        constraint = self._summary_constraint(pf, trace)
-        function = pf.prepared.function
+        self._record(
+            summaries, "vf2", pf, trace,
+            ret_slot=ret_slot,
+            source_line=origin.line,
+            source_var=origin.variable,
+            source_uid=origin.instr_uid,
+            origin_function=origin.function,
+            origin_line=origin.line,
+            origin_var=origin.variable,
+        )
+
+    def _record(
+        self, summaries: FunctionSummaries, kind: str, pf: PinpointFunction,
+        trace: _TraceNode, **anchors,
+    ) -> None:
+        """Append a ``kind`` summary of the searched path ``trace``.
+
+        Its condition is built on first read.  Reduced precision is
+        decided here, at record time: past the search budget the summary
+        keeps its linking structure with a ``true`` condition (sound,
+        path-insensitive)."""
+        if self.reduced_precision:
+            constraint = TRUE_CONSTRAINT
+        else:
+            constraint = self._pending = _LazyCondition(
+                _build_path_condition,
+                (weakref.ref(self), pf, trace, self.contexts),
+                self._forced,
+                "vf",
+                self._pending,
+            )
         path = tuple(
             node.payload[1]
             for node in self._trace_vertices(trace)
             if node.kind == "vertex"
         )
-        summaries.vf2.append(
+        getattr(summaries, kind).append(
             VFSummary(
-                kind="vf2",
-                function=function.name,
+                kind=kind,
+                function=pf.prepared.function.name,
                 path=path,
                 constraint=constraint,
-                ret_slot=ret_slot,
-                source_line=origin.line,
-                source_var=origin.variable,
-                source_uid=origin.instr_uid,
-                origin_function=origin.function,
-                origin_line=origin.line,
-                origin_var=origin.variable,
+                **anchors,
             )
         )
 
-    def _summary_constraint(self, pf: PinpointFunction, trace: _TraceNode) -> Constraint:
+    def _summary_constraint(
+        self, pf: PinpointFunction, trace: _TraceNode, contexts: ContextAllocator
+    ) -> Constraint:
         """PC of a summarized path: assembled like a candidate (nested
         summaries spliced, receivers resolved), parameters kept free."""
-        if self.reduced_precision:
-            # Budget exhausted: keep the summary's linking structure but
-            # drop its constraint (sound, path-insensitive).
-            return TRUE_CONSTRAINT
-        constraint = self._assemble(pf, trace)
+        term = self._assemble(pf, trace, contexts)
         # Recover the parameter set: free interface variables of this
         # function occurring in the term.
-        function = pf.prepared.function
-        iface = set(interface_params(function))
-        used = constraint.term.variables()
-        params = frozenset(name for name in used if name in iface)
-        return Constraint(constraint.term, params=params)
+        iface = set(interface_params(pf.prepared.function))
+        params = frozenset(name for name in term.variables() if name in iface)
+        return Constraint(term, params=params)
 
     # ------------------------------------------------------------------
     # Candidates -> reports
@@ -1500,24 +1589,37 @@ class _CheckerRun:
             dd.term, T.ne(T.int_var(origin.root_var), T.const(0))
         )
         if dd.receivers:
+            name = pf.prepared.function.name
             term = self._resolve(
                 term,
-                set(),
-                [(pf.prepared.function.name, r, None) for r in dd.receivers],
+                [(name, r, None) for r in dd.receivers],
+                self.contexts,
+                self._ranks[name],
             )
         return term
+
+    def _candidate_constraint(
+        self, pf: PinpointFunction, origin: _Origin, trace: _TraceNode
+    ) -> Constraint:
+        """A candidate's global condition.
+
+        The function's pending summary conditions are built first, in
+        record order: the contexts this assembly allocates then get the
+        same numbers as if every condition had been built when it was
+        recorded."""
+        if self.reduced_precision:
+            return TRUE_CONSTRAINT
+        if self._pending is not None:
+            self._pending.force()
+            self._pending = None
+        term = self._assemble(pf, trace, self.contexts)
+        return Constraint(T.and_(term, self._nonnull_source_term(pf, origin)))
 
     def _candidate_local(
         self, pf: PinpointFunction, origin: _Origin, trace: _TraceNode, sink: SinkSpec
     ) -> None:
         self.stats.candidates += 1
-        if self.reduced_precision:
-            constraint = TRUE_CONSTRAINT
-        else:
-            constraint = self._assemble(pf, trace)
-            constraint = Constraint(
-                T.and_(constraint.term, self._nonnull_source_term(pf, origin))
-            )
+        constraint = self._candidate_constraint(pf, origin, trace)
         self._decide_and_report(pf, origin, trace, sink.line, sink.value_var, constraint)
 
     def _candidate_via_callee(
@@ -1530,13 +1632,7 @@ class _CheckerRun:
     ) -> None:
         self.stats.candidates += 1
         full_trace = _TraceNode("vf1", (call, vf4), trace)
-        if self.reduced_precision:
-            constraint = TRUE_CONSTRAINT
-        else:
-            constraint = self._assemble(pf, full_trace)
-            constraint = Constraint(
-                T.and_(constraint.term, self._nonnull_source_term(pf, origin))
-            )
+        constraint = self._candidate_constraint(pf, origin, full_trace)
         sink_function = vf4.origin_function or vf4.function
         sink_line = vf4.origin_line or vf4.sink_line
         sink_var = vf4.origin_var or vf4.sink_var

@@ -16,6 +16,11 @@ Two summary families, generated bottom-up so callers can reuse them:
     value becomes e.g. freed);
   - VF4: formal parameter (slot) → sink statement.
 
+A summary's ``constraint`` may be built on its first read: the engine
+records it as an object with the same ``term``/``params``/``receivers``
+interface as :class:`~repro.seg.conditions.Constraint` (see
+``_LazyCondition`` in :mod:`repro.core.engine`).
+
 Interface slots: parameter slot ``i`` is the i-th entry of
 ``function.params + function.aux_params`` (matching the transformed call
 argument order); return slot ``0`` is the original return value and slot

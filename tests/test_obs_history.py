@@ -678,3 +678,27 @@ def test_check_all_record_counts_shared_stages_once(tmp_path, capsys):
     (record,) = HistoryStore(hist).records()
     assert {"prepare", "seg", "search"} <= set(record["stages"])
     assert sum(record["stages"].values()) <= record["wall_seconds"]
+
+
+def test_check_record_counts_solving_time_once(
+    uaf_file, tmp_path, capsys, monkeypatch
+):
+    # Solving happens inside the checker's search: the record's stages
+    # must add it once, or a slow solve pushes them past the wall time.
+    import time
+
+    from repro.smt.linear_solver import LinearSolver
+
+    filter_candidate = LinearSolver.is_obviously_unsat
+
+    def slow_filter(self, condition):
+        time.sleep(0.05)
+        return filter_candidate(self, condition)
+
+    monkeypatch.setattr(LinearSolver, "is_obviously_unsat", slow_filter)
+    hist = str(tmp_path / "hist")
+    main(["check", uaf_file, "--history-dir", hist])
+    capsys.readouterr()
+    (record,) = HistoryStore(hist).records()
+    assert record["stages"]["solving"] >= 0.05
+    assert sum(record["stages"].values()) <= record["wall_seconds"]
