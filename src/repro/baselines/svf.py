@@ -49,9 +49,6 @@ class SVFGStats:
     seconds_svfg: float = 0.0
     seconds_check: float = 0.0
 
-    def build_seconds(self) -> float:
-        return self.seconds_pta + self.seconds_svfg
-
 
 class SVFBaseline:
     """Layered SVFA: Andersen -> global SVFG -> reachability."""

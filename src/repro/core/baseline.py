@@ -48,10 +48,6 @@ class Baseline:
                 baseline.findings.add(finding_key(report))
         return baseline
 
-    @classmethod
-    def from_reports(cls, reports: Iterable[BugReport]) -> "Baseline":
-        return cls({finding_key(r) for r in reports})
-
     # ------------------------------------------------------------------
     def filter_new(self, result: CheckResult) -> List[BugReport]:
         """Reports in ``result`` not covered by this baseline."""

@@ -37,7 +37,6 @@ from repro.core.summaries import (
     return_slots,
 )
 from repro.ir import cfg
-from repro.ir.dominance import dominators
 from repro.lang import ast
 from repro.obs.log import get_logger
 from repro.obs.metrics import get_registry
@@ -67,6 +66,12 @@ from repro.smt.solver import Result, SMTSolver
 from repro.smt.terms import Term
 
 log = get_logger("engine")
+
+_CHECK_CACHE_HELP = {
+    "hit": "Functions whose check-phase results were replayed from the"
+    " session memo",
+    "miss": "Functions whose check phase ran live and was recorded",
+}
 
 
 def _format_witness(model, limit: int = 4) -> str:
@@ -106,7 +111,6 @@ class EngineConfig:
     use_linear_filter: bool = True  # ablation: skip the linear pre-filter
     use_smt: bool = True  # ablation: path-insensitive mode when False
     max_paths_per_source: int = 64  # demand-driven search budget
-    max_reports_per_function: int = 32
     # Self-verification mode: ""/off/fast/full ("" defers to the
     # REPRO_VERIFY environment variable at run time).
     verify: str = ""
@@ -132,11 +136,6 @@ class EngineConfig:
             raise ValueError(
                 f"max_paths_per_source must be >= 1, got {self.max_paths_per_source} "
                 "(a budget below 1 silently disables every search)"
-            )
-        if self.max_reports_per_function < 1:
-            raise ValueError(
-                f"max_reports_per_function must be >= 1, "
-                f"got {self.max_reports_per_function}"
             )
 
 
@@ -170,7 +169,7 @@ class _Origin:
 
 
 class PinpointFunction:
-    """Per-function analysis state: SEG + condition builder + dominance."""
+    """Per-function analysis state: SEG + :class:`ConditionBuilder`."""
 
     def __init__(self, prepared: PreparedFunction, seg: Optional[SEG] = None) -> None:
         self.prepared = prepared
@@ -178,7 +177,6 @@ class PinpointFunction:
         # as-is; build_seg is deterministic, so both paths agree.
         self.seg: SEG = seg if seg is not None else build_seg(prepared)
         self.conditions = ConditionBuilder(self.seg, prepared.function)
-        self.dom = dominators(prepared.function)
         # Statement uid -> (block label, index) for happens-after checks.
         self.position: Dict[int, Tuple[str, int]] = {}
         for label in prepared.function.block_order():
@@ -228,13 +226,20 @@ class Pinpoint:
     :class:`CheckResult` instead of raising.  An optional
     :class:`~repro.robust.budget.ResourceBudget` bounds wall clock and
     search effort; past it, candidates are decided at reduced precision
-    rather than not at all."""
+    rather than not at all.
+
+    A ``memo`` (a session's, see
+    :class:`~repro.core.incremental.IncrementalAnalyzer`) lets checker
+    runs replay the record of every function whose prepared artifacts,
+    by ``module.digests``, and whose callees' records are unchanged since
+    it was stored."""
 
     def __init__(
         self,
         module: PreparedModule,
         config: Optional[EngineConfig] = None,
         budget: Optional[ResourceBudget] = None,
+        memo: Optional["CheckMemo"] = None,
     ) -> None:
         self.module = module
         self.config = config or EngineConfig()
@@ -242,13 +247,7 @@ class Pinpoint:
         self.budget.start()
         self.diagnostics = module.diagnostics
         self.pta_tier = module.pta_tier
-        # Session-level check memo (set by IncrementalAnalyzer): lets a
-        # checker run replay per-function results for functions whose
-        # prepared artifacts AND transitive callee check-results are
-        # unchanged since the previous run.  ``prepare_digests`` maps
-        # function name -> digest of its prepare cache key.
-        self.check_memo: Optional["CheckMemo"] = None
-        self.prepare_digests: Dict[str, str] = {}
+        self.memo = memo
         self.functions: Dict[str, PinpointFunction] = {}
         # Artifacts quarantined by the verifier — ('cfg', Function) from
         # the IR pass, ('seg', SEG) from here — for --dump-on-verify-fail.
@@ -292,6 +291,11 @@ class Pinpoint:
                         self.verify_failures.setdefault(
                             violation.unit, ("seg", dropped.seg)
                         )
+        # The function set is final here; every checker run reports these.
+        self._seg_size = (
+            sum(f.seg.vertex_count() for f in self.functions.values()),
+            sum(f.seg.edge_count() for f in self.functions.values()),
+        )
         # SEG work is shared by every checker run on this engine, so it
         # is published once here, not per checker (the prepare driver
         # publishes the shared ``prepare`` phase the same way).
@@ -362,9 +366,8 @@ class Pinpoint:
 
     # ------------------------------------------------------------------
     def seg_size(self) -> Tuple[int, int]:
-        vertices = sum(f.seg.vertex_count() for f in self.functions.values())
-        edges = sum(f.seg.edge_count() for f in self.functions.values())
-        return vertices, edges
+        """Total SEG (vertices, edges) over the engine's functions."""
+        return self._seg_size
 
     # ------------------------------------------------------------------
     def check(self, checker: Checker) -> CheckResult:
@@ -390,132 +393,105 @@ class Pinpoint:
             return result
 
 
-@dataclass
-class CheckMemoEntry:
-    """One function's recorded check-phase results.
-
-    Valid exactly while ``key`` matches: the key chains the function's
-    prepare digest with the check keys of every callee whose summaries
-    were visible during its processing, so any change in its own
-    artifacts or anywhere below it in the call graph produces a
-    different key and forces a live re-run.
-    """
-
-    key: str
-    summaries: FunctionSummaries
-    reports: List[BugReport]
-    diagnostics: List  # Diagnostic attempts made while processing
-    stats_delta: Dict[str, float]
-
-
 class CheckMemo:
-    """Per-checker tables of :class:`CheckMemoEntry`, owned by a
-    long-lived :class:`~repro.core.incremental.IncrementalAnalyzer`.
+    """A session's :class:`CheckRecord` tables, per checker and function,
+    owned by a long-lived
+    :class:`~repro.core.incremental.IncrementalAnalyzer`.
 
-    This is the check-phase half of warm re-checks: the prepare cache
-    alone makes re-*preparation* incremental, but a checker run still
-    walks every function.  With the memo, unchanged functions replay
-    their summaries/reports/diagnostics in microseconds and only the
-    edit-invalidated cone is searched for real — which is what takes a
-    single-function edit re-check from "proportional to program size"
-    to millisecond-class.
+    This is the check-phase half of warm re-checks: the memory tier
+    makes re-*preparation* incremental, but a checker run still walks
+    every function.  With the memo, unchanged functions replay their
+    records and only the edit-invalidated cone is searched for real.
     """
 
     def __init__(self) -> None:
-        self._tables: Dict[str, Dict[str, CheckMemoEntry]] = {}
+        self._tables: Dict[str, Dict[str, CheckRecord]] = {}
 
-    def table(self, checker: str) -> Dict[str, CheckMemoEntry]:
+    def table(self, checker: str) -> Dict[str, CheckRecord]:
         return self._tables.setdefault(checker, {})
 
-    def invalidate(self, name: Optional[str] = None) -> None:
-        if name is None:
-            self._tables.clear()
-            return
-        for table in self._tables.values():
-            table.pop(name, None)
+    def clear(self) -> None:
+        self._tables.clear()
 
     def prune(self, live: Set[str]) -> None:
-        """Drop entries for functions no longer in the program."""
+        """Drop the records of functions no longer in the program."""
         for table in self._tables.values():
             for name in [n for n in table if n not in live]:
                 del table[name]
 
-    def __len__(self) -> int:
-        return sum(len(table) for table in self._tables.values())
 
-
-class _CaptureLog(DiagnosticLog):
-    """Tees diagnostics to the run log while keeping this function's own
-    attempt list (pre-dedup) for the check memo.
-
-    Recording *attempts* rather than "what the run log actually
-    appended" matters: a diagnostic this function raises may have been
-    deduplicated away because an earlier function already raised the
-    same key — but on a later warm run where that earlier function was
-    edited and no longer raises it, the replay must still surface this
-    function's attempt, exactly as a cold run would.
-    """
-
-    def __init__(self, target: DiagnosticLog) -> None:
-        super().__init__()
-        self._target = target
+class _Attempts(DiagnosticLog):
+    """A record's diagnostics, first attempt per key.  The run publishes
+    each one when it merges the record, so this log publishes nothing."""
 
     def add(self, diag) -> None:
         key = (diag.stage, diag.unit, diag.reason, diag.line)
         if key not in self._seen:
             self._seen.add(key)
             self.entries.append(diag)
-        # Metrics and run-level dedup stay the target's business.
-        self._target.add(diag)
 
 
-class _TeeReports:
-    """Stands in for the run's report dict while one function records.
+class _Home:
+    """The checker run a record's lazy conditions build in.
 
-    Inserts are forwarded to the real dict, but every distinct attempted
-    key is also kept — even when run-level dedup makes the insert a
-    no-op, because a (source, sink) pair can be derivable from more than
-    one processing function and the replay of *this* function must not
-    depend on which other function got there first (same rationale as
-    :class:`_CaptureLog`).
-    """
+    The run is held weakly: a strong reference from the run's own
+    summaries would keep every finished run, and its engine, alive until
+    a cycle collection.  Conditions hold this and not their record,
+    which would close a cycle through the record's summaries."""
 
-    def __init__(self, target: Dict[tuple, BugReport]) -> None:
-        self._target = target
-        self._seen: Set[tuple] = set()
-        self.attempts: List[BugReport] = []
+    __slots__ = ("run",)
 
-    def setdefault(self, key: tuple, report: BugReport) -> BugReport:
-        if key not in self._seen:
-            self._seen.add(key)
-            self.attempts.append(report)
-        return self._target.setdefault(key, report)
+    def __init__(self, run: "_CheckerRun") -> None:
+        self.run = weakref.ref(run)
+
+
+class CheckRecord:
+    """One function's check-phase results: its summaries, the reports and
+    diagnostics it attempted, and its stats counts.
+
+    A record keeps the first attempt per key, even when an earlier
+    function already produced the same key: a (source, sink) pair can be
+    derived from more than one function, and a replay of this one must
+    not depend on which of them came first.  A checker run merges every
+    record it processes; a session stores it in its :class:`CheckMemo`
+    under ``key`` and a later run replays it by merging it again.
+
+    Its summary conditions stay lazy.  They build in the run ``home``
+    names: the one that processed the function, re-pointed at each run
+    that replays it."""
+
+    __slots__ = ("key", "summaries", "reports", "diagnostics", "stats", "home")
+
+    def __init__(self, name: str, key: Optional[str], home: _Home) -> None:
+        self.key = key
+        self.summaries = FunctionSummaries(name)
+        self.reports: Dict[tuple, BugReport] = {}
+        self.diagnostics = _Attempts()
+        self.stats = EngineStats()
+        self.home = home
 
 
 class _LazyCondition:
-    """A summary's condition, built as ``build(*args)`` on its first
-    ``.term``, ``.params`` or ``.receivers`` read, like the
-    :class:`Constraint` it stands for; afterwards only the result is
-    kept.  Most recorded summaries are never spliced into a candidate,
-    so most conditions are never built.
+    """A summary's condition, built on its first ``.term``, ``.params`` or
+    ``.receivers`` read, like the :class:`Constraint` it stands for;
+    afterwards only the result is kept.  Most recorded summaries are
+    never spliced into a candidate, so most conditions are never built.
 
-    ``prev`` is the recording function's previous unbuilt VF condition.
-    A function's VF conditions are built in record order, so each one
-    draws the context numbers it would have drawn when it was recorded.
-    Each build adds one to ``tally[kind]``, the run's count of built
-    conditions (published as ``engine.summaries.forced``)."""
+    ``kind`` is ``vf`` (the path condition of a searched trace) or ``rv``
+    (``DD`` of a returned variable); the run ``home`` names builds it
+    from ``args`` (see :meth:`_CheckerRun._build_condition`).  ``prev``
+    is the recording function's previous unbuilt VF condition.  A
+    function's VF conditions are built in record order, so each one
+    draws the context numbers it would have drawn when it was recorded."""
 
-    __slots__ = ("_built", "_build", "_args", "_prev", "_tally", "_kind")
+    __slots__ = ("_built", "_home", "_kind", "_args", "_prev")
 
-    def __init__(
-        self, build, args: tuple, tally: Dict[str, int], kind: str, prev=None
-    ) -> None:
+    def __init__(self, home: _Home, kind: str, args: tuple, prev=None) -> None:
         self._built: Optional[Constraint] = None
-        self._build = build
+        self._home: Optional[_Home] = home
+        self._kind = kind
         self._args = args
         self._prev: Optional[_LazyCondition] = prev
-        self._tally = tally
-        self._kind = kind
 
     def force(self) -> Constraint:
         if self._built is None:
@@ -526,9 +502,13 @@ class _LazyCondition:
                 node = node._prev
             for node in reversed(chain):
                 if node._built is None:
-                    node._built = node._build(*node._args)
-                    node._tally[node._kind] += 1
-                    node._build = node._args = node._prev = node._tally = None
+                    run = node._home.run()
+                    if run is None:
+                        raise RuntimeError(
+                            "summary condition read after its checker run ended"
+                        )
+                    node._built = run._build_condition(node._kind, *node._args)
+                    node._home = node._args = node._prev = None
         return self._built
 
     @property
@@ -544,26 +524,6 @@ class _LazyCondition:
         return self.force().receivers
 
 
-def _build_path_condition(run_ref, pf, trace, contexts) -> Constraint:
-    """A VF condition's ``build``.  It holds its checker run weakly: a
-    strong reference from the run's own summaries would keep every
-    finished run, and its engine, alive until a cycle collection."""
-    run = run_ref()
-    if run is None:
-        raise RuntimeError("summary condition read after its checker run ended")
-    return run._summary_constraint(pf, trace, contexts)
-
-
-def _force_conditions(summaries: FunctionSummaries) -> None:
-    """Build every lazy condition of one function's summaries."""
-    for summary in (
-        *summaries.rv.values(), *summaries.vf1, *summaries.vf2,
-        *summaries.vf3, *summaries.vf4,
-    ):
-        if isinstance(summary.constraint, _LazyCondition):
-            summary.constraint.force()
-
-
 class _CheckerRun:
     """One checker's bottom-up pass (summaries + bug search)."""
 
@@ -575,12 +535,15 @@ class _CheckerRun:
         self.budget = engine.budget
         self.linear = LinearSolver()
         self.smt = SMTSolver()
-        # Set per function by _process_function: its allocator and its
-        # newest unbuilt summary condition.
+        # Set per function by _process_function: its record, its
+        # allocator and its newest unbuilt summary condition.
+        self.record: Optional[CheckRecord] = None
         self.contexts: Optional[ContextAllocator] = None
         self._pending: Optional[_LazyCondition] = None
-        # Summary conditions built so far, by kind; see finish().
+        # Summary conditions built so far, by kind, and session records
+        # replayed (hit) or stored (miss); see finish().
         self._forced = {"vf": 0, "rv": 0}
+        self._cache = {"hit": 0, "miss": 0}
         # A summary condition built later sees only the callee summaries
         # that existed when it was recorded: those of functions processed
         # no later than the recording one.
@@ -600,30 +563,41 @@ class _CheckerRun:
         # Time spent deciding candidates (linear filter + SMT); finish()
         # publishes it as ``solving`` and the rest of the run as ``search``.
         self._solving_seconds = 0.0
-        # Session check memo (only under an IncrementalAnalyzer).  Off
-        # whenever results could be time-dependent: a limited budget may
-        # degrade mid-run.
-        self._memo_table: Optional[Dict[str, CheckMemoEntry]] = None
-        if (
-            engine.check_memo is not None
-            and engine.prepare_digests
-            and not self.budget.limited
-        ):
-            self._memo_table = engine.check_memo.table(checker.name)
+        # The session's records for this checker, and the check keys of
+        # the functions processed so far (see _memo_key).  Off whenever
+        # results could be time-dependent: a limited budget may degrade
+        # mid-run.
+        self._memo: Optional[Dict[str, CheckRecord]] = None
         self._memo_keys: Dict[str, str] = {}
+        if engine.memo is not None and not self.budget.limited:
+            self._memo = engine.memo.table(checker.name)
+            config = self.config
+            self._memo_config = "|".join(
+                (
+                    checker.name,
+                    str(config.max_call_depth),
+                    str(config.use_linear_filter),
+                    str(config.use_smt),
+                    str(config.max_paths_per_source),
+                    engine.verify_mode,
+                    engine.pta_tier,
+                    str(self.absence_mode),
+                )
+            )
 
     # ------------------------------------------------------------------
     def execute(self) -> CheckResult:
         self._search_start = time.perf_counter()
         self.budget.start()
-        if self._memo_table is not None:
-            self._compute_memo_keys()
         for name in self.module.order:
             zone = Quarantine(self.diagnostics, STAGE_CHECKER, name)
             with zone:
                 self._process_function(name)
             if zone.tripped:
                 self.stats.quarantined_units += 1
+                # It stored no record, so its callers store none either:
+                # theirs would refer to its summaries.
+                self._memo_keys.pop(name, None)
         return self.finish()
 
     def finish(self) -> CheckResult:
@@ -651,23 +625,27 @@ class _CheckerRun:
             self.engine.diagnostics.quarantined_units()
         )
         self.stats.publish(self.checker.name)
-        seconds = get_registry().counter(
-            "engine.seconds", "Engine time by phase (seconds)"
-        )
+        registry = get_registry()
+        seconds = registry.counter("engine.seconds", "Engine time by phase (seconds)")
         # Disjoint phases: a run record's stages then add up to at most
         # its wall time.
         search = time.perf_counter() - self._search_start - self._solving_seconds
         seconds.inc(search, phase="search", checker=self.checker.name)
         seconds.inc(self._solving_seconds, phase="solving", checker=self.checker.name)
-        # A registry counter, not an EngineStats field: a session builds
-        # every condition it records (force on write), so the count
-        # differs between one-shot and session runs, and `stats` must not.
-        forced = get_registry().counter(
+        # Registry counters, not EngineStats fields: a replayed record's
+        # conditions are built by whichever later run reads them, so these
+        # counts depend on the session's history, and `stats` must not.
+        forced = registry.counter(
             "engine.summaries.forced",
             "Summary conditions built because something read them",
         )
         for kind, count in self._forced.items():
             forced.inc(count, checker=self.checker.name, kind=kind)
+        for outcome, count in self._cache.items():
+            if count:  # only a session run has records to replay or store
+                registry.counter(
+                    f"engine.check_cache.{outcome}", _CHECK_CACHE_HELP[outcome]
+                ).inc(count, checker=self.checker.name)
         log.info(
             "checker finished",
             checker=self.checker.name,
@@ -683,145 +661,66 @@ class _CheckerRun:
         )
 
     # ------------------------------------------------------------------
-    # Session check memo: key computation, replay, recording
+    # One function: a record, processed or replayed, merged into the run
     # ------------------------------------------------------------------
-    def _compute_memo_keys(self) -> None:
-        """Assign a check key to every memoizable function, in bottom-up
-        order (so a caller's key can chain its callees' keys).
+    def _memo_key(self, name: str) -> Optional[str]:
+        """The check key of ``name``, or None when it is not memoizable.
 
         A function's check-phase output is a pure function of
 
         - the checker + engine configuration,
         - its own prepared artifacts (the prepare digest), and
         - for each call site: whether the callee is defined, and — when
-          the callee's summaries were visible during processing — the
-          callee's own check key (covering the summaries' content
-          transitively).
+          the callee was processed earlier, so its summaries were
+          visible — the callee's own check key (covering the summaries'
+          content transitively).
 
-        A callee that was processed *before* this function but has no
-        key (unmemoizable, or quarantined at SEG) makes this function
-        unmemoizable too: its summaries-visibility can't be
-        fingerprinted.  A defined callee processed *after* it (a
-        same-SCC member later in the rotation) contributed no summaries,
-        only its "defined" bit, so an opaque marker suffices.
+        A callee processed earlier without a key (unmemoizable,
+        quarantined at SEG, or crashed in this run) leaves this function
+        without one too.  A defined callee processed *later* (a same-SCC
+        member later in the rotation) contributed no summaries, only its
+        "defined" bit, so an opaque marker suffices.
         """
-        config = self.config
-        config_sig = "|".join(
-            (
-                self.checker.name,
-                str(config.max_call_depth),
-                str(config.use_linear_filter),
-                str(config.use_smt),
-                str(config.max_paths_per_source),
-                str(config.max_reports_per_function),
-                self.engine.verify_mode,
-                self.engine.pta_tier,
-                str(self.absence_mode),
-            )
-        )
+        digest = self.module.digests.get(name)
+        if digest is None:
+            return None
+        rank = self._ranks[name]
         callgraph = self.module.callgraph
-        callees_of = callgraph.callees if callgraph is not None else {}
-        defined = self.module.functions
-        processed: Set[str] = set()
-        for name in self.module.order:
-            digest = self.engine.prepare_digests.get(name)
-            memoizable = digest is not None and name in self.engine.functions
-            parts = [config_sig, str(digest)]
-            if memoizable:
-                for callee in sorted(callees_of.get(name, ())):
-                    if callee == name:
-                        # Self-recursive call: during its own processing a
-                        # function sees only its in-progress summaries —
-                        # no external dependency.
-                        parts.append("self")
-                    elif callee in processed:
-                        callee_key = self._memo_keys.get(callee)
-                        if callee_key is None:
-                            memoizable = False
-                            break
-                        parts.append(callee_key)
-                    elif callee in defined:
-                        parts.append(f"opaque:{callee}")
-                    else:
-                        parts.append(f"ext:{callee}")
-            processed.add(name)
-            if memoizable:
-                self._memo_keys[name] = hashlib.sha256(
-                    "\x1f".join(parts).encode("utf-8")
-                ).hexdigest()
+        parts = [self._memo_config, digest]
+        for callee in sorted(callgraph.callees.get(name, ()) if callgraph else ()):
+            callee_rank = self._ranks.get(callee)
+            if callee == name:
+                # Self-recursive call: during its own processing a
+                # function sees only its in-progress summaries.
+                parts.append("self")
+            elif callee_rank is None:
+                parts.append(f"ext:{callee}")
+            elif callee_rank > rank:
+                parts.append(f"opaque:{callee}")
+            elif callee in self._memo_keys:
+                parts.append(self._memo_keys[callee])
+            else:
+                return None
+        return hashlib.sha256("\x1f".join(parts).encode("utf-8")).hexdigest()
 
-    @staticmethod
-    def _numeric_stats(stats: EngineStats) -> Dict[str, float]:
-        return {
-            key: value
-            for key, value in stats.as_dict().items()
-            if isinstance(value, (int, float)) and not isinstance(value, bool)
-        }
-
-    def _replay(self, name: str, entry: CheckMemoEntry) -> None:
-        self.summaries[name] = entry.summaries
-        for report in entry.reports:
-            self.reports.setdefault(report.key(), report)
-        for diag in entry.diagnostics:
-            self.diagnostics.add(diag)
-        for field_name, delta in entry.stats_delta.items():
-            setattr(
-                self.stats, field_name, getattr(self.stats, field_name) + delta
-            )
-        get_registry().counter(
-            "engine.check_cache.hit",
-            "Functions whose check-phase results were replayed from the"
-            " session memo",
-        ).inc(checker=self.checker.name)
-
-    def _process_recording(
-        self, name: str, pf: PinpointFunction, key: str
-    ) -> None:
-        """Run the function live and record a memo entry on success."""
-        stats_before = self._numeric_stats(self.stats)
-        run_log = self.diagnostics
-        run_reports = self.reports
-        capture = _CaptureLog(run_log)
-        tee = _TeeReports(run_reports)
-        self.diagnostics = capture
-        self.reports = tee  # type: ignore[assignment]
-        try:
-            self._process_prepared(name, pf)
-        finally:
-            self.diagnostics = run_log
-            self.reports = run_reports
-        # Force on write: an entry outlives this run, so it must not hold
-        # conditions that still need the run, its engine or its builders.
-        _force_conditions(self.summaries[name])
-        stats_after = self._numeric_stats(self.stats)
-        delta = {
-            field_name: value - stats_before[field_name]
-            for field_name, value in stats_after.items()
-            if value != stats_before[field_name]
-        }
-        self._memo_table[name] = CheckMemoEntry(
-            key=key,
-            summaries=self.summaries[name],
-            reports=list(tee.attempts),
-            diagnostics=list(capture.entries),
-            stats_delta=delta,
-        )
-        get_registry().counter(
-            "engine.check_cache.miss",
-            "Functions whose check phase ran live and was recorded",
-        ).inc(checker=self.checker.name)
-
-    # ------------------------------------------------------------------
     def _process_function(self, name: str) -> None:
+        """Process ``name`` into a record and merge it into the run, or
+        merge the session's stored record of it when its key matches."""
         pf = self.engine.functions.get(name)
         if pf is None:
             return  # quarantined at SEG construction
-        key = self._memo_keys.get(name)
+        key = self._memo_key(name) if self._memo is not None else None
         if key is not None:
-            entry = self._memo_table.get(name)
-            if entry is not None and entry.key == key:
-                self._replay(name, entry)
+            self._memo_keys[name] = key
+            record = self._memo.get(name)
+            if record is not None and record.key == key:
+                record.home.run = weakref.ref(self)
+                self._cache["hit"] += 1
+                self.summaries[name] = record.summaries
+                self._merge(record)
                 return
+        record = self.record = CheckRecord(name, key, _Home(self))
+        self.summaries[name] = record.summaries
         # Each function numbers its contexts with its own allocator, so
         # the idents its conditions allocate — and therefore the ``~N``
         # suffixes baked into its summarized conditions and report
@@ -830,26 +729,66 @@ class _CheckerRun:
         # preceded it in the run.  (A lazy condition keeps this
         # allocator, and the function's conditions and candidates draw
         # from it in record order, whenever they are built.)  That
-        # history-independence is what lets the session-level check memo
-        # replay a function's results byte-identically.  Suffix *chains*
-        # stay unambiguous because clone_term renames every variable of
-        # the cloned constraint, so nested clones accumulate ``~i~j``
-        # paths that are unique within the function even though idents
+        # history-independence is what lets a session replay a
+        # function's record byte-identically.  Suffix *chains* stay
+        # unambiguous because clone_term renames every variable of the
+        # cloned constraint, so nested clones accumulate ``~i~j`` paths
+        # that are unique within the function even though idents
         # restart.
         self.contexts = ContextAllocator()
         self._pending = None
         with obs_trace("checker.fn", unit=name) as span:
             smt_before = self.smt.queries
-            if key is None:
-                self._process_prepared(name, pf)
-            else:
-                self._process_recording(name, pf, key)
+            try:
+                self._process_prepared(pf)
+            finally:
+                # A function that raises leaves its partial results too.
+                self._merge(record)
             span.set(smt_queries=self.smt.queries - smt_before)
+        if key is not None:
+            self._memo[name] = record
+            self._cache["miss"] += 1
 
-    def _process_prepared(self, name: str, pf: PinpointFunction) -> None:
+    def _merge(self, record: CheckRecord) -> None:
+        """Add one function's record to the run, which keeps the first
+        report and diagnostic per key."""
+        for key, report in record.reports.items():
+            self.reports.setdefault(key, report)
+        for diag in record.diagnostics:
+            self.diagnostics.add(diag)
+        # The counts processing one function makes; finish() sets the rest.
+        totals, counts = self.stats, record.stats
+        totals.summaries_rv += counts.summaries_rv
+        totals.summaries_vf += counts.summaries_vf
+        totals.candidates += counts.candidates
+        totals.pruned_linear += counts.pruned_linear
+        totals.pruned_smt += counts.pruned_smt
+        totals.search_steps += counts.search_steps
+        totals.summary_hits += counts.summary_hits
+        totals.summary_misses += counts.summary_misses
+        totals.degraded_candidates += counts.degraded_candidates
+        totals.quarantined_units += counts.quarantined_units
+
+    def _build_condition(
+        self, kind: str, name: str, arg, contexts: Optional[ContextAllocator] = None
+    ) -> Constraint:
+        """Build a lazy summary condition of function ``name``: ``DD(arg)``
+        for an RV summary, the path condition of the trace ``arg`` for a
+        VF summary."""
+        pf = self.engine.functions[name]
+        if kind == "rv":
+            built = pf.conditions.dd(arg)
+        else:
+            built = self._summary_constraint(pf, arg, contexts)
+        self._forced[kind] += 1
+        return built
+
+    def _process_prepared(self, pf: PinpointFunction) -> None:
         prepared = pf.prepared
-        summaries = FunctionSummaries(name)
-        self.summaries[name] = summaries
+        record = self.record
+        summaries = record.summaries
+        name = summaries.function
+        stats = record.stats
         with obs_trace("summaries.rv", unit=name):
             self._build_rv_summaries(pf, summaries)
         lint_after = self.engine.verify_mode == verify_mod.MODE_FULL
@@ -865,9 +804,9 @@ class _CheckerRun:
         # external or quarantined and the call is treated as opaque.
         for call in pf.seg.call_sites:
             if call.callee in self.summaries:
-                self.stats.summary_hits += 1
+                stats.summary_hits += 1
             else:
-                self.stats.summary_misses += 1
+                stats.summary_misses += 1
 
         sinks = {
             spec.vertex: spec
@@ -976,8 +915,8 @@ class _CheckerRun:
                     extra_starts=self._backward_closure(pf, actual.name),
                 )
 
-        self.stats.summaries_rv += len(summaries.rv)
-        self.stats.summaries_vf += (
+        stats.summaries_rv += len(summaries.rv)
+        stats.summaries_vf += (
             len(summaries.vf1) + len(summaries.vf2) + len(summaries.vf3) + len(summaries.vf4)
         )
         if lint_after:
@@ -986,7 +925,7 @@ class _CheckerRun:
             ):
                 lints = verify_mod.lint_summaries(summaries, pf)
             if lints:
-                verify_mod.record_violations(lints, self.diagnostics)
+                verify_mod.record_violations(lints, record.diagnostics)
 
     # ------------------------------------------------------------------
     # RV summaries
@@ -998,7 +937,7 @@ class _CheckerRun:
                 continue
             if isinstance(value, cfg.Var):
                 constraint = _LazyCondition(
-                    pf.conditions.dd, (value.name,), self._forced, "rv"
+                    self.record.home, "rv", (function.name, value.name)
                 )
             else:
                 constraint = TRUE_CONSTRAINT
@@ -1096,16 +1035,17 @@ class _CheckerRun:
                     (extra, _TraceNode("vertex", (function_name, extra), root), 0)
                 )
         endpoints = 0
+        stats = self.record.stats
 
         while stack:
             vertex, trace, hops = stack.pop()
-            self.stats.search_steps += 1
+            stats.search_steps += 1
             if not self.budget.spend_steps(1) and not self.reduced_precision:
                 # Rung 2 of the degradation ladder: keep walking the SEG
                 # (finding candidates is cheap), but stop paying for
                 # condition assembly and solving from here on.
                 self.reduced_precision = True
-                self.diagnostics.record(
+                self.record.diagnostics.record(
                     STAGE_SEARCH,
                     function_name,
                     REASON_BUDGET,
@@ -1541,10 +1481,9 @@ class _CheckerRun:
             constraint = TRUE_CONSTRAINT
         else:
             constraint = self._pending = _LazyCondition(
-                _build_path_condition,
-                (weakref.ref(self), pf, trace, self.contexts),
-                self._forced,
+                self.record.home,
                 "vf",
+                (pf.prepared.function.name, trace, self.contexts),
                 self._pending,
             )
         path = tuple(
@@ -1618,7 +1557,7 @@ class _CheckerRun:
     def _candidate_local(
         self, pf: PinpointFunction, origin: _Origin, trace: _TraceNode, sink: SinkSpec
     ) -> None:
-        self.stats.candidates += 1
+        self.record.stats.candidates += 1
         constraint = self._candidate_constraint(pf, origin, trace)
         self._decide_and_report(pf, origin, trace, sink.line, sink.value_var, constraint)
 
@@ -1630,7 +1569,7 @@ class _CheckerRun:
         call: cfg.Call,
         vf4: VFSummary,
     ) -> None:
-        self.stats.candidates += 1
+        self.record.stats.candidates += 1
         full_trace = _TraceNode("vf1", (call, vf4), trace)
         constraint = self._candidate_constraint(pf, origin, full_trace)
         sink_function = vf4.origin_function or vf4.function
@@ -1654,17 +1593,17 @@ class _CheckerRun:
         except (KeyboardInterrupt, SystemExit, MemoryError):
             raise
         except Exception as error:
-            self.diagnostics.record(
+            self.record.diagnostics.record(
                 STAGE_SMT,
                 function_name,
                 REASON_QUARANTINED,
                 detail=f"{type(error).__name__}: {error}",
                 line=sink_line,
             )
-            self.stats.quarantined_units += 1
+            self.record.stats.quarantined_units += 1
             return self._linear_fallback(term)
         if answer is Result.UNKNOWN and self.smt.last_unknown_reason == "deadline":
-            self.diagnostics.record(
+            self.record.diagnostics.record(
                 STAGE_SMT,
                 function_name,
                 REASON_DEADLINE,
@@ -1694,13 +1633,14 @@ class _CheckerRun:
         verdict = "sat"
         witness = ""
         function_name = pf.prepared.function.name
+        record = self.record
         if self.reduced_precision:
             # Rung 2: budget exhausted — report the candidate without
             # solving.  "unknown" keeps it visible while flagging the
             # reduced confidence.
             verdict = "unknown"
-            self.stats.degraded_candidates += 1
-            self.diagnostics.record(
+            record.stats.degraded_candidates += 1
+            record.diagnostics.record(
                 STAGE_SEARCH,
                 function_name,
                 REASON_REDUCED_PRECISION,
@@ -1709,13 +1649,13 @@ class _CheckerRun:
             )
         else:
             if self.config.use_linear_filter and self.linear.is_obviously_unsat(term):
-                self.stats.pruned_linear += 1
+                record.stats.pruned_linear += 1
                 self._solving_seconds += time.perf_counter() - start
                 return
             if self.config.use_smt:
                 answer = self._checked_smt(term, function_name, sink_line)
                 if answer is Result.UNSAT:
-                    self.stats.pruned_smt += 1
+                    record.stats.pruned_smt += 1
                     self._solving_seconds += time.perf_counter() - start
                     return
                 if answer is Result.UNKNOWN:
@@ -1753,7 +1693,7 @@ class _CheckerRun:
             verdict=verdict,
             witness=witness,
         )
-        self.reports.setdefault(report.key(), report)
+        record.reports.setdefault(report.key(), report)
 
     # ------------------------------------------------------------------
     # Absence mode (memory leak)
@@ -1823,7 +1763,7 @@ class _CheckerRun:
                 if isinstance(instr, cfg.Ret):
                     return
         # Nothing released or escaped: leak.
-        self.stats.candidates += 1
+        self.record.stats.candidates += 1
         report = BugReport(
             checker=self.checker.name,
             source=Location(function.name, spec.line, spec.value_var),
@@ -1832,4 +1772,4 @@ class _CheckerRun:
             condition="true",
             verdict="sat",
         )
-        self.reports.setdefault(report.key(), report)
+        self.record.reports.setdefault(report.key(), report)

@@ -14,6 +14,13 @@ by exactly that pair.  Re-analyzing an edited program reuses every
 function whose key is unchanged; an edit that changes a callee's
 *interface* (its Mod/Ref behaviour) transitively invalidates callers,
 while a body-only edit re-analyzes just the one function.
+
+Checking is incremental the same way.  A checker run processes each
+function into a record (its summaries, reports, diagnostics and stats
+counts) exactly as a one-shot run does; the session keeps the records
+and a later run replays every one whose function and callees are
+unchanged.  Replayed summary conditions stay lazy: one is built only
+when an edited caller (or ``--verify full``) reads it.
 """
 
 from __future__ import annotations
@@ -58,10 +65,9 @@ class IncrementalAnalyzer:
         self._tier = MemoryTier(store)
         # Function name -> content address, from the last run.
         self._digests: Dict[str, str] = {}
-        # Check-phase memo: per-checker, per-function summaries/reports
-        # recorded by the engine so warm re-checks replay unchanged
-        # functions instead of re-searching them (see
-        # :class:`repro.core.engine.CheckMemo`).  The memory tier
+        # Check records, per checker and function, which warm re-checks
+        # replay instead of re-searching unchanged functions (see
+        # :class:`repro.core.engine.CheckRecord`).  The memory tier
         # bounds re-*preparation* to the edit's invalidation cone; this
         # bounds the *checker pass* the same way.
         self.check_memo = CheckMemo()
@@ -86,7 +92,7 @@ class IncrementalAnalyzer:
         """Prepare ``program`` the way :meth:`Pinpoint.from_source` does —
         at the config's points-to tier, under ``budget``, with the
         config's verification — but against this analyzer's memory
-        tier."""
+        tier, with this analyzer's check records."""
         from repro.sched.scheduler import prepare_program
 
         prepared = prepare_program(
@@ -103,18 +109,17 @@ class IncrementalAnalyzer:
             analyzed=len(prepared.digests) - reused, reused=reused
         )
         self.check_memo.prune(set(prepared.digests))
-        engine = Pinpoint(prepared, self.config, budget)
-        engine.check_memo = self.check_memo
-        engine.prepare_digests = prepared.digests
-        return engine
+        return Pinpoint(prepared, self.config, budget, memo=self.check_memo)
 
     def invalidate(self, name: Optional[str] = None) -> None:
-        """Drop one function's cached artifacts, or everything."""
+        """Drop one function's cached artifacts, or everything.  Check
+        records go in either case: a caller's record refers to its
+        callees' summaries, so one function's record cannot go alone."""
         if name is None:
             self._tier.clear()
         elif name in self._digests:
             self._tier.discard(self._digests[name])
-        self.check_memo.invalidate(name)
+        self.check_memo.clear()
 
 
 def apply_function_edit(

@@ -72,12 +72,6 @@ class AndersenAnalysis:
     def _add_object(self, node: str, obj: MemObject) -> None:
         self.pts.setdefault(node, set()).add(obj)
 
-    def _operand_node(self, func: str, op: cfg.Operand) -> str:
-        if isinstance(op, cfg.Var):
-            return self.node(func, op.name)
-        # Constants point to nothing; a throwaway node.
-        return self.node(func, f"%const{op.value}")
-
     def generate(self) -> None:
         for function in self.module:
             name = function.name

@@ -27,7 +27,7 @@ order.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 ENV_VAR = "REPRO_FAULTS"
 
@@ -209,13 +209,3 @@ def disk_full_point(unit: str = "") -> None:
 
         raise OSError(errno.ENOSPC, f"injected disk-full writing {unit or 'entry'}")
 
-
-def faults_pending() -> List[str]:  # pragma: no cover - debugging aid
-    plan = active_plan()
-    if plan is None:
-        return []
-    return [
-        f"{site}:{unit}" if unit else site
-        for (site, unit), count in plan._rules.items()
-        if count is None or count > 0
-    ]

@@ -357,10 +357,6 @@ class ConditionBuilder:
             return instr.uid if instr is not None else None
         return None
 
-    def _edge_label(self, src: VertexKey, dst: VertexKey) -> Optional[Term]:
-        label, _ = self._edge_info(src, dst)
-        return label
-
     def _edge_info(self, src: VertexKey, dst: VertexKey):
         """(label, is_copy) of the edge src -> dst; no edge means a jump
         the search made through an operator or summary (label None, and

@@ -95,11 +95,6 @@ class SEG:
         self.out_edges.setdefault(src, []).append(edge)
         self.in_edges.setdefault(dst, []).append(edge)
 
-    def copy_successors(self, key: VertexKey) -> Iterable[DataEdge]:
-        for edge in self.out_edges.get(key, ()):  # noqa: B909
-            if edge.is_copy:
-                yield edge
-
     def copy_predecessors(self, key: VertexKey) -> Iterable[DataEdge]:
         for edge in self.in_edges.get(key, ()):  # noqa: B909
             if edge.is_copy:

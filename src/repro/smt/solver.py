@@ -202,8 +202,3 @@ class _Encoder:
         # A non-boolean term in boolean position: interpret as != 0.
         return self.encode(T.FACTORY.ne(term, T.FACTORY.const(0)))
 
-
-def check_all(conditions, solver: Optional[SMTSolver] = None) -> List[Result]:
-    """Check a batch of conditions with one solver (stats aggregate)."""
-    solver = solver or SMTSolver()
-    return [solver.check(c) for c in conditions]

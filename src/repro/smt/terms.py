@@ -139,9 +139,6 @@ class Term:
     def is_const(self) -> bool:
         return self.kind == KIND_CONST
 
-    def is_var(self) -> bool:
-        return self.kind in (KIND_BOOL_VAR, KIND_INT_VAR)
-
     def variables(self) -> frozenset:
         """All variable names occurring in this term, walked once per term."""
         if self._variables is None:

@@ -158,3 +158,54 @@ def test_fully_replayed_recheck_spends_no_solving_time():
     assert warm.stats.candidates == cold.stats.candidates
     assert warm.stats.smt_queries == warm.stats.linear_queries == 0
     assert solving_seconds() == 0
+
+
+# ``h`` and ``k`` both derive the same use-after-free key (the free in
+# ``release`` reaching the dereference in ``use``); ``h`` is processed
+# first, so in a cold run the report is ``h``'s.
+SHARED_KEY = """\
+fn release(p) {
+  free(p);
+  return 0;
+}
+fn use(p) {
+  x = *p;
+  return x;
+}
+fn h(p) {
+  a = release(p);
+  b = use(p);
+  return b;
+}
+fn k(q) {
+  a = release(q);
+  b = use(q);
+  return b;
+}
+"""
+
+
+def test_replay_keeps_reports_an_earlier_function_inserted_first():
+    from repro import Pinpoint
+    from repro.core.report import report_as_dict
+
+    def reports(engine):
+        return [report_as_dict(r) for r in engine.check(UseAfterFreeChecker())]
+
+    analyzer = IncrementalAnalyzer()
+    (cold,) = reports(analyzer.analyze(SHARED_KEY))
+    assert cold["path"][0]["function"] == "h"
+    # Line-preserving edit: ``h`` no longer derives the key, so the
+    # report must come from ``k``'s replayed record.
+    edited = SHARED_KEY.replace("  b = use(p);", "  b = 0;")
+    previous = get_registry()
+    registry = set_registry(MetricsRegistry())
+    try:
+        warm = reports(analyzer.analyze(edited))
+    finally:
+        set_registry(previous)
+    assert warm == reports(Pinpoint.from_source(edited))
+    assert [r["path"][0]["function"] for r in warm] == ["k"]
+    # Only the edited ``h`` is searched again.
+    assert registry.get("engine.check_cache.hit").total() == 3
+    assert registry.get("engine.check_cache.miss").total() == 1

@@ -2,12 +2,15 @@
 building each one when its summary is recorded.
 
 A VF summary's condition is assembled only when a caller splices it
-into a candidate (or a lint or the session memo reads it); an RV
-summary's ``DD`` only when a receiver is resolved through it.  Three
-rules keep the output what eager building gave: a function's conditions
-draw their clone contexts from that function's own allocator in record
-order, a late build sees only the callee summaries that existed when it
-was recorded, and nothing lazy outlives its checker run.
+into a candidate (or a lint reads it); an RV summary's ``DD`` only when
+a receiver is resolved through it.  Session records keep their
+conditions lazy too: a replayed condition is built by the first later
+run that reads it.  Three rules keep the output what eager building
+gave: a function's conditions draw their clone contexts from that
+function's own allocator in record order, a late build sees only the
+callee summaries that existed when it was recorded, and a condition
+holds the run that builds it weakly (the recording run, or the session
+run that last replayed its record).
 """
 
 import functools
@@ -22,8 +25,8 @@ from repro import Pinpoint, UseAfterFreeChecker
 from repro.cli import CHECKERS, main
 from repro.core.engine import EngineConfig
 from repro.core.incremental import IncrementalAnalyzer
+from repro.core.report import report_as_dict
 from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
-from repro.smt.terms import Term
 from repro.synth.generator import GeneratorConfig, generate_program
 
 # The second call of ``id`` splices its summary into the candidate after
@@ -212,22 +215,55 @@ def test_engine_and_runs_are_freed_without_the_cycle_collector(
         gc.collect()
 
 
-def test_check_memo_holds_only_built_conditions():
+# ``g`` reads none of ``pick``'s summaries; the edit below makes it
+# splice them into a use-after-free and a null-deref candidate.  Building
+# ``pick``'s conditions splices ``id``'s summary in turn, drawing a
+# context from ``pick``'s own allocator.
+REPLAYED = """\
+fn id(q) {
+  return q;
+}
+fn pick(q, n) {
+  r = 0;
+  if (n > 0) {
+    r = id(q);
+  }
+  return r;
+}
+fn g(c) {
+  p = malloc();
+  y = pick(c, c);
+  free(p);
+  v = *p;
+  return v;
+}
+"""
+
+# Line-preserving body edit of ``g`` only.
+REPLAYED_EDIT = REPLAYED.replace("y = pick(c, c);", "y = pick(p, c);").replace(
+    "v = *p;", "v = *y;"
+)
+
+
+def all_reports(engine):
+    return [
+        [report_as_dict(report) for report in result]
+        for result in run_all_checkers(engine)
+    ]
+
+
+def test_replayed_condition_built_later_reads_as_in_a_cold_run():
     analyzer = IncrementalAnalyzer()
-    run_all_checkers(analyzer.analyze(subject_2k()))
-    built = 0
-    seen = set()
-    stack = [analyzer.check_memo]
-    while stack:
-        obj = stack.pop()
-        if id(obj) in seen or isinstance(obj, (str, int, float, type, Term)):
-            continue
-        seen.add(id(obj))
-        if isinstance(obj, engine_mod._LazyCondition):
-            assert obj._built is not None, "unbuilt condition in the check memo"
-            built += 1
-        stack.extend(gc.get_referents(obj))
-    assert built > 0
+    all_reports(analyzer.analyze(REPLAYED))
+    (vf1,) = analyzer.check_memo.table("use-after-free")["pick"].summaries.vf1
+    assert vf1.constraint._built is None
+    warm = all_reports(analyzer.analyze(REPLAYED_EDIT))
+    # ``pick``'s record was replayed, and the edited ``g`` built its condition.
+    assert analyzer.check_memo.table("use-after-free")["pick"].summaries.vf1[0] is vf1
+    assert vf1.constraint._built is not None
+    cold = all_reports(Pinpoint.from_source(REPLAYED_EDIT))
+    assert warm == cold
+    assert any("~" in report["condition"] for result in cold for report in result)
 
 
 # ----------------------------------------------------------------------
@@ -251,14 +287,12 @@ def test_one_shot_builds_fewer_conditions_than_it_records(registry):
     assert forced(registry, "rv") < sum(r.stats.summaries_rv for r in results)
 
 
-def test_session_builds_every_condition_on_write(registry):
-    analyzer = IncrementalAnalyzer(NO_LINTS)
-    results = run_all_checkers(analyzer.analyze(subject_2k()))
-    recorded = sum(result.stats.summaries_vf for result in results)
-    assert recorded > 0
-    assert forced(registry, "vf") == recorded
-    labels = {
-        labels["checker"]
-        for labels, _ in registry.get("engine.summaries.forced").items()
-    }
+def test_session_cold_check_builds_what_a_one_shot_check_builds(registry):
+    run_all_checkers(Pinpoint.from_source(subject_2k(), NO_LINTS))
+    one_shot = registry.get("engine.summaries.forced").items()
+    session = set_registry(MetricsRegistry())
+    run_all_checkers(IncrementalAnalyzer(NO_LINTS).analyze(subject_2k()))
+    assert session.get("engine.summaries.forced").items() == one_shot
+    assert forced(session, "vf") > 0
+    labels = {labels["checker"] for labels, _ in one_shot}
     assert labels == set(CHECKERS)

@@ -100,8 +100,6 @@ def test_engine_config_rejects_bad_depth():
 def test_engine_config_rejects_bad_path_budget():
     with pytest.raises(ValueError, match="max_paths_per_source"):
         EngineConfig(max_paths_per_source=0)
-    with pytest.raises(ValueError, match="max_reports_per_function"):
-        EngineConfig(max_reports_per_function=-1)
 
 
 def test_engine_config_defaults_still_valid():
