@@ -133,11 +133,11 @@ def test_parallel_scaling_serial_vs_jobs(record_result, results_dir):
     series = []
     for jobs in (1, 2, 4):
         # Fresh registry per point so the sched.dispatch.* counters
-        # attribute serialization cost to exactly this run.
+        # attribute result decoding to exactly this run.
         registry = set_registry(MetricsRegistry())
         _, seconds = time_only(lambda: prepare_source(program.source, jobs=jobs))
         point = {"jobs": jobs, "seconds": seconds}
-        for counter in ("serialize_seconds", "serialize_bytes"):
+        for counter in ("decode_seconds", "result_bytes"):
             metric = registry.get(f"sched.dispatch.{counter}")
             value = metric.total() if metric is not None else 0.0
             point[counter] = int(value) if counter.endswith("bytes") else value
@@ -156,20 +156,20 @@ def test_parallel_scaling_serial_vs_jobs(record_result, results_dir):
             str(p["jobs"]),
             f"{p['seconds']:.2f}",
             f"{p['speedup']:.2f}x",
-            f"{p['serialize_seconds'] * 1e3:.1f}",
-            f"{p['serialize_bytes'] / 1024:.0f}",
+            f"{p['decode_seconds'] * 1e3:.1f}",
+            f"{p['result_bytes'] / 1024:.0f}",
         )
         for p in series
     ]
     record_result(
         render_table(
-            ["jobs", "time (s)", "speedup", "serialize (ms)", "payload (KiB)"],
+            ["jobs", "time (s)", "speedup", "decode (ms)", "results (KiB)"],
             rows,
         ),
         "parallel_scaling",
     )
 
     assert all(p["seconds"] > 0 for p in series)
-    # Parallel points shipped real payloads; the serial point shipped none.
-    assert series[0]["serialize_bytes"] == 0
-    assert all(p["serialize_bytes"] > 0 for p in series[1:])
+    # Parallel points shipped outcomes back; the serial point shipped none.
+    assert series[0]["result_bytes"] == 0
+    assert all(p["result_bytes"] > 0 for p in series[1:])

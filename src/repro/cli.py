@@ -1378,9 +1378,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.0,
         metavar="SECONDS",
-        help="per-function ceiling for worker tasks under --jobs; a task "
-        "past it walks the retry ladder (backoff, isolation) and is "
-        "quarantined (exit 3) only when that is exhausted",
+        help="per-function ceiling for worker tasks under --jobs; a worker "
+        "past it is killed, the function gets one more attempt alone, and "
+        "is quarantined (exit 3) if that times out too",
     )
     engine.add_argument(
         "--fault",

@@ -317,7 +317,7 @@ class Pinpoint:
     ) -> "Pinpoint":
         """Parse, prepare and index a program.
 
-        ``jobs > 1`` prepares call-graph waves on a process pool;
+        ``jobs > 1`` prepares each call-graph wave in forked workers;
         ``cache_dir`` persists per-function artifacts across runs, so a
         rerun after a crash recomputes only what the killed run had not
         stored.  When either is left unset, the ``REPRO_JOBS`` /

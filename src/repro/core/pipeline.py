@@ -250,7 +250,7 @@ def prepare_source(
     (recorded as ``parse`` diagnostics) instead of failing the whole
     program; input in which *nothing* parses still raises.
 
-    ``jobs > 1`` prepares call-graph waves on a process pool and
+    ``jobs > 1`` prepares each call-graph wave in forked workers and
     ``store`` (a :class:`repro.cache.SummaryStore`) persists/loads
     per-function artifacts; results are identical either way."""
     from repro.sched.scheduler import prepare_program

@@ -33,27 +33,7 @@ from repro.obs.profiling import pass_table, unit_table
 from repro.obs.trace import Span, Tracer
 
 #: Document schema tag, bumped on incompatible shape changes.
-SCHEMA = "repro.profile/1"
-
-#: Parent-side ``sched.dispatch.*`` seconds, in display order: wall
-#: time of the run, summed into ``overhead.total_seconds``.
-DISPATCH_SECONDS = (
-    "sched.dispatch.serialize_seconds",
-    "sched.dispatch.decode_seconds",
-)
-#: Worker-side ``sched.dispatch.*`` seconds, each summed over every
-#: task.  Tasks on N workers overlap one another and the parent, so
-#: these sums are not wall time; ``task_sums`` reports them apart, with
-#: the task count and the per-task mean.
-TASK_SECONDS = (
-    "sched.dispatch.deserialize_seconds",
-    "sched.dispatch.queue_seconds",
-    "sched.dispatch.warmup_seconds",
-)
-DISPATCH_BYTES = (
-    "sched.dispatch.serialize_bytes",
-    "sched.dispatch.result_bytes",
-)
+SCHEMA = "repro.profile/2"
 
 
 def _counter_total(registry: MetricsRegistry, name: str) -> float:
@@ -166,25 +146,19 @@ def cost_breakdown(
         "dispatch_overhead": round(dispatch_wall / denominator, 4),
     }
 
-    overhead: Dict[str, Any] = {}
-    overhead_total = 0.0
-    for name in DISPATCH_SECONDS:
-        value = _counter_total(registry, name)
-        overhead[name.rsplit(".", 1)[-1]] = round(value, 6)
-        overhead_total += value
-    for name in DISPATCH_BYTES:
-        overhead[name.rsplit(".", 1)[-1]] = int(_counter_total(registry, name))
-    overhead["barrier_waste_seconds"] = round(dispatch_wall, 6)
-    overhead["total_seconds"] = round(overhead_total, 6)
-
-    tasks = int(_counter_total(registry, "sched.tasks"))
-    summed = {
-        name.rsplit(".", 1)[-1]: _counter_total(registry, name) for name in TASK_SECONDS
-    }
-    task_sums = {
-        "tasks": tasks,
-        "summed": {key: round(value, 6) for key, value in summed.items()},
-        "mean": {key: round(value / max(tasks, 1), 6) for key, value in summed.items()},
+    # Outcome unpickling is the parent's only dispatch work, and wall
+    # time of the run; the workers' compute overlaps it and each other,
+    # so it stays out of ``total_seconds``.
+    decode_seconds = round(
+        _counter_total(registry, "sched.dispatch.decode_seconds"), 6
+    )
+    overhead: Dict[str, Any] = {
+        "decode_seconds": decode_seconds,
+        "result_bytes": int(
+            _counter_total(registry, "sched.dispatch.result_bytes")
+        ),
+        "barrier_waste_seconds": round(dispatch_wall, 6),
+        "total_seconds": decode_seconds,
     }
 
     jobs = int(_gauge_value(registry, "sched.jobs") or 1)
@@ -202,14 +176,9 @@ def cost_breakdown(
         else 0.0,
     }
 
-    # Wave/dispatch spans carry bookkeeping units (wave indices), not
-    # functions — keep them out of the per-function ranking.
-    unit_spans = [
-        s
-        for s in spans
-        if s.name != "sched.wave" and not s.name.startswith("sched.dispatch")
-    ]
-    units = unit_table(unit_spans)
+    # Wave spans carry bookkeeping units (wave indices), not functions —
+    # keep them out of the per-function ranking.
+    units = unit_table([s for s in spans if s.name != "sched.wave"])
     functions = [
         {
             "unit": row.unit,
@@ -252,7 +221,6 @@ def cost_breakdown(
         "accounted_seconds": round(denominator, 6),
         "shares": shares,
         "overhead": overhead,
-        "task_sums": task_sums,
         "parallel": parallel,
         "critical_path": [
             {
@@ -414,29 +382,12 @@ def render_profile(document: Dict[str, Any], top: int = 10) -> str:
     if overhead:
         lines.append("dispatch overhead breakdown")
         rows = []
-        for key in ("serialize_seconds", "decode_seconds", "barrier_waste_seconds"):
+        for key in ("decode_seconds", "barrier_waste_seconds"):
             if key in overhead:
                 rows.append([key.replace("_", " "), _fmt_seconds(overhead[key])])
-        for key in ("serialize_bytes", "result_bytes"):
-            if key in overhead:
-                rows.append([key.replace("_", " "), f"{overhead[key]} B"])
+        if "result_bytes" in overhead:
+            rows.append(["result bytes", f"{overhead['result_bytes']} B"])
         lines.append(_table(["segment", "cost"], rows))
-        lines.append("")
-
-    task_sums = document.get("task_sums", {})
-    if task_sums.get("tasks"):
-        lines.append(
-            f"worker time summed over {task_sums['tasks']} tasks (not wall time)"
-        )
-        rows = [
-            [
-                key.replace("_", " "),
-                _fmt_seconds(value),
-                _fmt_seconds(task_sums["mean"][key]),
-            ]
-            for key, value in task_sums["summed"].items()
-        ]
-        lines.append(_table(["segment", "summed", "mean per task"], rows))
         lines.append("")
 
     if smt.get("top_units"):

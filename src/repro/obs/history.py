@@ -208,24 +208,11 @@ def collect_run_record(
             ),
             "utilization": round(_gauge_value(registry, "attr.utilization"), 4),
             "dispatch": {
-                "serialize_seconds": round(
-                    _counter_total(registry, "sched.dispatch.serialize_seconds"), 6
-                ),
-                "serialize_bytes": int(
-                    _counter_total(registry, "sched.dispatch.serialize_bytes")
-                ),
-                "deserialize_seconds": round(
-                    _counter_total(registry, "sched.dispatch.deserialize_seconds"),
-                    6,
-                ),
                 "result_bytes": int(
                     _counter_total(registry, "sched.dispatch.result_bytes")
                 ),
-                "queue_seconds": round(
-                    _counter_total(registry, "sched.dispatch.queue_seconds"), 6
-                ),
-                "warmup_seconds": round(
-                    _counter_total(registry, "sched.dispatch.warmup_seconds"), 6
+                "decode_seconds": round(
+                    _counter_total(registry, "sched.dispatch.decode_seconds"), 6
                 ),
             },
         },

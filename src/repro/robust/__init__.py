@@ -43,19 +43,9 @@ from repro.robust.faults import (
     reset_faults,
 )
 from repro.robust.quarantine import Quarantine
-from repro.robust.retry import (
-    ACTION_ISOLATE,
-    ACTION_QUARANTINE,
-    ACTION_RETRY,
-    RetryPolicy,
-    RetrySupervisor,
-    with_retries,
-)
+from repro.robust.retry import RetryPolicy, with_retries
 
 __all__ = [
-    "ACTION_ISOLATE",
-    "ACTION_QUARANTINE",
-    "ACTION_RETRY",
     "BudgetExhausted",
     "Diagnostic",
     "DiagnosticLog",
@@ -64,7 +54,6 @@ __all__ = [
     "Quarantine",
     "ResourceBudget",
     "RetryPolicy",
-    "RetrySupervisor",
     "active_plan",
     "disk_full_point",
     "fault_point",

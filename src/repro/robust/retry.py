@@ -1,25 +1,21 @@
-"""Unified retry supervision: capped backoff, budgets, escalation.
+"""Supervised retries of transient I/O failures: capped backoff, budgets.
 
-Before this module each failure domain invented its own recovery:
-``repro.sched.pool`` rebuilt the pool and resubmitted immediately and
-the cache store swallowed write errors on first contact.  Every
-supervised retry in the repo now goes through one policy:
+The artifact store's writes (:mod:`repro.cache.store`) go through
+:func:`with_retries`, under one policy:
 
 - **capped exponential backoff** — delay doubles per attempt up to
   ``max_delay``;
 - **deterministic jitter** — a hash of ``(unit, attempt)`` spreads
   concurrent retries without randomness, so two runs over the same
   input back off identically (the repo-wide determinism discipline);
-- **per-unit retry budgets** — each unit of work (a function name, a
-  cache digest) is charged independently;
-- an **escalation ladder** — ``retry`` (back into the shared pool /
-  another direct attempt) → ``isolate`` (a dedicated single-worker
-  attempt, so a deterministic killer cannot take innocents down with
-  it) → ``quarantine`` (give up; the caller records the diagnostic or
-  degrades the subsystem).
+- **per-unit retry budgets** — each unit of work (a cache digest) is
+  charged independently; a final failure re-raises for the caller's
+  own degradation path.
 
-Every retry or isolation increments the ``sched.retries`` counter,
-labelled by ``site`` (``pool``, ``cache``) and ``kind``
+The wave scheduler's crashed workers are retried without a backoff (a
+dead process is not a transient condition a delay cures; see
+:mod:`repro.sched.worker`), but count into the same ``sched.retries``
+counter, labelled by ``site`` (``sched``, ``cache``) and ``kind``
 (``crash``, ``timeout``, ``io``), so supervised recovery is visible in
 ``--stats`` and Prometheus output.
 """
@@ -29,46 +25,31 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple, Type
+from typing import Callable, Optional, Tuple, Type
 
 from repro.obs.metrics import get_registry
 
-#: Ladder decisions returned by :meth:`RetrySupervisor.record_failure`.
-ACTION_RETRY = "retry"
-ACTION_ISOLATE = "isolate"
-ACTION_QUARANTINE = "quarantine"
-
-#: The retries-visible-everywhere counter (satellite of ISSUE 6).
+#: The retries-visible-everywhere counter.
 RETRIES_COUNTER = "sched.retries"
 
 
-def _count_retry(site: str, kind: str) -> None:
+def count_retry(site: str, kind: str) -> None:
+    """Count one supervised retry into :data:`RETRIES_COUNTER`."""
     get_registry().counter(
-        RETRIES_COUNTER, "Supervised retries (pool resubmits, isolation "
-        "attempts, cache I/O retries)"
+        RETRIES_COUNTER, "Supervised retries (solo worker re-runs, cache I/O "
+        "retries)"
     ).inc(site=site, kind=kind)
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How many chances one unit of work gets, and how fast.
+    """How many chances one unit of work gets, and how fast: the first
+    attempt plus ``max_retries`` re-attempts."""
 
-    ``max_retries`` pooled/direct re-attempts after the first failure,
-    then ``isolate_retries`` attempts in a dedicated single-worker
-    executor (meaningful only for pool work; direct callers treat the
-    whole budget as plain retries), then quarantine.
-    """
-
-    max_retries: int = 1
-    isolate_retries: int = 1
+    max_retries: int = 2
     base_delay: float = 0.05
     max_delay: float = 1.0
     jitter: float = 0.25  # max extra delay, as a fraction of the base
-
-    @property
-    def total_attempts(self) -> int:
-        """First attempt plus every ladder rung."""
-        return 1 + self.max_retries + self.isolate_retries
 
     def delay(self, unit: str, attempt: int) -> float:
         """Backoff before retry number ``attempt`` (1-based) of ``unit``.
@@ -81,49 +62,6 @@ class RetryPolicy:
         seed = hashlib.sha256(f"{unit}#{attempt}".encode("utf-8")).digest()
         fraction = int.from_bytes(seed[:4], "big") / 0xFFFFFFFF
         return min(base * (1.0 + self.jitter * fraction), self.max_delay)
-
-    def decide(self, failures: int) -> str:
-        """Ladder rung for a unit that has now failed ``failures`` times."""
-        if failures <= self.max_retries:
-            return ACTION_RETRY
-        if failures <= self.max_retries + self.isolate_retries:
-            return ACTION_ISOLATE
-        return ACTION_QUARANTINE
-
-
-class RetrySupervisor:
-    """Per-unit failure bookkeeping for one wave/operation scope.
-
-    The pool creates one per ``run_wave`` call so budgets are charged
-    per wave — a function that crashed in wave 3 starts wave 4 (after a
-    source edit and rerun, say) with a clean slate.
-    """
-
-    def __init__(
-        self,
-        policy: Optional[RetryPolicy] = None,
-        *,
-        site: str = "pool",
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> None:
-        self.policy = policy or RetryPolicy()
-        self.site = site
-        self._sleep = sleep
-        self.failures: Dict[str, int] = {}
-
-    def record_failure(self, unit: str, kind: str = "crash") -> str:
-        """Charge one failure; return the ladder action for this unit.
-
-        ``retry``/``isolate`` actions also count into ``sched.retries``
-        and sleep the deterministic backoff delay — by the time this
-        returns, the caller may re-attempt immediately."""
-        count = self.failures.get(unit, 0) + 1
-        self.failures[unit] = count
-        action = self.policy.decide(count)
-        if action != ACTION_QUARANTINE:
-            _count_retry(self.site, kind)
-            self._sleep(self.policy.delay(unit, count))
-        return action
 
 
 def with_retries(
@@ -150,7 +88,7 @@ def with_retries(
             return fn()
         except retryable:
             attempt += 1
-            if attempt >= policy.total_attempts:
+            if attempt > policy.max_retries:
                 raise
-            _count_retry(site, kind)
+            count_retry(site, kind)
             sleep(policy.delay(unit, attempt))

@@ -1,4 +1,4 @@
-"""repro.sched — the bottom-up prepare driver and its process pool.
+"""repro.sched — the bottom-up prepare driver and its forked wave workers.
 
 Pinpoint's compositional design (paper §3.3) makes the expensive half of
 the run embarrassingly parallel: a function's stage 1-3 artifacts —
@@ -6,10 +6,11 @@ transformed SSA, intraprocedural points-to, connector signature, SEG —
 depend only on its own AST and its non-recursive callees' connector
 signatures.  This package condenses the call graph into SCC *waves*
 (:mod:`repro.sched.waves`) and runs the one preparation loop over them
-(:mod:`repro.sched.scheduler`), inline or — with ``jobs > 1`` — on a
-process pool (:mod:`repro.sched.pool` / :mod:`repro.sched.worker`,
-imported only then), merging the results deterministically: a
-``--jobs N`` run emits byte-identical reports to ``--jobs 1``.
+(:mod:`repro.sched.scheduler`), inline or — with ``jobs > 1`` — in
+children forked at each wave barrier that run the same per-function
+code (:mod:`repro.sched.worker`), merging the results
+deterministically: a ``--jobs N`` run emits byte-identical reports to
+``--jobs 1``.
 
 The interprocedural summary/checker pass stays serial — it is cheap
 relative to preparation and its context numbering is inherently

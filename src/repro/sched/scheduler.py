@@ -12,9 +12,11 @@ call it.  Per call-graph wave it
   :mod:`repro.cache.keys` (a :class:`~repro.cache.store.SummaryStore`
   under ``--cache-dir``, or the incremental analyzer's
   :class:`~repro.cache.store.MemoryTier` in front of one);
-- prepares the misses inline (``jobs=1``) or on a process pool
-  (``jobs > 1``) — per-function stage 1-3 work: connector
-  transformation, intraprocedural points-to, SEG construction;
+- prepares the misses with :func:`_run_inline` — per-function stage
+  1-3 work: connector transformation, intraprocedural points-to, SEG
+  construction — in this process (``jobs=1``) or in up to ``jobs``
+  children forked at the wave barrier (:mod:`repro.sched.worker`),
+  which run the same function;
 - writes the fresh, full-precision results back to ``store``.
 
 A run killed part-way leaves every function it finished in the store,
@@ -39,22 +41,24 @@ Determinism is preserved by construction:
 
 Failure semantics: a Python exception while preparing a function (inline
 or inside a worker) becomes a ``prepare``-stage quarantine diagnostic; a
-*dead or hung worker process* becomes a ``sched``-stage quarantine
-(inline runs can't crash that way, and a healthy parallel run records
-neither).  SEG-construction failures leave ``seg=None`` and the engine
-rebuilds under its own ``seg`` quarantine, so deterministic failures
-reproduce with identical diagnostics.
+worker process that *dies or hangs* on a function twice, the second time
+alone, becomes a ``sched``-stage quarantine (inline runs can't crash
+that way, and a healthy parallel run records neither).
+SEG-construction failures leave ``seg=None`` and the engine rebuilds
+under its own ``seg`` quarantine, so deterministic failures reproduce
+with identical diagnostics.
 
 Resource budgets are cooperative (checked inside the analysis loops of
 *this* process), so a limited budget forces inline preparation —
-workers could not observe a shared deadline.  Store lookups still
-apply, but a budget-degraded artifact is never written back: its
-content address names the full-precision result.
+workers could not observe a shared deadline.  So does a platform
+without ``os.fork``.  Store lookups still apply, but a budget-degraded
+artifact is never written back: its content address names the
+full-precision result.
 """
 
 from __future__ import annotations
 
-import pickle
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -71,7 +75,7 @@ from repro.lang import ast
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.progress import get_progress
-from repro.obs.trace import Span, get_tracer, trace
+from repro.obs.trace import trace
 from repro.robust.budget import ResourceBudget
 from repro.robust.diagnostics import (
     REASON_BUDGET,
@@ -84,6 +88,7 @@ from repro.robust.diagnostics import (
 from repro.robust.faults import fault_point
 from repro.robust.quarantine import FATAL
 from repro.sched.waves import scc_waves
+from repro.sched.worker import run_wave
 
 _log = get_logger("sched")
 
@@ -146,14 +151,17 @@ def prepare_program(
         budget.start()
 
     effective_jobs = max(1, int(jobs))
-    if budget is not None and budget.limited and effective_jobs > 1:
+    limited = budget is not None and budget.limited
+    if effective_jobs > 1 and (limited or not hasattr(os, "fork")):
         registry.counter(
             "sched.serial_fallback",
-            "Parallel runs forced serial by a cooperative resource budget",
+            "Parallel runs forced serial by a cooperative resource budget "
+            "or a platform without fork",
         ).inc()
         _log.info(
-            "resource budgets are cooperative; forcing serial preparation",
+            "forcing serial preparation",
             requested_jobs=effective_jobs,
+            reason="cooperative resource budget" if limited else "no os.fork",
         )
         effective_jobs = 1
 
@@ -186,11 +194,14 @@ def prepare_program(
     outcomes: Dict[str, _Outcome] = {}
     digests = prepared.digests
 
-    pool = None
-    if effective_jobs > 1:
-        from repro.sched.pool import WorkerPool
+    def prepare_forked(
+        name: str, func_ast: ast.FuncDef, usable: Dict[str, Any]
+    ) -> _Outcome:
+        return _run_inline(
+            name, func_ast, usable, prepared.linear, budget, pta_tier,
+            with_seg=True,
+        )
 
-        pool = WorkerPool(effective_jobs, timeout=worker_timeout)
     # Cost attribution across the wave loop: per-wave wall, per-task
     # compute, and the per-wave critical path (the straggler every other
     # worker waits on at the barrier; inline, every task in turn) feed
@@ -198,135 +209,145 @@ def prepare_program(
     total_wave_seconds = 0.0
     work_seconds = 0.0
     critical_path_seconds = 0.0
-    try:
-        for wave_index, wave in enumerate(waves):
-            names = [name for scc in wave for name in scc]
-            wave_started = time.perf_counter()
-            task_seconds: Dict[str, float] = {}
-            usable_of: Dict[str, Dict[str, Any]] = {}
-            with trace("sched.wave", unit=str(wave_index)) as span:
-                pending: List[Tuple[str, ast.FuncDef, Dict[str, Any]]] = []
-                for name in names:
-                    func_ast = ast_by_name[name]
-                    usable = usable_of[name] = {
-                        callee: sig
-                        for callee, sig in signatures.items()
-                        if scc_of.get(callee) != scc_of.get(name)
-                    }
-                    if store is not None:
-                        digests[name] = key_digest(
-                            prepare_cache_key(
-                                func_ast,
-                                usable,
-                                callgraph.callees.get(name, ()),
-                                pta_tier=pta_tier,
-                            )
+    for wave_index, wave in enumerate(waves):
+        names = [name for scc in wave for name in scc]
+        wave_started = time.perf_counter()
+        task_seconds: Dict[str, float] = {}
+        usable_of: Dict[str, Dict[str, Any]] = {}
+        with trace("sched.wave", unit=str(wave_index)) as span:
+            pending: List[Tuple[str, ast.FuncDef, Dict[str, Any]]] = []
+            for name in names:
+                func_ast = ast_by_name[name]
+                # Only this function's own callees: lookups and the
+                # cache key go by callee name.
+                usable = usable_of[name] = {
+                    callee: signatures[callee]
+                    for callee in callgraph.callees.get(name, ())
+                    if callee in signatures
+                    and scc_of.get(callee) != scc_of.get(name)
+                }
+                if store is not None:
+                    digests[name] = key_digest(
+                        prepare_cache_key(
+                            func_ast,
+                            usable,
+                            callgraph.callees.get(name, ()),
+                            pta_tier=pta_tier,
                         )
-                        hit = store.get(digests[name])
-                        if hit is not None:
-                            _stored, result, seg = hit
-                            outcomes[name] = _Outcome(
-                                "prepared", result=result, seg=seg, cached=True
-                            )
-                            continue
-                    pending.append((name, func_ast, usable))
+                    )
+                    hit = store.get(digests[name])
+                    if hit is not None:
+                        _stored, result, seg = hit
+                        outcomes[name] = _Outcome(
+                            "prepared", result=result, seg=seg, cached=True
+                        )
+                        continue
+                pending.append((name, func_ast, usable))
+            span.set(
+                functions=len(names),
+                cached=len(names) - len(pending),
+                dispatched=len(pending),
+            )
+
+            if effective_jobs > 1 and pending:
+                finished, crashed = run_wave(
+                    pending,
+                    prepare_forked,
+                    jobs=effective_jobs,
+                    timeout=worker_timeout,
+                    wave_index=wave_index,
+                    wave_span=span.uid,
+                )
+                for name, (outcome, seconds) in finished.items():
+                    outcomes[name] = outcome
+                    task_seconds[name] = seconds
+                for name, detail in crashed.items():
+                    outcomes[name] = _Outcome(
+                        "quarantined", stage=STAGE_SCHED, detail=detail
+                    )
+            else:
+                for name, func_ast, usable in pending:
+                    task_started = time.perf_counter()
+                    outcomes[name] = _run_inline(
+                        name, func_ast, usable, prepared.linear, budget,
+                        pta_tier, with_seg=store is not None,
+                    )
+                    task_seconds[name] = time.perf_counter() - task_started
+
+            # Wave-boundary admission gate: a function must pass the
+            # IR verifier before its connector signature becomes
+            # visible to later waves, and fs artifacts must pass the
+            # pta rules or fall back to fi.  Diagnostics are
+            # recorded later, in serial order, during assembly.
+            for name in names:
+                out = outcomes[name]
+                if out.kind != "prepared":
+                    continue
+                if verify_mode != MODE_OFF:
+                    result = out.result
+                    with timed_verify("ir"), trace("verify.ir", unit=name):
+                        out.violations = verify_function_ir(
+                            result.function,
+                            result.control_deps,
+                            dom=result.gates.dom,
+                        )
+                    if _has_error(out.violations):
+                        out.admitted = False
+                        continue
+                    if pta_tier == "fs":
+                        _audit_flow_tier(
+                            out, ast_by_name[name], usable_of[name],
+                            prepared.linear,
+                        )
+                result = out.result
+                signatures[name] = result.signature
+                # The one write-back site.  A budget-degraded result
+                # or an fi fallback must not land under the address
+                # of the full-precision, requested-tier result.
+                if (
+                    store is not None
+                    and not out.cached
+                    and not result.points_to.degraded
+                    and result.pta_tier == pta_tier
+                ):
+                    store.put(digests[name], name, result, out.seg)
+            if task_seconds:
+                slowest = max(task_seconds, key=task_seconds.get)
                 span.set(
-                    functions=len(names),
-                    cached=len(names) - len(pending),
-                    dispatched=len(pending),
+                    straggler=slowest,
+                    straggler_seconds=round(task_seconds[slowest], 6),
                 )
 
-                if pool is not None and pending:
-                    _run_on_pool(
-                        pool, pending, wave_index, pta_tier,
-                        getattr(span, "uid", None), outcomes, task_seconds,
-                    )
-                else:
-                    for name, func_ast, usable in pending:
-                        task_started = time.perf_counter()
-                        outcomes[name] = _run_inline(
-                            name, func_ast, usable, prepared.linear, budget,
-                            pta_tier, with_seg=store is not None,
-                        )
-                        task_seconds[name] = time.perf_counter() - task_started
+        wave_elapsed = time.perf_counter() - wave_started
+        total_wave_seconds += wave_elapsed
+        work_seconds += sum(task_seconds.values())
+        # The wave barrier cannot close before its slowest task (in
+        # forked workers) or before all of its tasks (inline); a wave with
+        # no work still spends its wall time (store lookups) on the
+        # critical path.
+        if not task_seconds:
+            critical_path_seconds += wave_elapsed
+        elif effective_jobs > 1:
+            critical_path_seconds += max(task_seconds.values())
+        else:
+            critical_path_seconds += sum(task_seconds.values())
 
-                # Wave-boundary admission gate: a function must pass the
-                # IR verifier before its connector signature becomes
-                # visible to later waves, and fs artifacts must pass the
-                # pta rules or fall back to fi.  Diagnostics are
-                # recorded later, in serial order, during assembly.
-                for name in names:
-                    out = outcomes[name]
-                    if out.kind != "prepared":
-                        continue
-                    if verify_mode != MODE_OFF:
-                        result = out.result
-                        with timed_verify("ir"), trace("verify.ir", unit=name):
-                            out.violations = verify_function_ir(
-                                result.function,
-                                result.control_deps,
-                                dom=result.gates.dom,
-                            )
-                        if _has_error(out.violations):
-                            out.admitted = False
-                            continue
-                        if pta_tier == "fs":
-                            _audit_flow_tier(
-                                out, ast_by_name[name], usable_of[name],
-                                prepared.linear,
-                            )
-                    result = out.result
-                    signatures[name] = result.signature
-                    # The one write-back site.  A budget-degraded result
-                    # or an fi fallback must not land under the address
-                    # of the full-precision, requested-tier result.
-                    if (
-                        store is not None
-                        and not out.cached
-                        and not result.points_to.degraded
-                        and result.pta_tier == pta_tier
-                    ):
-                        store.put(digests[name], name, result, out.seg)
-                if task_seconds:
-                    slowest = max(task_seconds, key=task_seconds.get)
-                    span.set(
-                        straggler=slowest,
-                        straggler_seconds=round(task_seconds[slowest], 6),
-                    )
-
-            wave_elapsed = time.perf_counter() - wave_started
-            total_wave_seconds += wave_elapsed
-            work_seconds += sum(task_seconds.values())
-            # The wave barrier cannot close before its slowest task (on
-            # a pool) or before all of its tasks (inline); a wave with
-            # no work still spends its wall time (store lookups) on the
-            # critical path.
-            if not task_seconds:
-                critical_path_seconds += wave_elapsed
-            elif pool is not None:
-                critical_path_seconds += max(task_seconds.values())
-            else:
-                critical_path_seconds += sum(task_seconds.values())
-
-            wave_outcomes = [outcomes[name] for name in names]
-            progress.wave_progress(
-                done=wave_index + 1,
-                total=len(waves),
-                prepared=sum(
-                    1
-                    for out in wave_outcomes
-                    if out.kind == "prepared" and out.admitted
-                ),
-                cached=sum(1 for out in wave_outcomes if out.cached),
-                quarantined=sum(
-                    1
-                    for out in wave_outcomes
-                    if out.kind != "prepared" or not out.admitted
-                ),
-            )
-    finally:
-        if pool is not None:
-            pool.close()
+        wave_outcomes = [outcomes[name] for name in names]
+        progress.wave_progress(
+            done=wave_index + 1,
+            total=len(waves),
+            prepared=sum(
+                1
+                for out in wave_outcomes
+                if out.kind == "prepared" and out.admitted
+            ),
+            cached=sum(1 for out in wave_outcomes if out.cached),
+            quarantined=sum(
+                1
+                for out in wave_outcomes
+                if out.kind != "prepared" or not out.admitted
+            ),
+        )
 
     _publish_attribution(
         registry, effective_jobs, total_wave_seconds, work_seconds,
@@ -420,7 +441,7 @@ def _publish_attribution(
     registry.gauge(
         "attr.overhead_ratio",
         "Share of wave wall not explained by critical-path compute "
-        "(dispatch, pickling, queueing, barrier waste)",
+        "(forking, result decoding, barrier waste)",
     ).set(round(overhead_ratio, 4))
 
 
@@ -460,8 +481,9 @@ def _run_inline(
     pta_tier: str,
     with_seg: bool,
 ) -> _Outcome:
-    """Prepare one function in this process.  ``with_seg`` also builds
-    its SEG eagerly so the artifact can be stored whole."""
+    """Prepare one function in this process — the serial loop's, or a
+    forked worker's.  ``with_seg`` also builds its SEG eagerly so the
+    artifact can be stored, or shipped from a worker, whole."""
     try:
         with trace("prepare.fn", unit=name):
             fault_point("prepare", name)
@@ -490,131 +512,3 @@ def _run_inline(
             # deterministic failure reproduces with identical diagnostics.
             seg = None
     return _Outcome("prepared", result=result, seg=seg)
-
-
-def _run_on_pool(
-    pool,
-    pending: List[Tuple[str, ast.FuncDef, Dict[str, Any]]],
-    wave_index: int,
-    pta_tier: str,
-    wave_uid: Optional[int],
-    outcomes: Dict[str, _Outcome],
-    task_seconds: Dict[str, float],
-) -> None:
-    """Dispatch one wave's pending tasks to worker processes and decode
-    their outcomes into ``outcomes``/``task_seconds``, metering the
-    dispatch overhead on the way.  ``wave_uid`` is the dispatching wave
-    span, which worker spans re-parent under."""
-    registry = get_registry()
-    registry.counter(
-        "sched.tasks", "Function tasks dispatched to workers"
-    ).inc(len(pending))
-    tracer = get_tracer()
-    trace_id = tracer.trace_id if tracer.enabled else ""
-    with trace("sched.dispatch.serialize", unit=str(wave_index)) as ser_span:
-        ser_started = time.perf_counter()
-        payloads = [
-            (
-                name,
-                pickle.dumps(
-                    (
-                        name,
-                        func_ast,
-                        usable,
-                        wave_index,
-                        pta_tier,
-                        # Trace context: each task carries the wave span
-                        # it belongs to plus its own submission
-                        # timestamp (queue wait).
-                        (trace_id, wave_uid, time.perf_counter()),
-                    ),
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                ),
-            )
-            for name, func_ast, usable in pending
-        ]
-        serialize_seconds = time.perf_counter() - ser_started
-        serialize_bytes = sum(len(blob) for _, blob in payloads)
-        ser_span.set(tasks=len(payloads), bytes=serialize_bytes)
-    registry.counter(
-        "sched.dispatch.serialize_seconds", "Parent-side task payload pickling"
-    ).inc(serialize_seconds)
-    registry.counter(
-        "sched.dispatch.serialize_bytes", "Task payload bytes shipped to workers"
-    ).inc(serialize_bytes)
-    raw = pool.run_wave(payloads)
-    result_bytes = 0
-    with trace("sched.dispatch.decode", unit=str(wave_index)):
-        for name, _func_ast, _usable in pending:
-            blob = raw[name]
-            if isinstance(blob, (bytes, bytearray)):
-                result_bytes += len(blob)
-            outcomes[name], timings = _decode_worker_result(
-                blob, parent_uid=wave_uid
-            )
-            task_seconds[name] = float(timings.get("task_seconds", 0.0))
-    registry.counter(
-        "sched.dispatch.result_bytes", "Outcome bytes shipped back from workers"
-    ).inc(result_bytes)
-
-
-def _decode_worker_result(
-    raw: object, parent_uid: Optional[int] = None
-) -> Tuple[_Outcome, Dict[str, float]]:
-    """Turn one pool result (bytes or WorkerCrash) into an outcome plus
-    the worker's dispatch-timing dict, merging the worker's metrics and
-    spans into this process.  ``parent_uid`` is the local uid of the
-    dispatching wave span: absorbed worker spans re-parent under it so
-    the merged Chrome trace keeps its cross-process causality."""
-    from repro.sched.pool import WorkerCrash
-
-    no_timings: Dict[str, float] = {}
-    if isinstance(raw, WorkerCrash):
-        return (
-            _Outcome("quarantined", stage=STAGE_SCHED, detail=raw.detail),
-            no_timings,
-        )
-    decode_started = time.perf_counter()
-    try:
-        outcome = pickle.loads(raw)
-    except Exception as error:
-        return (
-            _Outcome(
-                "quarantined",
-                stage=STAGE_SCHED,
-                detail=f"worker result unreadable: {type(error).__name__}: {error}",
-            ),
-            no_timings,
-        )
-    get_registry().counter(
-        "sched.dispatch.decode_seconds", "Parent-side outcome unpickling"
-    ).inc(time.perf_counter() - decode_started)
-    kind, name, *fields, registry, spans, timings = outcome
-    _absorb_worker_observability(registry, spans, parent_uid)
-    if kind == "ok":
-        result, seg, seg_error = fields
-        if seg_error:
-            _log.warning("worker SEG build failed", function=name, error=seg_error)
-        return _Outcome("prepared", result=result, seg=seg), timings
-    exc_type, message, line = fields
-    return (
-        _Outcome(
-            "quarantined",
-            stage=STAGE_PREPARE,
-            detail=f"{exc_type}: {message}",
-            line=line,
-        ),
-        timings,
-    )
-
-
-def _absorb_worker_observability(
-    registry: Optional[MetricsRegistry],
-    spans: Optional[List[Span]],
-    parent_uid: Optional[int] = None,
-) -> None:
-    if isinstance(registry, MetricsRegistry):
-        get_registry().merge(registry)
-    tracer = get_tracer()
-    if tracer.enabled and spans:
-        tracer.absorb(spans, parent=parent_uid)

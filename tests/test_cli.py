@@ -264,7 +264,7 @@ def test_profile_json_document_matches_run_record(uaf_file, tmp_path, capsys):
     printed = json.loads(capsys.readouterr().out)
     (record,) = HistoryStore(hist).records()
     written = record["profile"]
-    assert printed["schema"] == "repro.profile/1"
+    assert printed["schema"] == "repro.profile/2"
     assert printed["critical_path"], "critical path must be non-empty"
     shares = printed["shares"]
     assert shares["compute"] + shares["dispatch_overhead"] <= 1.0 + 1e-6

@@ -140,14 +140,7 @@ def test_collect_run_record_empty_registry():
         "critical_path_seconds": 0.0,
         "overhead_ratio": 0.0,
         "utilization": 0.0,
-        "dispatch": {
-            "serialize_seconds": 0.0,
-            "serialize_bytes": 0,
-            "deserialize_seconds": 0.0,
-            "result_bytes": 0,
-            "queue_seconds": 0.0,
-            "warmup_seconds": 0.0,
-        },
+        "dispatch": {"result_bytes": 0, "decode_seconds": 0.0},
     }
 
 
@@ -429,8 +422,8 @@ def test_history_diff_surfaces_dispatch_overhead_split(uaf_file, tmp_path, capsy
         assert 0.0 <= sched["overhead_ratio"] <= 1.0
         assert 0.0 <= sched["utilization"] <= 1.0
         dispatch = sched["dispatch"]
-        assert dispatch["serialize_bytes"] > 0
-        assert dispatch["serialize_seconds"] >= 0
+        assert dispatch["result_bytes"] > 0
+        assert dispatch["decode_seconds"] >= 0
 
     assert main(["history", "diff", "--history-dir", hist]) == 0
     out = capsys.readouterr().out
@@ -628,6 +621,59 @@ def test_trend_check_passes_over_an_older_schema_history(uaf_file, tmp_path, cap
     )
     assert code == 0
     assert "insufficient history" in capsys.readouterr().out
+
+
+def test_history_reads_records_with_the_dropped_dispatch_keys(
+    uaf_file, tmp_path, capsys
+):
+    """Records from before the forked wave workers carry payload pickling,
+    unpickling, queueing and warm-up figures under ``sched.dispatch``,
+    and a ``repro.profile/1`` document with ``task_sums``.  Diff and
+    trend read them next to a new record."""
+    argv = ["profile", uaf_file, "--jobs", "2", "--json"]
+    main(argv + ["--history-dir", str(tmp_path / "seed")])
+    (seed,) = HistoryStore(str(tmp_path / "seed")).records()
+    old = dict(seed)
+    del old["run_id"]
+    # Slower than any run of this tiny program, so timing noise cannot
+    # trip the trend gate below.
+    old["wall_seconds"] = 60.0
+    old["sched"] = dict(
+        seed["sched"],
+        dispatch={
+            "serialize_seconds": 0.11,
+            "serialize_bytes": 9_000_000,
+            "deserialize_seconds": 0.3,
+            "result_bytes": 2_900_000,
+            "queue_seconds": 0.05,
+            "warmup_seconds": 0.02,
+        },
+    )
+    old["profile"] = dict(
+        seed["profile"],
+        schema="repro.profile/1",
+        task_sums={"tasks": 4, "summed": {"queue_seconds": 0.05}, "mean": {}},
+    )
+    hist = str(tmp_path / "hist")
+    store = HistoryStore(hist)
+    store.append(old)
+    store.append(old)
+    main(argv + ["--history-dir", hist])
+    capsys.readouterr()
+
+    assert main(["history", "diff", "--history-dir", hist]) == 0
+    assert "r00002" in capsys.readouterr().out
+    assert main(["history", "diff", "--history-dir", hist, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["same_findings_digest"] is True
+    assert set(payload["shares"]) == {"compute", "dispatch_overhead"}
+    code = main(
+        ["history", "trend", "--history-dir", hist, "--check",
+         "--bench-out", str(tmp_path / "b.json")]
+    )
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "vs median of 2 prior runs" in out
 
 
 def test_profile_records_the_tier_and_jobs_that_ran(uaf_file, tmp_path, capsys):

@@ -224,13 +224,17 @@ def test_seconds_prepare_is_populated(mode):
 
 
 def test_serial_preparation_never_imports_the_process_pool():
+    """Serial preparation starts no worker process: it never forks, and
+    never imports ``multiprocessing``."""
     script = (
-        "import sys\n"
+        "import os, sys\n"
+        "forks = []\n"
+        "os.register_at_fork(before=lambda: forks.append(1))\n"
         "from repro import IncrementalAnalyzer, Pinpoint\n"
         f"source = {PROGRAM!r}\n"
         "Pinpoint.from_source(source, jobs=1)\n"
         "IncrementalAnalyzer().analyze(source)\n"
-        "print('repro.sched.pool' in sys.modules, 'multiprocessing' in sys.modules)\n"
+        "print(len(forks), 'multiprocessing' in sys.modules)\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -242,4 +246,4 @@ def test_serial_preparation_never_imports_the_process_pool():
         [sys.executable, "-c", script], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "False"]
+    assert proc.stdout.split() == ["0", "False"]

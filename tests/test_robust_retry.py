@@ -1,10 +1,10 @@
-"""The unified supervision policy: backoff, budgets, escalation.
+"""The supervised I/O retry policy: backoff and budgets.
 
-Contract under test: every supervised retry in the repo — pool
-resubmits, isolation attempts, cache I/O — walks the same
-deterministic ladder (retry → isolate → quarantine) with capped
-exponential backoff and hash-derived (never random) jitter, and every
-rung shows up in the ``sched.retries`` counter.
+Contract under test: cache I/O retries back off exponentially, capped,
+with hash-derived (never random) jitter, give up after the policy's
+budget, and every retry shows up in the ``sched.retries`` counter.
+(The scheduler's solo re-runs of crashed workers are tested in
+``test_sched_parallel.py``.)
 """
 
 import errno
@@ -14,14 +14,7 @@ import pytest
 from repro.cache.store import SummaryStore
 from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 from repro.robust.faults import install_faults, reset_faults
-from repro.robust.retry import (
-    ACTION_ISOLATE,
-    ACTION_QUARANTINE,
-    ACTION_RETRY,
-    RetryPolicy,
-    RetrySupervisor,
-    with_retries,
-)
+from repro.robust.retry import RetryPolicy, with_retries
 
 
 @pytest.fixture(autouse=True)
@@ -52,33 +45,6 @@ def test_delay_is_deterministic_and_capped():
     assert policy.delay("helper", 1) != policy.delay("other", 1)
 
 
-def test_decide_walks_the_ladder():
-    policy = RetryPolicy(max_retries=2, isolate_retries=1)
-    assert [policy.decide(n) for n in (1, 2, 3, 4, 5)] == [
-        ACTION_RETRY,
-        ACTION_RETRY,
-        ACTION_ISOLATE,
-        ACTION_QUARANTINE,
-        ACTION_QUARANTINE,
-    ]
-    assert policy.total_attempts == 4
-
-
-def test_supervisor_charges_per_unit_and_sleeps_backoff():
-    slept = []
-    supervisor = RetrySupervisor(
-        RetryPolicy(max_retries=1, isolate_retries=1, base_delay=0.01),
-        sleep=slept.append,
-    )
-    assert supervisor.record_failure("a") == ACTION_RETRY
-    assert supervisor.record_failure("b") == ACTION_RETRY  # separate budget
-    assert supervisor.record_failure("a") == ACTION_ISOLATE
-    assert supervisor.record_failure("a") == ACTION_QUARANTINE
-    # two retries + one isolation slept; quarantine did not
-    assert len(slept) == 3
-    assert _retries_total() == 3
-
-
 # ----------------------------------------------------------------------
 # with_retries
 # ----------------------------------------------------------------------
@@ -94,7 +60,7 @@ def test_with_retries_recovers_from_transient_failures():
     result = with_retries(
         flaky,
         unit="x",
-        policy=RetryPolicy(max_retries=1, isolate_retries=1),
+        policy=RetryPolicy(max_retries=2),
         sleep=lambda _s: None,
     )
     assert result == "ok"
@@ -109,7 +75,7 @@ def test_with_retries_reraises_when_budget_exhausted():
     with pytest.raises(OSError):
         with_retries(
             always_fails,
-            policy=RetryPolicy(max_retries=1, isolate_retries=0),
+            policy=RetryPolicy(max_retries=1),
             sleep=lambda _s: None,
         )
 

@@ -4,12 +4,12 @@ The contract under test is the one the docs promise: ``jobs > 1``
 changes wall-clock behaviour only — reports, diagnostics, and their
 order are byte-identical to a serial run; a worker process that *dies*
 (as opposed to raising) becomes a ``sched``-stage quarantine; a hung
-worker becomes a timeout crash without hanging the run.
+worker is killed and becomes a timeout crash without hanging the run;
+no worker outlives the run.
 """
 
 import dataclasses
 import os
-import pickle
 import signal
 import subprocess
 import sys
@@ -23,8 +23,7 @@ from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 from repro.robust.budget import ResourceBudget
 from repro.robust.diagnostics import STAGE_PREPARE, STAGE_SCHED
 from repro.robust.faults import install_faults, reset_faults
-from repro.sched import JOBS_ENV, resolve_jobs
-from repro.sched.pool import WorkerCrash, WorkerPool
+from repro.sched import JOBS_ENV, resolve_jobs, scheduler, worker
 from repro.sched.scheduler import prepare_program
 from repro.synth.generator import GeneratorConfig, generate_program
 
@@ -43,6 +42,12 @@ fn main() {
     return y + z;
 }
 """
+
+#: PROGRAM plus four more leaves: wave 0 is six functions wide.
+WIDE_PROGRAM = PROGRAM + "".join(
+    f"fn leaf{i}(p) {{ x = *p; return x + {i}; }}\n" for i in range(4)
+)
+WIDE_NAMES = ["helper", "touch", "chain", "main"] + [f"leaf{i}" for i in range(4)]
 
 
 @pytest.fixture(autouse=True)
@@ -92,15 +97,19 @@ def test_parallel_matches_serial_with_worker_exception():
 def test_dead_worker_becomes_sched_quarantine():
     # The `sched` fault site makes the worker process call os._exit —
     # a real process death, which no Python-level except can model.
+    # Wave 0 holds six leaves and there are two workers, so the killer
+    # shares its first child with innocent functions.
     install_faults("sched:helper")
-    reports, diags = _snapshot(PROGRAM, jobs=2)
-    sched_diags = [d for d in diags if d["stage"] == STAGE_SCHED]
-    assert len(sched_diags) == 1
-    assert sched_diags[0]["unit"] == "helper"
-    assert "died" in sched_diags[0]["detail"]
-    # Innocent functions sharing the broken pool were retried: everything
-    # except the killer (and no one else) is quarantined.
-    assert {d["unit"] for d in diags if d["stage"] == STAGE_SCHED} == {"helper"}
+    prepared = prepare_program(parse_program(WIDE_PROGRAM), jobs=2)
+    sched_diags = [d for d in prepared.diagnostics if d.stage == STAGE_SCHED]
+    assert [d.unit for d in sched_diags] == ["helper"]
+    assert "worker process died preparing 'helper'" in sched_diags[0].detail
+    # The innocents were re-run uncharged; the killer got one more,
+    # solo attempt and died again.
+    assert set(prepared.functions) == set(WIDE_NAMES) - {"helper"}
+    registry = get_registry()
+    assert registry.counter("sched.worker_crashes").total() == 2
+    assert registry.counter("sched.retries").total() == 1
 
 
 def test_sched_fault_is_inert_in_serial_runs():
@@ -114,6 +123,15 @@ def test_limited_budget_forces_serial_fallback():
     budget = ResourceBudget(max_steps=10_000_000).start()
     prepared = prepare_program(program, jobs=4, budget=budget)
     assert len(prepared.functions) == 4
+    registry = get_registry()
+    assert registry.counter("sched.serial_fallback").total() == 1
+    assert registry.gauge("sched.jobs").value() == 1
+
+
+def test_platform_without_fork_prepares_inline(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    serial = _snapshot(PROGRAM)
+    assert _snapshot(PROGRAM, jobs=2) == serial
     registry = get_registry()
     assert registry.counter("sched.serial_fallback").total() == 1
     assert registry.gauge("sched.jobs").value() == 1
@@ -142,50 +160,52 @@ def test_resolve_jobs_degrades_on_garbage(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# WorkerPool unit tests (module-level task fns so they pickle on spawn
-# platforms and are importable in forked children).
+# Hung workers, and a parent that raises
 # ----------------------------------------------------------------------
-def _echo_task(payload):
-    return b"echo:" + payload
+def _sleepy_prepare(monkeypatch, sleeper):
+    """Make preparing ``sleeper`` hang for 30 s, in whichever process
+    prepares it."""
+    real = scheduler.prepare_function
+
+    def prepare(func_ast, *args, **kwargs):
+        if func_ast.name == sleeper:
+            time.sleep(30)
+        return real(func_ast, *args, **kwargs)
+
+    monkeypatch.setattr(scheduler, "prepare_function", prepare)
 
 
-def _slow_task(payload):
-    time.sleep(float(pickle.loads(payload)))
-    return b"done"
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_hung_worker_is_killed_and_quarantined(monkeypatch):
+    _sleepy_prepare(monkeypatch, "helper")
+    started = time.monotonic()
+    prepared = prepare_program(parse_program(WIDE_PROGRAM), jobs=2, worker_timeout=1)
+    assert time.monotonic() - started < 20
+    # Killed and reaped, not left to finish its sleep.
+    assert not _children(os.getpid(), zombies=True)
+    sched_diags = [d for d in prepared.diagnostics if d.stage == STAGE_SCHED]
+    assert [d.unit for d in sched_diags] == ["helper"]
+    assert "timed out" in sched_diags[0].detail
+    assert set(prepared.functions) == set(WIDE_NAMES) - {"helper"}
+    assert get_registry().counter("sched.worker_timeouts").total() == 2
 
 
-def _exit_task(payload):
-    if payload == b"die":
-        os._exit(3)
-    return b"ok:" + payload
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_parent_exception_kills_and_reaps_every_worker(monkeypatch):
+    _sleepy_prepare(monkeypatch, "helper")
 
+    def interrupted(buffer):
+        raise KeyboardInterrupt
+        yield  # pragma: no cover - makes this a generator like _frames
 
-def test_pool_runs_tasks_and_returns_bytes():
-    with WorkerPool(2, task_fn=_echo_task) as pool:
-        results = pool.run_wave([("a", b"1"), ("b", b"2")])
-    assert results == {"a": b"echo:1", "b": b"echo:2"}
-
-
-def test_pool_timeout_yields_crash_and_run_continues():
-    fast = pickle.dumps(0.0)
-    slow = pickle.dumps(30.0)
-    with WorkerPool(2, task_fn=_slow_task, timeout=1.0) as pool:
-        results = pool.run_wave([("slow", slow), ("fast", fast)])
-    assert isinstance(results["slow"], WorkerCrash)
-    assert results["slow"].timed_out
-    assert results["fast"] == b"done"
-    assert get_registry().counter("sched.worker_timeouts").total() >= 1
-
-
-def test_pool_isolates_deterministic_killer():
-    with WorkerPool(2, task_fn=_exit_task) as pool:
-        results = pool.run_wave(
-            [("good1", b"x"), ("killer", b"die"), ("good2", b"y")]
-        )
-    assert results["good1"] == b"ok:x"
-    assert results["good2"] == b"ok:y"
-    assert isinstance(results["killer"], WorkerCrash)
-    assert get_registry().counter("sched.pool_rebuilds").total() >= 1
+    # The first outcome a child ships back interrupts the parent, while
+    # the child preparing `helper` is still asleep.
+    monkeypatch.setattr(worker, "_frames", interrupted)
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        prepare_program(parse_program(WIDE_PROGRAM), jobs=2)
+    assert time.monotonic() - started < 20
+    assert not _children(os.getpid(), zombies=True)
 
 
 # ----------------------------------------------------------------------
@@ -207,12 +227,13 @@ def _alive(pid):
     return stat is not None and stat[0] != "Z"
 
 
-def _children(pid):
-    """Live (non-zombie) processes whose parent is ``pid``."""
+def _children(pid, zombies=False):
+    """Live processes whose parent is ``pid``; with ``zombies``, also
+    the dead ones not yet reaped."""
     children = []
     for entry in os.listdir("/proc"):
         stat = _proc_stat(entry) if entry.isdigit() else None
-        if stat is not None and stat[0] != "Z" and stat[1] == pid:
+        if stat is not None and (zombies or stat[0] != "Z") and stat[1] == pid:
             children.append(int(entry))
     return children
 
