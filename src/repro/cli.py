@@ -438,11 +438,10 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     """Run the checkers with tracing on and print where the time,
-    memory and SMT effort went: per pass and per function (paper Figs.
-    7-10), then along the critical path through the wave barriers, per
-    wave, and split into compute vs. dispatch overhead
-    (:mod:`repro.obs.attr`).  ``history diff`` compares two profiles
-    recorded with ``--history-dir``."""
+    memory and SMT effort went: the wave loop's wall, worker compute,
+    utilization and outcome decoding, then per pass and per function
+    (paper Figs. 7-10; :mod:`repro.obs.attr`).  ``history diff``
+    compares two profiles recorded with ``--history-dir``."""
     _setup_obs(args, force_trace=True)
     source = _read(args.file)
     names = [args.checker] if args.checker else list(CHECKERS)
@@ -451,7 +450,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
     )
     findings = _findings_fields(results)
     reports = findings["findings"]
-    degraded = sum(len(result.diagnostics) for result in results)
+    # Every checker repeats the module's diagnostics; count each once.
+    diagnostics, _ = aggregate_results(results)
     document = cost_breakdown(
         get_tracer(),
         get_registry(),
@@ -462,7 +462,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     )
     document["checkers"] = names
     document["reports"] = reports
-    document["diagnostics"] = degraded
+    document["diagnostics"] = len(diagnostics)
     if args.json:
         json.dump(document, sys.stdout, indent=2)
         print()
@@ -471,7 +471,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         print()
         print(
             f"checkers: {', '.join(names)} — {reports} report(s), "
-            f"{degraded} diagnostic(s)"
+            f"{len(diagnostics)} diagnostic(s)"
         )
     _export_obs(args)
     _record_history(
@@ -482,6 +482,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         config=run_config,
         wall_seconds=wall_seconds,
         exit_code=EXIT_CLEAN,
+        diagnostics=[diag.as_dict() for diag in diagnostics],
         profile=document,
         quiet=args.json,
         **findings,
@@ -498,9 +499,9 @@ def _delta_line(label: str, a: float, b: float, unit: str = "") -> str:
 
 
 def _profile_deltas(old: Dict, new: Dict) -> Dict[str, Dict[str, List[float]]]:
-    """Pass, function and compute/dispatch-share deltas between two
-    profile documents, each entry ``name -> [old, new]``: passes by
-    name, functions hottest first."""
+    """Pass and function deltas between two profile documents, each
+    entry ``name -> [old, new]``: passes by name, functions hottest
+    first."""
 
     def self_seconds(document: Dict, section: str, key: str) -> Dict[str, float]:
         return {
@@ -516,13 +517,6 @@ def _profile_deltas(old: Dict, new: Dict) -> Dict[str, Dict[str, List[float]]]:
         if section == "functions":
             names.sort(key=lambda n: max(a.get(n, 0.0), b.get(n, 0.0)), reverse=True)
         deltas[section] = {n: [a.get(n, 0.0), b.get(n, 0.0)] for n in names}
-    deltas["shares"] = {
-        key: [
-            float(old.get("shares", {}).get(key, 0.0)),
-            float(new.get("shares", {}).get(key, 0.0)),
-        ]
-        for key in ("compute", "dispatch_overhead")
-    }
     return deltas
 
 
@@ -1056,7 +1050,7 @@ def cmd_history_diff(args: argparse.Namespace) -> int:
         return EXIT_ERROR
 
     delta = _delta_line
-    # Two profile records also compare their passes, functions and shares.
+    # Two profile records also compare their passes and functions.
     profiles = (
         _profile_deltas(old["profile"], new["profile"])
         if isinstance(old.get("profile"), dict) and isinstance(new.get("profile"), dict)
@@ -1089,14 +1083,6 @@ def cmd_history_diff(args: argparse.Namespace) -> int:
                 int(new.get("sched", {}).get("retries", 0)),
             ],
             "attr": {
-                "critical_path_seconds": [
-                    float(old.get("sched", {}).get("critical_path_seconds", 0.0)),
-                    float(new.get("sched", {}).get("critical_path_seconds", 0.0)),
-                ],
-                "overhead_ratio": [
-                    float(old.get("sched", {}).get("overhead_ratio", 0.0)),
-                    float(new.get("sched", {}).get("overhead_ratio", 0.0)),
-                ],
                 "utilization": [
                     float(old.get("sched", {}).get("utilization", 0.0)),
                     float(new.get("sched", {}).get("utilization", 0.0)),
@@ -1171,24 +1157,7 @@ def cmd_history_diff(args: argparse.Namespace) -> int:
     new_s = new.get("sched", {})
     if old_s.get("retries") or new_s.get("retries"):
         print(f"  retries {old_s.get('retries', 0)} -> {new_s.get('retries', 0)}")
-    # Cost attribution (parallel runs): the dispatch-overhead share and
-    # critical path, so "did the perf PR move the split" is one diff.
-    if old_s.get("critical_path_seconds") or new_s.get("critical_path_seconds"):
-        print(
-            delta(
-                "critical_path",
-                float(old_s.get("critical_path_seconds", 0.0)),
-                float(new_s.get("critical_path_seconds", 0.0)),
-                "s",
-            )
-        )
-        print(
-            delta(
-                "overhead_ratio",
-                float(old_s.get("overhead_ratio", 0.0)),
-                float(new_s.get("overhead_ratio", 0.0)),
-            )
-        )
+    if old_s.get("utilization") or new_s.get("utilization"):
         print(
             delta(
                 "utilization",
@@ -1203,8 +1172,6 @@ def cmd_history_diff(args: argparse.Namespace) -> int:
             print("hottest functions (self seconds):")
             for unit, (a, b) in profiles["functions"].items():
                 print(delta(f"fn {unit}", a, b, "s"))
-        for key, (a, b) in profiles["shares"].items():
-            print(delta(f"share {key}", a, b))
     return EXIT_CLEAN
 
 
@@ -1449,9 +1416,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile = sub.add_parser(
         "profile",
-        help="run the checkers and print where the time went: hottest "
-        "passes/functions, critical path, per-wave stragglers, compute "
-        "vs dispatch overhead",
+        help="run the checkers and print where the time went: the wave "
+        "loop's wall, worker compute, utilization and outcome decoding, "
+        "then the hottest passes and functions",
         parents=[obs, monitor, par, engine],
     )
     profile.add_argument("file", help="program file ('-' for stdin)")
@@ -1760,7 +1727,7 @@ def build_parser() -> argparse.ArgumentParser:
     h_diff = history_sub.add_parser(
         "diff",
         help="compare two recorded runs (timings, stages, findings; "
-        "passes, functions and shares when both are profile runs)",
+        "passes and functions when both are profile runs)",
     )
     h_diff.add_argument(
         "old", nargs="?", default="", help="run id of the baseline run "

@@ -16,10 +16,9 @@ SMT):
   nesting-safe tracemalloc meter, and the resident-set high-water mark
   CLI run records carry;
 - **profiling** (:mod:`repro.obs.profiling` + :mod:`repro.obs.attr`):
-  the one ``repro profile`` report — per-pass / per-function tables,
-  critical path over the cross-process span tree, per-wave stragglers
-  and the compute-vs-dispatch overhead split (``--json`` for the
-  machine twin);
+  the one ``repro profile`` report — per-pass / per-function tables
+  and the wave loop's measured wall, worker compute, utilization and
+  outcome decoding (``--json`` for the machine twin);
 - **run history** (:mod:`repro.obs.history`): schema-versioned run
   records in an append-only store (``--history-dir`` /
   ``$REPRO_HISTORY_DIR``) with rolling-baseline regression detection
@@ -37,7 +36,7 @@ and golden files are deterministic.  See ``docs/observability.md`` for
 naming conventions and wiring recipes.
 """
 
-from repro.obs.attr import cost_breakdown, critical_path, render_profile
+from repro.obs.attr import cost_breakdown, render_profile
 from repro.obs.clock import DEFAULT_CLOCK, ManualClock
 from repro.obs.export import atomic_write, ensure_parent_dir
 from repro.obs.history import (
@@ -76,7 +75,6 @@ from repro.obs.trace import (
 
 __all__ = [
     "cost_breakdown",
-    "critical_path",
     "render_profile",
     "DEFAULT_CLOCK",
     "ManualClock",

@@ -1,22 +1,18 @@
-"""Cross-process cost attribution: the ``repro profile`` document.
+"""Cost attribution: the ``repro profile`` document.
 
-Worker spans re-parent under the ``sched.wave`` span that dispatched
-them (trace-context propagation), and the scheduler meters its own
-``sched.dispatch.*`` overhead, so one run's span tree and registry
-answer the questions the paper's evaluation (Figs. 7-10) and the
-parallelism work ask of a slow run:
+One run's span tree and registry answer the questions the paper's
+evaluation (Figs. 7-10) and the parallelism work ask of a slow run:
 
 - **passes and functions** — per-pass and per-function self time with
   SMT-query attribution (:mod:`repro.obs.profiling`);
-- **critical path** — the longest parent→child chain through the wave
-  barriers; the run cannot finish faster than this chain no matter how
-  many workers are added;
-- **per-wave stragglers** — the one task each barrier waits on, with
-  the barrier waste (wave wall minus straggler) made explicit;
-- **compute vs. dispatch overhead** — a two-way split of scheduler
-  wall, denominated against the run's clock time (no tracemalloc, so
-  a profiled run costs what a plain one does) so the shares sum to
-  1.0 and can be regression-gated in run history.
+- **the wave loop** — what the prepare scheduler measured: its wall,
+  the summed per-function compute, their ratio against ``jobs``
+  workers (utilization), and the parent's decoding of worker outcomes.
+  Worker spans re-parent under the ``sched.wave`` span that forked
+  them, so ``--trace`` shows every wave and every worker's share.
+
+Every figure is measured, none modelled, and a profiled run is timed by
+the clock (no tracemalloc), so it costs what a plain one does.
 
 :func:`cost_breakdown` builds the machine-readable document (``repro
 profile --json``, also attached to run records, where ``repro history
@@ -26,14 +22,14 @@ ranked tables of ``repro profile``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.profiling import pass_table, unit_table
-from repro.obs.trace import Span, Tracer
+from repro.obs.trace import Tracer
 
 #: Document schema tag, bumped on incompatible shape changes.
-SCHEMA = "repro.profile/2"
+SCHEMA = "repro.profile/3"
 
 
 def _counter_total(registry: MetricsRegistry, name: str) -> float:
@@ -51,60 +47,6 @@ def _gauge_value(registry: MetricsRegistry, name: str) -> float:
 
 
 # ----------------------------------------------------------------------
-# Critical path
-# ----------------------------------------------------------------------
-def critical_path(spans: Sequence[Span]) -> List[Span]:
-    """Longest-duration root→leaf chain through the span tree.
-
-    Starts at the heaviest root span and descends into the heaviest
-    child at every level.  With worker spans re-parented under their
-    waves, the chain naturally reads *run → wave → straggler task →
-    hottest pass inside it* — the sequence of regions that bound the
-    run's wall time.
-    """
-    if not spans:
-        return []
-    children: Dict[Optional[int], List[Span]] = {}
-    for span in spans:
-        children.setdefault(span.parent, []).append(span)
-    roots = children.get(None, [])
-    if not roots:
-        return []
-    chain: List[Span] = []
-    node = max(roots, key=lambda s: s.duration)
-    while node is not None:
-        chain.append(node)
-        kids = children.get(node.uid)
-        node = max(kids, key=lambda s: s.duration) if kids else None
-    return chain
-
-
-def _wave_rows(spans: Sequence[Span]) -> List[Dict[str, Any]]:
-    """One row per ``sched.wave`` span: wall, tasks, straggler, waste."""
-    rows: List[Dict[str, Any]] = []
-    for span in spans:
-        if span.name != "sched.wave":
-            continue
-        straggler_seconds = float(span.args.get("straggler_seconds", 0.0) or 0.0)
-        rows.append(
-            {
-                "index": int(span.unit) if span.unit.isdigit() else span.unit,
-                "seconds": round(span.duration, 6),
-                "functions": int(span.args.get("functions", 0) or 0),
-                "dispatched": int(span.args.get("dispatched", 0) or 0),
-                "cached": int(span.args.get("cached", 0) or 0),
-                "straggler": str(span.args.get("straggler", "") or ""),
-                "straggler_seconds": round(straggler_seconds, 6),
-                "barrier_waste_seconds": round(
-                    max(0.0, span.duration - straggler_seconds), 6
-                ),
-            }
-        )
-    rows.sort(key=lambda row: row["seconds"], reverse=True)
-    return rows
-
-
-# ----------------------------------------------------------------------
 # The breakdown document
 # ----------------------------------------------------------------------
 def cost_breakdown(
@@ -119,61 +61,26 @@ def cost_breakdown(
 
     ``wall_seconds`` is the run's clock time and ``peak_mb`` its
     resident-set high-water mark (:func:`repro.obs.measure.peak_rss_mb`;
-    left out of the document when None).  The compute/dispatch split is
-    denominated against the largest wall figure we have (measured wall,
-    traced root time, or wave-loop wall), so the two shares always sum
-    to 1.0 — "overhead" is a measured share of real time, not an
-    unexplained remainder.
+    left out of the document when None).  The ``parallel`` block is the
+    scheduler's ``attr.*`` gauges and ``sched.dispatch.*`` counters as
+    measured: ``work_seconds`` is worker compute, which overlaps itself
+    and the parent, and ``decode_seconds`` is the parent's wall time
+    spent unpickling worker outcomes.
     """
     spans = list(tracer.spans)
     traced_seconds = sum(s.duration for s in spans if s.parent is None)
 
-    wave_seconds = _gauge_value(registry, "attr.wave_seconds")
-    work_seconds = _gauge_value(registry, "attr.work_seconds")
-    critical_seconds = _gauge_value(registry, "attr.critical_path_seconds")
-
-    chain = critical_path(spans)
-    if not critical_seconds and chain:
-        # Serial / untraced-scheduler fallback: the heaviest chain's
-        # root bounds the run just as the wave stragglers would.
-        critical_seconds = chain[0].duration
-
-    denominator = max(wall_seconds, traced_seconds, wave_seconds) or 1.0
-    dispatch_wall = max(0.0, wave_seconds - critical_seconds)
-    compute_wall = max(0.0, denominator - dispatch_wall)
-    shares = {
-        "compute": round(compute_wall / denominator, 4),
-        "dispatch_overhead": round(dispatch_wall / denominator, 4),
-    }
-
-    # Outcome unpickling is the parent's only dispatch work, and wall
-    # time of the run; the workers' compute overlaps it and each other,
-    # so it stays out of ``total_seconds``.
-    decode_seconds = round(
-        _counter_total(registry, "sched.dispatch.decode_seconds"), 6
-    )
-    overhead: Dict[str, Any] = {
-        "decode_seconds": decode_seconds,
+    parallel = {
+        "jobs": int(_gauge_value(registry, "sched.jobs") or 1),
+        "wave_seconds": round(_gauge_value(registry, "attr.wave_seconds"), 6),
+        "work_seconds": round(_gauge_value(registry, "attr.work_seconds"), 6),
+        "utilization": round(_gauge_value(registry, "attr.utilization"), 4),
+        "decode_seconds": round(
+            _counter_total(registry, "sched.dispatch.decode_seconds"), 6
+        ),
         "result_bytes": int(
             _counter_total(registry, "sched.dispatch.result_bytes")
         ),
-        "barrier_waste_seconds": round(dispatch_wall, 6),
-        "total_seconds": decode_seconds,
-    }
-
-    jobs = int(_gauge_value(registry, "sched.jobs") or 1)
-    parallel = {
-        "jobs": jobs,
-        "wave_seconds": round(wave_seconds, 6),
-        "work_seconds": round(work_seconds, 6),
-        "critical_path_seconds": round(critical_seconds, 6),
-        "utilization": round(_gauge_value(registry, "attr.utilization"), 4),
-        "overhead_ratio": round(_gauge_value(registry, "attr.overhead_ratio"), 4),
-        # Brent bound: with infinite workers the wave plan still costs
-        # the critical path, so work/critical caps achievable speedup.
-        "speedup_bound": round(work_seconds / critical_seconds, 2)
-        if critical_seconds > 0
-        else 0.0,
     }
 
     # Wave spans carry bookkeeping units (wave indices), not functions —
@@ -218,20 +125,7 @@ def cost_breakdown(
         "spans": len(spans),
         "wall_seconds": round(wall_seconds, 6),
         "traced_seconds": round(traced_seconds, 6),
-        "accounted_seconds": round(denominator, 6),
-        "shares": shares,
-        "overhead": overhead,
         "parallel": parallel,
-        "critical_path": [
-            {
-                "name": span.name,
-                "unit": span.unit,
-                "seconds": round(span.duration, 6),
-            }
-            for span in chain
-        ],
-        "critical_path_seconds": round(critical_seconds, 6),
-        "waves": _wave_rows(spans),
         "functions": functions,
         "passes": [
             {
@@ -277,12 +171,12 @@ def _table(headers: List[str], rows: List[List[str]]) -> str:
 
 def render_profile(document: Dict[str, Any], top: int = 10) -> str:
     """Human-readable ``repro profile`` report for a :func:`cost_breakdown`
-    document: passes and functions first, then where the wall time went."""
+    document: the summary and wave-loop lines, then the pass, function
+    and SMT tables."""
     label = document.get("label", "")
     title = f"repro profile — {label}" if label else "repro profile"
     lines: List[str] = [title, "=" * len(title)]
 
-    shares = document.get("shares", {})
     parallel = document.get("parallel", {})
     smt = document.get("smt", {})
     traced = document.get("traced_seconds", 0.0)
@@ -293,14 +187,19 @@ def render_profile(document: Dict[str, Any], top: int = 10) -> str:
     ]
     if "peak_mb" in document:
         bits.append(f"{document['peak_mb']:.1f} MB peak")
-    bits.append(f"{100 * shares.get('compute', 0.0):.1f}% compute")
-    bits.append(f"{100 * shares.get('dispatch_overhead', 0.0):.1f}% dispatch overhead")
-    if parallel.get("jobs", 1) > 1:
-        bits.append(f"jobs={parallel['jobs']}")
-        bits.append(f"utilization {100 * parallel.get('utilization', 0.0):.1f}%")
     if smt.get("queries"):
         bits.append(f"{smt['queries']} SMT queries")
     lines.append(", ".join(bits))
+    if parallel.get("wave_seconds"):
+        jobs = parallel.get("jobs", 1)
+        lines.append(
+            f"wave loop: {_fmt_seconds(parallel['wave_seconds'])} wall, "
+            f"{_fmt_seconds(parallel.get('work_seconds', 0.0))} worker compute, "
+            f"{100 * parallel.get('utilization', 0.0):.1f}% utilization of "
+            f"{jobs} worker{'s' if jobs != 1 else ''}, "
+            f"{_fmt_seconds(parallel.get('decode_seconds', 0.0))} decoding "
+            f"{parallel.get('result_bytes', 0)} B of outcomes"
+        )
     lines.append("")
 
     lines.append(f"hottest passes (top {top}, by self time)")
@@ -338,58 +237,6 @@ def render_profile(document: Dict[str, Any], top: int = 10) -> str:
     )
     lines.append("")
 
-    chain = document.get("critical_path", [])
-    if chain:
-        lines.append("critical path (heaviest chain through the wave barriers)")
-        lines.append(
-            _table(
-                ["depth", "span", "unit", "seconds"],
-                [
-                    [
-                        str(depth),
-                        entry["name"],
-                        entry.get("unit", ""),
-                        _fmt_seconds(entry["seconds"]),
-                    ]
-                    for depth, entry in enumerate(chain)
-                ],
-            )
-        )
-        lines.append("")
-
-    waves = document.get("waves", [])
-    if waves:
-        lines.append(f"slowest waves (top {top}, by wall)")
-        lines.append(
-            _table(
-                ["wave", "wall", "tasks", "straggler", "straggler t", "barrier waste"],
-                [
-                    [
-                        str(row["index"]),
-                        _fmt_seconds(row["seconds"]),
-                        str(row["dispatched"]),
-                        row["straggler"] or "-",
-                        _fmt_seconds(row["straggler_seconds"]),
-                        _fmt_seconds(row["barrier_waste_seconds"]),
-                    ]
-                    for row in waves[:top]
-                ],
-            )
-        )
-        lines.append("")
-
-    overhead = document.get("overhead", {})
-    if overhead:
-        lines.append("dispatch overhead breakdown")
-        rows = []
-        for key in ("decode_seconds", "barrier_waste_seconds"):
-            if key in overhead:
-                rows.append([key.replace("_", " "), _fmt_seconds(overhead[key])])
-        if "result_bytes" in overhead:
-            rows.append(["result bytes", f"{overhead['result_bytes']} B"])
-        lines.append(_table(["segment", "cost"], rows))
-        lines.append("")
-
     if smt.get("top_units"):
         lines.append(f"hottest SMT consumers (top {top}, by query count)")
         lines.append(
@@ -416,12 +263,4 @@ def render_profile(document: Dict[str, Any], top: int = 10) -> str:
             )
         lines.append("")
 
-    if parallel.get("jobs", 1) > 1:
-        bound = parallel.get("speedup_bound", 0.0)
-        lines.append(
-            f"parallel efficiency: {100 * parallel.get('utilization', 0.0):.1f}% "
-            f"of {parallel['jobs']} workers busy; "
-            f"overhead ratio {parallel.get('overhead_ratio', 0.0):.2f}; "
-            f"speedup bound {bound:.2f}x (work / critical path)"
-        )
     return "\n".join(lines).rstrip()

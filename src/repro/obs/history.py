@@ -67,8 +67,6 @@ DEFAULT_WALL_FLOOR_SECONDS = 0.05
 DEFAULT_MEM_FLOOR_MB = 8.0
 DEFAULT_SERVICE_P95_RATIO = 1.50
 DEFAULT_SERVICE_P95_FLOOR_SECONDS = 0.010
-DEFAULT_OVERHEAD_RATIO = 1.50
-DEFAULT_OVERHEAD_FLOOR = 0.10
 DEFAULT_BASELINE_RUNS = 5
 DEFAULT_MIN_RUNS = 1
 
@@ -197,15 +195,7 @@ def collect_run_record(
             "tasks": int(_counter_total(registry, "sched.tasks")),
             # How hard did the supervision policy have to work?
             "retries": int(_counter_total(registry, "sched.retries")),
-            # Cost attribution (repro.obs.attr): the scheduler's own
-            # answer to "where did the time go", regression-gated by
-            # the overhead-ratio trend check below.
-            "critical_path_seconds": round(
-                _gauge_value(registry, "attr.critical_path_seconds"), 6
-            ),
-            "overhead_ratio": round(
-                _gauge_value(registry, "attr.overhead_ratio"), 4
-            ),
+            # Share of jobs x wave wall the workers spent computing.
             "utilization": round(_gauge_value(registry, "attr.utilization"), 4),
             "dispatch": {
                 "result_bytes": int(
@@ -374,13 +364,6 @@ class TrendThresholds:
     # rule as wall time.  Runs without the histogram are unaffected.
     service_p95_ratio: float = DEFAULT_SERVICE_P95_RATIO
     service_p95_floor_seconds: float = DEFAULT_SERVICE_P95_FLOOR_SECONDS
-    # Dispatch-overhead gate (parallel runs): the share of wave wall
-    # not explained by straggler compute (``sched.overhead_ratio``)
-    # regresses when it grows past baseline × ratio and by more than
-    # the absolute floor — so "parallelism got even less worth it"
-    # fails CI just like a wall-time regression would.
-    overhead_ratio: float = DEFAULT_OVERHEAD_RATIO
-    overhead_floor: float = DEFAULT_OVERHEAD_FLOOR
     baseline_runs: int = DEFAULT_BASELINE_RUNS
     min_runs: int = DEFAULT_MIN_RUNS
 
@@ -515,34 +498,6 @@ def compute_trend(
                     "baseline": base_p95,
                     "ratio": round(latest_p95 / base_p95, 3) if base_p95 else None,
                     "threshold_ratio": thresholds.service_p95_ratio,
-                }
-            )
-
-    def _overhead(record: Dict[str, Any]) -> Optional[float]:
-        sched = record.get("sched", {})
-        if int(sched.get("jobs", 0) or 0) <= 1:
-            return None  # serial runs have no dispatch overhead to gate
-        value = sched.get("overhead_ratio")
-        return float(value) if isinstance(value, (int, float)) else None
-
-    latest_overhead = _overhead(latest)
-    prior_overhead = [v for v in (_overhead(r) for r in prior) if v is not None]
-    if latest_overhead is not None and prior_overhead:
-        base_overhead = round(_median(prior_overhead), 4)
-        baseline["overhead_ratio"] = base_overhead
-        if (
-            latest_overhead > base_overhead * thresholds.overhead_ratio
-            and latest_overhead - base_overhead > thresholds.overhead_floor
-        ):
-            regressions.append(
-                {
-                    "metric": "overhead_ratio",
-                    "latest": latest_overhead,
-                    "baseline": base_overhead,
-                    "ratio": round(latest_overhead / base_overhead, 3)
-                    if base_overhead
-                    else None,
-                    "threshold_ratio": thresholds.overhead_ratio,
                 }
             )
 

@@ -202,17 +202,13 @@ def prepare_program(
             with_seg=True,
         )
 
-    # Cost attribution across the wave loop: per-wave wall, per-task
-    # compute, and the per-wave critical path (the straggler every other
-    # worker waits on at the barrier; inline, every task in turn) feed
-    # the attr.* gauges below.
+    # The wave loop's wall and its per-function compute feed the attr.*
+    # gauges below.
     total_wave_seconds = 0.0
     work_seconds = 0.0
-    critical_path_seconds = 0.0
     for wave_index, wave in enumerate(waves):
         names = [name for scc in wave for name in scc]
         wave_started = time.perf_counter()
-        task_seconds: Dict[str, float] = {}
         usable_of: Dict[str, Dict[str, Any]] = {}
         with trace("sched.wave", unit=str(wave_index)) as span:
             pending: List[Tuple[str, ast.FuncDef, Dict[str, Any]]] = []
@@ -260,7 +256,7 @@ def prepare_program(
                 )
                 for name, (outcome, seconds) in finished.items():
                     outcomes[name] = outcome
-                    task_seconds[name] = seconds
+                    work_seconds += seconds
                 for name, detail in crashed.items():
                     outcomes[name] = _Outcome(
                         "quarantined", stage=STAGE_SCHED, detail=detail
@@ -272,7 +268,7 @@ def prepare_program(
                         name, func_ast, usable, prepared.linear, budget,
                         pta_tier, with_seg=store is not None,
                     )
-                    task_seconds[name] = time.perf_counter() - task_started
+                    work_seconds += time.perf_counter() - task_started
 
             # Wave-boundary admission gate: a function must pass the
             # IR verifier before its connector signature becomes
@@ -311,26 +307,8 @@ def prepare_program(
                     and result.pta_tier == pta_tier
                 ):
                     store.put(digests[name], name, result, out.seg)
-            if task_seconds:
-                slowest = max(task_seconds, key=task_seconds.get)
-                span.set(
-                    straggler=slowest,
-                    straggler_seconds=round(task_seconds[slowest], 6),
-                )
 
-        wave_elapsed = time.perf_counter() - wave_started
-        total_wave_seconds += wave_elapsed
-        work_seconds += sum(task_seconds.values())
-        # The wave barrier cannot close before its slowest task (in
-        # forked workers) or before all of its tasks (inline); a wave with
-        # no work still spends its wall time (store lookups) on the
-        # critical path.
-        if not task_seconds:
-            critical_path_seconds += wave_elapsed
-        elif effective_jobs > 1:
-            critical_path_seconds += max(task_seconds.values())
-        else:
-            critical_path_seconds += sum(task_seconds.values())
+        total_wave_seconds += time.perf_counter() - wave_started
 
         wave_outcomes = [outcomes[name] for name in names]
         progress.wave_progress(
@@ -350,8 +328,7 @@ def prepare_program(
         )
 
     _publish_attribution(
-        registry, effective_jobs, total_wave_seconds, work_seconds,
-        critical_path_seconds,
+        registry, effective_jobs, total_wave_seconds, work_seconds
     )
 
     # Serial-order assembly: identical functions/order/diagnostics for
@@ -411,10 +388,12 @@ def _publish_attribution(
     jobs: int,
     wave_seconds: float,
     work_seconds: float,
-    critical_path_seconds: float,
 ) -> None:
     """Run-level attribution gauges, computed from plain perf counters
-    so they exist (and land in run history) even when tracing is off."""
+    so they exist (and land in run history) even when tracing is off.
+
+    At most ``jobs`` functions are prepared at once, so the work is at
+    most ``jobs`` times the wave wall and utilization at most 1."""
     registry.gauge(
         "attr.wave_seconds", "Wall seconds spent inside the wave loop"
     ).set(round(wave_seconds, 6))
@@ -422,27 +401,12 @@ def _publish_attribution(
         "attr.work_seconds", "Summed per-task compute across all waves"
     ).set(round(work_seconds, 6))
     registry.gauge(
-        "attr.critical_path_seconds",
-        "Lower bound on scheduler wall: sum of per-wave critical paths",
-    ).set(round(critical_path_seconds, 6))
-    utilization = (
-        work_seconds / (jobs * wave_seconds) if wave_seconds > 0 else 0.0
-    )
-    registry.gauge(
         "attr.utilization",
         "Fraction of available worker-seconds spent computing "
         "(work / jobs x wave wall)",
-    ).set(round(min(1.0, utilization), 4))
-    overhead_ratio = (
-        max(0.0, wave_seconds - critical_path_seconds) / wave_seconds
-        if wave_seconds > 0
-        else 0.0
+    ).set(
+        round(work_seconds / (jobs * wave_seconds), 4) if wave_seconds > 0 else 0.0
     )
-    registry.gauge(
-        "attr.overhead_ratio",
-        "Share of wave wall not explained by critical-path compute "
-        "(forking, result decoding, barrier waste)",
-    ).set(round(overhead_ratio, 4))
 
 
 def _has_error(violations: List[Any]) -> bool:

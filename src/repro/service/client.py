@@ -25,7 +25,7 @@ def _trace_context() -> Optional[Dict[str, Any]]:
     Attached to ``check``/``edit`` payloads so the daemon's
     ``service.job`` span joins the client's trace — the job's worker-side
     spans then parent under whatever span was open when the request was
-    made (cross-process critical paths read end to end).
+    made (one trace reads end to end across the processes).
     """
     tracer = get_tracer()
     if not tracer.enabled:

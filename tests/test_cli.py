@@ -1,6 +1,7 @@
 """Tests for the command-line interface and dot export."""
 
 import json
+import re
 
 import pytest
 
@@ -238,6 +239,27 @@ def test_profile_json(uaf_file, capsys):
     assert document["functions"]
 
 
+def test_profile_counts_each_diagnostic_once(tmp_path, capsys):
+    """Every checker's result repeats the module's parse diagnostics;
+    ``profile`` counts and records each once, as ``check`` prints it."""
+    from repro.obs import HistoryStore
+
+    path = tmp_path / "broken.pin"
+    path.write_text(UAF + "\nfn broken( {\n    return 1;\n}\n")
+    main(["check", str(path), "--all"])
+    checked = capsys.readouterr().out
+    assert checked.count("[diagnostic]") == 1
+
+    hist = str(tmp_path / "hist")
+    assert main(["profile", str(path), "--history-dir", hist]) == 0
+    assert "1 report(s), 1 diagnostic(s)" in capsys.readouterr().out
+    assert main(["profile", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["diagnostics"] == 1
+    (record,) = HistoryStore(hist).records()
+    (diagnostic,) = record["robust"]["diagnostics"]
+    assert diagnostic["unit"] == "broken"
+
+
 def test_check_stats_quantile_line(uaf_file, capsys):
     main(["check", uaf_file, "--stats"])
     out = capsys.readouterr().out
@@ -246,13 +268,20 @@ def test_check_stats_quantile_line(uaf_file, capsys):
 
 
 def test_profile_text_reports_critical_path(uaf_file, capsys):
+    """The report's one parallel summary is the measured wave-loop line
+    (serial runs included); the critical-path model is gone."""
     code = main(["profile", uaf_file, "--top", "5"])
     assert code == 0
     out = capsys.readouterr().out
     assert "repro profile" in out
-    assert "critical path" in out
+    (line,) = [l for l in out.splitlines() if l.startswith("wave loop: ")]
+    assert re.fullmatch(
+        r"wave loop: \S+ wall, \S+ worker compute, [\d.]+% utilization of "
+        r"\d+ workers?, \S+ decoding \d+ B of outcomes",
+        line,
+    ), line
     assert "hottest functions" in out
-    assert "% compute" in out and "% dispatch overhead" in out
+    assert "critical path" not in out and "dispatch overhead" not in out
 
 
 def test_profile_json_document_matches_run_record(uaf_file, tmp_path, capsys):
@@ -264,13 +293,16 @@ def test_profile_json_document_matches_run_record(uaf_file, tmp_path, capsys):
     printed = json.loads(capsys.readouterr().out)
     (record,) = HistoryStore(hist).records()
     written = record["profile"]
-    assert printed["schema"] == "repro.profile/2"
-    assert printed["critical_path"], "critical path must be non-empty"
-    shares = printed["shares"]
-    assert shares["compute"] + shares["dispatch_overhead"] <= 1.0 + 1e-6
+    assert printed["schema"] == "repro.profile/3"
+    parallel = printed["parallel"]
+    assert set(parallel) == {
+        "jobs", "wave_seconds", "work_seconds", "utilization",
+        "decode_seconds", "result_bytes",
+    }
+    assert 0 < parallel["utilization"] <= 1
+    assert parallel["work_seconds"] <= parallel["jobs"] * parallel["wave_seconds"] + 1e-6
     # The run record carries the same document the CLI printed.
-    assert written["schema"] == printed["schema"]
-    assert written["critical_path"] == printed["critical_path"]
+    assert written == printed
 
 
 def test_history_diff_shows_profile_deltas(uaf_file, tmp_path, capsys):
@@ -284,7 +316,7 @@ def test_history_diff_shows_profile_deltas(uaf_file, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "wall_seconds" in out
     assert "pass " in out  # per-pass delta lines
-    assert "fn main" in out and "share compute" in out
+    assert "fn main" in out
 
     code = main(["history", "diff", "--history-dir", hist, "--json"])
     assert code == 0
@@ -292,7 +324,6 @@ def test_history_diff_shows_profile_deltas(uaf_file, tmp_path, capsys):
     assert payload["old"] and payload["new"]
     assert payload["passes"], "per-pass deltas missing"
     assert payload["functions"]["main"]
-    assert set(payload["shares"]) == {"compute", "dispatch_overhead"}
 
 
 def test_history_diff_profile_serial_against_jobs2(uaf_file, tmp_path, capsys):
@@ -304,7 +335,7 @@ def test_history_diff_profile_serial_against_jobs2(uaf_file, tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "wall_seconds" in out
-    assert "share dispatch_overhead" in out
+    assert "utilization" in out and "pass " in out
 
 
 def test_history_diff_needs_two_profiles_for_profile_deltas(uaf_file, tmp_path, capsys):
@@ -314,7 +345,7 @@ def test_history_diff_needs_two_profiles_for_profile_deltas(uaf_file, tmp_path, 
     capsys.readouterr()
     main(["history", "diff", "--history-dir", hist, "--json"])
     payload = json.loads(capsys.readouterr().out)
-    assert not {"passes", "functions", "shares"} & set(payload)
+    assert not {"passes", "functions"} & set(payload)
 
 
 @pytest.mark.parametrize(

@@ -137,8 +137,6 @@ def test_collect_run_record_empty_registry():
         "waves": 0,
         "tasks": 0,
         "retries": 0,
-        "critical_path_seconds": 0.0,
-        "overhead_ratio": 0.0,
         "utilization": 0.0,
         "dispatch": {"result_bytes": 0, "decode_seconds": 0.0},
     }
@@ -407,8 +405,9 @@ def test_history_diff(uaf_file, tmp_path, capsys):
 
 
 def test_history_diff_surfaces_dispatch_overhead_split(uaf_file, tmp_path, capsys):
-    """Acceptance: the compute-vs-dispatch split of a --jobs 2 run lands
-    in run history and ``history diff`` surfaces its deltas."""
+    """Acceptance: the measured utilization and outcome decoding of a
+    --jobs 2 run land in run history and ``history diff`` surfaces the
+    utilization delta."""
     hist = str(tmp_path / "hist")
     main(["check", uaf_file, "--jobs", "2", "--history-dir", hist])
     main(["check", uaf_file, "--jobs", "2", "--history-dir", hist])
@@ -418,68 +417,21 @@ def test_history_diff_surfaces_dispatch_overhead_split(uaf_file, tmp_path, capsy
     for rec in records:
         sched = rec["sched"]
         assert sched["jobs"] == 2
-        assert sched["critical_path_seconds"] > 0
-        assert 0.0 <= sched["overhead_ratio"] <= 1.0
-        assert 0.0 <= sched["utilization"] <= 1.0
+        assert 0.0 < sched["utilization"] <= 1.0
+        assert not {"critical_path_seconds", "overhead_ratio"} & set(sched)
         dispatch = sched["dispatch"]
         assert dispatch["result_bytes"] > 0
         assert dispatch["decode_seconds"] >= 0
 
     assert main(["history", "diff", "--history-dir", hist]) == 0
     out = capsys.readouterr().out
-    assert "critical_path" in out
-    assert "overhead_ratio" in out
     assert "utilization" in out
+    assert "critical_path" not in out and "overhead_ratio" not in out
 
     main(["history", "diff", "--history-dir", hist, "--json"])
     payload = json.loads(capsys.readouterr().out)
-    attr = payload["attr"]
-    assert len(attr["critical_path_seconds"]) == 2
-    assert all(v > 0 for v in attr["critical_path_seconds"])
-    assert all(0.0 <= v <= 1.0 for v in attr["overhead_ratio"])
-
-
-def sched_record(wall=1.0, jobs=2, overhead=0.2, **kwargs):
-    rec = record(wall=wall, **kwargs)
-    rec["sched"] = {
-        "jobs": jobs,
-        "overhead_ratio": overhead,
-        "critical_path_seconds": wall * (1 - overhead),
-        "utilization": 0.5,
-    }
-    return rec
-
-
-def test_trend_overhead_ratio_gate_needs_ratio_and_floor():
-    thresholds = TrendThresholds(overhead_ratio=1.5, overhead_floor=0.10)
-    # 3x the baseline share but under the absolute floor: noise.
-    small = [sched_record(overhead=0.02), sched_record(overhead=0.02),
-             sched_record(overhead=0.06)]
-    assert compute_trend(small, thresholds).ok
-    # 3x and well past the floor: regression.
-    big = [sched_record(overhead=0.15), sched_record(overhead=0.15),
-           sched_record(overhead=0.45)]
-    report = compute_trend(big, thresholds)
-    assert not report.ok
-    (reg,) = report.regressions
-    assert reg["metric"] == "overhead_ratio"
-    assert reg["ratio"] == 3.0
-    assert report.baseline["overhead_ratio"] == 0.15
-
-
-def test_trend_overhead_ratio_ignores_serial_runs():
-    thresholds = TrendThresholds(overhead_ratio=1.5, overhead_floor=0.10)
-    # Serial runs (jobs <= 1) have no dispatch overhead to gate, however
-    # large the recorded ratio looks.
-    runs = [sched_record(jobs=1, overhead=0.1),
-            sched_record(jobs=1, overhead=0.1),
-            sched_record(jobs=1, overhead=0.9)]
-    assert compute_trend(runs, thresholds).ok
-    # A parallel latest run with only serial priors has no baseline.
-    mixed = [sched_record(jobs=1, overhead=0.1),
-             sched_record(jobs=1, overhead=0.1),
-             sched_record(jobs=2, overhead=0.9)]
-    assert compute_trend(mixed, thresholds).ok
+    (utilization,) = payload["attr"].values()
+    assert [r["sched"]["utilization"] for r in records] == utilization
 
 
 def test_history_trend_check_passes_and_writes_bench(uaf_file, tmp_path, capsys):
@@ -628,8 +580,12 @@ def test_history_reads_records_with_the_dropped_dispatch_keys(
 ):
     """Records from before the forked wave workers carry payload pickling,
     unpickling, queueing and warm-up figures under ``sched.dispatch``,
-    and a ``repro.profile/1`` document with ``task_sums``.  Diff and
-    trend read them next to a new record."""
+    and a ``repro.profile/1`` document with ``task_sums``.  Records from
+    before the wave-loop-only profile carry ``sched.critical_path_seconds``
+    and ``sched.overhead_ratio``, and a ``repro.profile/2`` document with
+    ``shares``, ``critical_path``, ``waves`` and ``overhead``.  Diff and
+    trend read them next to new records, and a high ``overhead_ratio``
+    gates nothing."""
     argv = ["profile", uaf_file, "--jobs", "2", "--json"]
     main(argv + ["--history-dir", str(tmp_path / "seed")])
     (seed,) = HistoryStore(str(tmp_path / "seed")).records()
@@ -654,26 +610,56 @@ def test_history_reads_records_with_the_dropped_dispatch_keys(
         schema="repro.profile/1",
         task_sums={"tasks": 4, "summed": {"queue_seconds": 0.05}, "mean": {}},
     )
+    modelled = dict(
+        old,
+        sched=dict(seed["sched"], critical_path_seconds=0.017, overhead_ratio=0.1),
+        profile=dict(
+            seed["profile"],
+            schema="repro.profile/2",
+            accounted_seconds=60.0,
+            shares={"compute": 0.58, "dispatch_overhead": 0.42},
+            critical_path=[{"name": "sched.wave", "unit": "0", "seconds": 0.004}],
+            critical_path_seconds=0.017,
+            waves=[{"index": 0, "seconds": 0.25, "functions": 1,
+                    "dispatched": 1, "cached": 0, "straggler": "main",
+                    "straggler_seconds": 0.01, "barrier_waste_seconds": 0.24}],
+            overhead={"decode_seconds": 0.1, "result_bytes": 1000,
+                      "barrier_waste_seconds": 0.237, "total_seconds": 0.1},
+            parallel=dict(seed["profile"]["parallel"], critical_path_seconds=0.017,
+                          overhead_ratio=0.1, speedup_bound=17.5),
+        ),
+    )
     hist = str(tmp_path / "hist")
     store = HistoryStore(hist)
     store.append(old)
-    store.append(old)
+    store.append(modelled)
     main(argv + ["--history-dir", hist])
+    # The latest run's overhead ratio is 9.5x the prior median, which the
+    # deleted overhead gate would have failed.
+    fresh = dict(store.latest())
+    del fresh["run_id"]
+    store.append(dict(fresh, sched=dict(modelled["sched"], overhead_ratio=0.95)))
     capsys.readouterr()
 
-    assert main(["history", "diff", "--history-dir", hist]) == 0
-    assert "r00002" in capsys.readouterr().out
-    assert main(["history", "diff", "--history-dir", hist, "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["same_findings_digest"] is True
-    assert set(payload["shares"]) == {"compute", "dispatch_overhead"}
+    for old_id, new_id in (("r00001", "r00002"), ("r00002", "r00003"),
+                           ("r00002", "r00004")):
+        span = [old_id, new_id, "--history-dir", hist]
+        assert main(["history", "diff", *span]) == 0
+        out = capsys.readouterr().out
+        assert f"{old_id} (" in out and f"{new_id} (" in out
+        assert "pass " in out and "utilization" in out
+        assert main(["history", "diff", *span, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["same_findings_digest"] is True
+        assert payload["passes"] and "shares" not in payload
+        assert list(payload["attr"]) == ["utilization"]
     code = main(
         ["history", "trend", "--history-dir", hist, "--check",
          "--bench-out", str(tmp_path / "b.json")]
     )
     out = capsys.readouterr().out
     assert code == 0, out
-    assert "vs median of 2 prior runs" in out
+    assert "vs median of 3 prior runs" in out
 
 
 def test_profile_records_the_tier_and_jobs_that_ran(uaf_file, tmp_path, capsys):

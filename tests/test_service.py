@@ -346,8 +346,8 @@ def test_metrics_expose_dispatch_and_attr_series_during_parallel_run():
                 needed = (
                     "repro_sched_dispatch_result_bytes_total",
                     "repro_sched_dispatch_decode_seconds_total",
-                    "repro_attr_critical_path_seconds",
-                    "repro_attr_overhead_ratio",
+                    "repro_attr_wave_seconds",
+                    "repro_attr_work_seconds",
                     "repro_attr_utilization",
                 )
                 while True:
