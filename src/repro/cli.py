@@ -1304,8 +1304,8 @@ def build_parser() -> argparse.ArgumentParser:
         "off); see also the 'cache' subcommand",
     )
 
-    # The engine, budget and fault flags of the two commands that run
-    # the checkers, 'check' and 'profile'.
+    # The engine and budget flags of the commands that run the
+    # checkers: 'check', 'profile' and 'daemon'.
     engine = argparse.ArgumentParser(add_help=False)
     engine.add_argument("--depth", type=int, default=6, help="max calling contexts")
     engine.add_argument(
@@ -1322,7 +1322,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.0,
         metavar="SECONDS",
-        help="wall-clock budget; past it the analysis degrades precision "
+        help="wall-clock budget per analysis (a daemon request may tighten "
+        "it, never widen it); past it the analysis degrades precision "
         "instead of running on (exit 3 reports degraded coverage)",
     )
     engine.add_argument(
@@ -1340,7 +1341,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="cooperative step budget for points-to + value-flow search",
     )
-    engine.add_argument(
+
+    # The worker and fault flags of the one-shot runs, 'check' and 'profile'.
+    oneshot = argparse.ArgumentParser(add_help=False)
+    oneshot.add_argument(
         "--worker-timeout",
         type=float,
         default=0.0,
@@ -1349,7 +1353,7 @@ def build_parser() -> argparse.ArgumentParser:
         "past it is killed, the function gets one more attempt alone, and "
         "is quarantined (exit 3) if that times out too",
     )
-    engine.add_argument(
+    oneshot.add_argument(
         "--fault",
         default="",
         metavar="SPEC",
@@ -1360,7 +1364,7 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser(
         "check",
         help="statically check a program",
-        parents=[obs, monitor, par, engine],
+        parents=[obs, monitor, par, engine, oneshot],
     )
     check.add_argument("file", help="program file ('-' for stdin)")
     check.add_argument(
@@ -1419,7 +1423,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the checkers and print where the time went: the wave "
         "loop's wall, worker compute, utilization and outcome decoding, "
         "then the hottest passes and functions",
-        parents=[obs, monitor, par, engine],
+        parents=[obs, monitor, par, engine, oneshot],
     )
     profile.add_argument("file", help="program file ('-' for stdin)")
     profile.add_argument(
@@ -1534,7 +1538,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the persistent analysis service: queued jobs, warm "
         "incremental sessions, /v1/check and /v1/edit over HTTP "
         "(see docs/service.md)",
-        parents=[obs],
+        parents=[obs, engine],
     )
     daemon.add_argument(
         "--port",
@@ -1575,33 +1579,9 @@ def build_parser() -> argparse.ArgumentParser:
         "miss (default: the REPRO_CACHE_DIR environment variable, else "
         "off)",
     )
-    daemon.add_argument("--depth", type=int, default=6, help="max calling contexts")
-    daemon.add_argument(
-        "--pta",
-        default="fi",
-        choices=["fi", "fs"],
-        help="points-to precision tier (fi | fs; default fi)",
-    )
-    daemon.add_argument("--no-smt", action="store_true", help="path-insensitive mode")
     daemon.add_argument(
         "--verify", default="", choices=["off", "fast", "full"],
         help="self-verification mode for every job (as in 'check')",
-    )
-    daemon.add_argument(
-        "--deadline",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="default per-request wall budget (requests may tighten, "
-        "never widen it)",
-    )
-    daemon.add_argument(
-        "--smt-deadline", type=float, default=0.0, metavar="SECONDS",
-        help="default per-request per-query SMT ceiling",
-    )
-    daemon.add_argument(
-        "--max-steps", type=int, default=0, metavar="N",
-        help="default per-request step budget",
     )
     daemon.set_defaults(func=cmd_daemon)
 

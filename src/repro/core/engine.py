@@ -296,6 +296,12 @@ class Pinpoint:
             sum(f.seg.vertex_count() for f in self.functions.values()),
             sum(f.seg.edge_count() for f in self.functions.values()),
         )
+        self.update_totals = (
+            sum(f.prepared.points_to.strong_updates for f in self.functions.values()),
+            sum(f.prepared.points_to.weak_updates for f in self.functions.values()),
+        )
+        # Each function's processing rank (see _CheckerRun._ranks).
+        self.ranks = {name: rank for rank, name in enumerate(module.order)}
         # SEG work is shared by every checker run on this engine, so it
         # is published once here, not per checker (the prepare driver
         # publishes the shared ``prepare`` phase the same way).
@@ -547,7 +553,7 @@ class _CheckerRun:
         # A summary condition built later sees only the callee summaries
         # that existed when it was recorded: those of functions processed
         # no later than the recording one.
-        self._ranks = {name: rank for rank, name in enumerate(self.module.order)}
+        self._ranks = engine.ranks
         self.summaries: Dict[str, FunctionSummaries] = {}
         self.stats = EngineStats()
         self.reports: Dict[tuple, BugReport] = {}
@@ -612,14 +618,7 @@ class _CheckerRun:
         self.stats.linear_queries = self.linear.queries
         self.stats.reported = len(self.reports)
         self.stats.pta_tier = self.engine.pta_tier
-        self.stats.strong_updates = sum(
-            pf.prepared.points_to.strong_updates
-            for pf in self.engine.functions.values()
-        )
-        self.stats.weak_updates = sum(
-            pf.prepared.points_to.weak_updates
-            for pf in self.engine.functions.values()
-        )
+        self.stats.strong_updates, self.stats.weak_updates = self.engine.update_totals
         diagnostics = list(self.engine.diagnostics) + list(self.diagnostics)
         self.stats.quarantined_units += len(
             self.engine.diagnostics.quarantined_units()
@@ -685,9 +684,8 @@ class _CheckerRun:
         if digest is None:
             return None
         rank = self._ranks[name]
-        callgraph = self.module.callgraph
         parts = [self._memo_config, digest]
-        for callee in sorted(callgraph.callees.get(name, ()) if callgraph else ()):
+        for callee in sorted(self.module.callgraph.callees[name]):
             callee_rank = self._ranks.get(callee)
             if callee == name:
                 # Self-recursive call: during its own processing a

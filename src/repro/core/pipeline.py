@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Set
 from repro.ir import cfg
 from repro.ir.callgraph import CallGraph
 from repro.ir.controldep import control_dependence
+from repro.ir.dominance import dominators
 from repro.ir.gating import GateInfo
 from repro.ir.ssa import to_ssa
 from repro.lang import ast
@@ -166,17 +167,21 @@ def prepare_function(
     with cfg.scoped_uids():
         # Throwaway copy for Mod/Ref.
         scratch = lower_function(func_ast)
+        # One dominator tree serves both copies: they are lowered from
+        # the same AST, and connectors and SSA add instructions and phis
+        # but never blocks or edges.
+        dom = dominators(scratch)
         transform_call_sites(scratch, usable_signatures)
-        to_ssa(scratch)
-        modref = compute_modref(scratch, linear=linear)
+        to_ssa(scratch, dom)
+        modref = compute_modref(scratch, linear=linear, gates=GateInfo(scratch, dom))
 
         # The real function: transform call sites + own interface, SSA.
         function = lower_function(func_ast)
         transform_call_sites(function, usable_signatures)
         signature = transform_function_interface(function, modref)
-        to_ssa(function)
+        to_ssa(function, dom)
 
-        gates = GateInfo(function)
+        gates = GateInfo(function, dom)
         flow = None
         if pta_tier == "fs":
             from repro.pta.flowsense import FlowSensitivePTA

@@ -44,10 +44,7 @@ class DomInfo:
 
 
 def _compute(
-    order: List[str],
-    preds: Dict[str, Sequence[str]],
-    succs: Dict[str, Sequence[str]],
-    entry: str,
+    order: List[str], preds: Dict[str, Sequence[str]], entry: str
 ) -> DomInfo:
     index = {label: i for i, label in enumerate(order)}
     idom: Dict[str, Optional[str]] = {label: None for label in order}
@@ -99,8 +96,7 @@ def dominators(function: cfg.Function) -> DomInfo:
     """Dominator info for a function's CFG."""
     order = function.block_order()
     preds = {label: function.blocks[label].preds for label in order}
-    succs = {label: function.blocks[label].succs for label in order}
-    return _compute(order, preds, succs, function.entry)
+    return _compute(order, preds, function.entry)
 
 
 VIRTUAL_EXIT = "__exit__"
@@ -157,4 +153,4 @@ def post_dominators(function: cfg.Function) -> DomInfo:
 
     visit(VIRTUAL_EXIT)
     rpo.reverse()
-    return _compute(rpo, rev_preds, rev_succs, VIRTUAL_EXIT)
+    return _compute(rpo, rev_preds, VIRTUAL_EXIT)

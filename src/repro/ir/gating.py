@@ -18,7 +18,7 @@ uncorrelated nondeterministic choice.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.ir import cfg
 from repro.ir.dominance import DomInfo, dominators
@@ -26,11 +26,14 @@ from repro.smt import terms as T
 from repro.smt.terms import Term
 
 
-def back_edges(function: cfg.Function) -> Set[Tuple[str, str]]:
-    """Edges (src, dst) where dst dominates src — loop back edges."""
-    dom = dominators(function)
+def back_edges(
+    function: cfg.Function, dom: Optional[DomInfo] = None
+) -> Set[Tuple[str, str]]:
+    """Edges (src, dst) where dst dominates src — loop back edges.
+    ``dom`` is the function's dominator tree, when the caller has one."""
+    dom = dom or dominators(function)
     result: Set[Tuple[str, str]] = set()
-    for label in function.block_order():
+    for label in dom.order:
         for succ in function.blocks[label].succs:
             if dom.dominates(succ, label):
                 result.add((label, succ))
@@ -55,13 +58,14 @@ class GateInfo:
     """Per-function gate conditions for phi operands.
 
     ``gates[phi.uid]`` is a list parallel to ``phi.incomings`` holding the
-    gate condition Term of each operand.
+    gate condition Term of each operand.  ``dom`` is the function's
+    dominator tree, when the caller already has one.
     """
 
-    def __init__(self, function: cfg.Function) -> None:
+    def __init__(self, function: cfg.Function, dom: Optional[DomInfo] = None) -> None:
         self.function = function
-        self.dom: DomInfo = dominators(function)
-        self.back = back_edges(function)
+        self.dom: DomInfo = dom or dominators(function)
+        self.back = back_edges(function, self.dom)
         self.gates: Dict[int, List[Term]] = {}
         self._reach_cache: Dict[Tuple[str, str], Term] = {}
         self._compute()

@@ -9,7 +9,7 @@ binary operations rather than short-circuit control flow.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional, Set
 
 from repro.lang import ast
 from repro.ir import cfg
@@ -206,13 +206,11 @@ class _FunctionLowerer:
         return self._lower_operand(expr)
 
     def _lower_expr_for_effect(self, expr: ast.Expr) -> None:
-        if isinstance(expr, ast.Call):
-            if expr.callee in MALLOC_NAMES:
-                self._emit(cfg.Malloc(self._fresh_temp(), line=expr.line))
-                return
+        if isinstance(expr, ast.Call) and expr.callee not in MALLOC_NAMES:
             args = [self._lower_operand(a) for a in expr.args]
             self._emit(cfg.Call(None, expr.callee, args, line=expr.line))
             return
+        # An allocation evaluates its arguments, as `q = malloc(...)` does.
         self._lower_operand(expr)
 
     def _lower_operand(self, expr: ast.Expr, want_var: bool = False) -> cfg.Operand:
@@ -276,6 +274,53 @@ class _FunctionLowerer:
 
 def lower_function(func_ast: ast.FuncDef) -> cfg.Function:
     return _FunctionLowerer(func_ast).lower()
+
+
+def called_names(func_ast: ast.FuncDef) -> Set[str]:
+    """Callee names of the ``Call`` instructions ``lower_function`` emits
+    for ``func_ast``, read off the AST.  The lowerer's reachability rule
+    applies: nothing after a ``return``, or after an ``if`` whose arms
+    both return, is lowered; code after a loop whose body returns stays
+    live.  An allocation lowers to ``Malloc``: only its arguments count."""
+    names: Set[str] = set()
+
+    def walk(expr: Optional[ast.Expr]) -> None:
+        if isinstance(expr, ast.Call):
+            if expr.callee not in MALLOC_NAMES:
+                names.add(expr.callee)
+            for arg in expr.args:
+                walk(arg)
+        elif isinstance(expr, ast.Unary):
+            walk(expr.operand)
+        elif isinstance(expr, ast.Binary):
+            walk(expr.lhs)
+            walk(expr.rhs)
+
+    def falls_through(block: ast.Block) -> bool:
+        for stmt in block.stmts:
+            if isinstance(stmt, ast.IfStmt):
+                walk(stmt.cond)
+                then_live = falls_through(stmt.then_block)
+                if stmt.else_block is not None and not (
+                    falls_through(stmt.else_block) or then_live
+                ):
+                    return False
+            elif isinstance(stmt, ast.WhileStmt):
+                walk(stmt.cond)
+                falls_through(stmt.body)
+            elif isinstance(stmt, ast.StoreStmt):
+                walk(stmt.pointer)
+                walk(stmt.value)
+            elif isinstance(stmt, ast.ExprStmt):
+                walk(stmt.expr)
+            else:  # an assignment or a return
+                walk(stmt.value)
+                if isinstance(stmt, ast.ReturnStmt):
+                    return False
+        return True
+
+    falls_through(func_ast.body)
+    return names
 
 
 def lower_program(program: ast.Program) -> cfg.Module:

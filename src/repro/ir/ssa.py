@@ -21,11 +21,12 @@ def base_name(ssa_name: str) -> str:
     return ssa_name[:dot] if dot > 0 else ssa_name
 
 
-def to_ssa(function: cfg.Function) -> cfg.Function:
-    """Convert ``function`` to SSA form in place and return it."""
+def to_ssa(function: cfg.Function, dom: Optional[DomInfo] = None) -> cfg.Function:
+    """Convert ``function`` to SSA form in place and return it.  ``dom``
+    is its dominator tree, when the caller already has one."""
     if function.is_ssa:
         return function
-    dom = dominators(function)
+    dom = dom or dominators(function)
     _place_phis(function, dom)
     _rename(function, dom)
     function.is_ssa = True
@@ -51,8 +52,6 @@ def _place_phis(function: cfg.Function, dom: DomInfo) -> None:
     # in or after the block (semi-pruned would need liveness; simple
     # iterated-DF insertion plus later dead-phi cleanup is adequate here).
     for var, blocks in def_blocks.items():
-        if len(blocks) == 1 and var not in function.params + function.aux_params:
-            pass  # may still need a phi if a loop re-enters; IDF handles it
         worklist = list(blocks)
         has_phi: Set[str] = set()
         while worklist:

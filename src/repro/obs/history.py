@@ -154,6 +154,9 @@ def collect_run_record(
 ) -> Dict[str, Any]:
     """Assemble one run record from the metrics registry plus the
     run-level figures only the CLI knows (wall time, exit code, ...)."""
+    # Imported here: repro.robust imports this package's metrics module.
+    from repro.robust.diagnostics import REASON_PARSE_ERROR, REASON_QUARANTINED
+
     stages: Dict[str, float] = {}
     engine_seconds = registry.get("engine.seconds")
     if isinstance(engine_seconds, Counter):
@@ -208,7 +211,13 @@ def collect_run_record(
         },
         "robust": {
             "degradations": int(_counter_total(registry, "robust.degradations")),
-            "quarantined": int(_counter_total(registry, "engine.quarantined_units")),
+            # Once per analysis: checker runs share the module's log.
+            "quarantined": int(
+                sum(
+                    _counter_total(registry, "robust.degradations", reason=reason)
+                    for reason in (REASON_QUARANTINED, REASON_PARSE_ERROR)
+                )
+            ),
             "diagnostics": [dict(d) for d in (diagnostics or [])][:50],
         },
         "findings": {

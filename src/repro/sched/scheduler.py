@@ -70,7 +70,6 @@ from repro.core.pipeline import (
     prepare_function,
 )
 from repro.ir.callgraph import CallGraph
-from repro.ir.lower import lower_program
 from repro.lang import ast
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry, get_registry
@@ -165,17 +164,13 @@ def prepare_program(
         )
         effective_jobs = 1
 
-    with trace("lower", unit="<module>"):
-        module = lower_program(program)
-        callgraph = CallGraph(module)
+    with trace("callgraph", unit="<module>"):
+        callgraph = CallGraph(program)
     prepared.callgraph = callgraph
     prepared.pta_tier = pta_tier
     serial_order = callgraph.bottom_up_order()
     ast_by_name = {f.name: f for f in program.functions}
-    scc_of: Dict[str, int] = {}
-    for index, scc in enumerate(callgraph.sccs()):
-        for member in scc:
-            scc_of[member] = index
+    scc_of = callgraph.scc_of
 
     waves = scc_waves(callgraph)
     registry.gauge("sched.jobs", "Worker processes of the last run").set(
@@ -218,16 +213,15 @@ def prepare_program(
                 # cache key go by callee name.
                 usable = usable_of[name] = {
                     callee: signatures[callee]
-                    for callee in callgraph.callees.get(name, ())
-                    if callee in signatures
-                    and scc_of.get(callee) != scc_of.get(name)
+                    for callee in callgraph.callees[name]
+                    if callee in signatures and scc_of[callee] != scc_of[name]
                 }
                 if store is not None:
                     digests[name] = key_digest(
                         prepare_cache_key(
                             func_ast,
                             usable,
-                            callgraph.callees.get(name, ()),
+                            callgraph.callees[name],
                             pta_tier=pta_tier,
                         )
                     )

@@ -6,11 +6,11 @@ own AST plus the connector signatures of its (non-recursive) callees,
 so once every callee SCC is prepared, all SCCs whose dependencies are
 satisfied can be prepared concurrently.
 
-``scc_waves`` condenses the call graph (Tarjan SCCs, already computed
-bottom-up by :class:`~repro.ir.callgraph.CallGraph`) and assigns each
-SCC a *wave*: ``wave(S) = 1 + max(wave(T) for callee SCCs T)``, leaves
-at wave 0.  Every function in wave *k* can be prepared as soon as waves
-``< k`` are merged — that is the scheduler's barrier.
+``scc_waves`` reads the call graph's one SCC condensation (Tarjan SCCs,
+computed bottom-up once by :class:`~repro.ir.callgraph.CallGraph`) and
+assigns each SCC a *wave*: ``wave(S) = 1 + max(wave(T) for callee SCCs
+T)``, leaves at wave 0.  Every function in wave *k* can be prepared as
+soon as waves ``< k`` are merged — that is the scheduler's barrier.
 
 Determinism: SCCs within a wave keep their bottom-up (Tarjan) order and
 members within an SCC are sorted, so flattening the waves visits
@@ -31,21 +31,15 @@ def scc_waves(callgraph: CallGraph) -> List[List[List[str]]]:
     """Waves of SCCs: ``waves[k]`` lists the SCCs whose callee SCCs all
     live in waves ``< k``.  Each SCC is a sorted list of member names."""
     sccs = callgraph.sccs()  # bottom-up: callees before callers
-    scc_of: Dict[str, int] = {}
-    for index, scc in enumerate(sccs):
-        for member in scc:
-            scc_of[member] = index
-
     level: Dict[int, int] = {}
     for index, scc in enumerate(sccs):
         depth = 0
         for member in scc:
-            for callee in callgraph.callees.get(member, ()):
-                target = scc_of.get(callee)
-                if target is None or target == index:
-                    continue  # external or same-SCC (recursion)
-                # Bottom-up order guarantees callee SCCs come earlier.
-                depth = max(depth, level[target] + 1)
+            for callee in callgraph.callees[member]:
+                target = callgraph.scc_of[callee]
+                if target != index:  # a same-SCC call is recursion
+                    # Bottom-up order guarantees callee SCCs come earlier.
+                    depth = max(depth, level[target] + 1)
         level[index] = depth
 
     if not sccs:

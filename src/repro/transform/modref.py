@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Set, Tuple
 
 from repro.ir import cfg
+from repro.ir.gating import GateInfo
 from repro.ir.ssa import base_name
 from repro.pta.intraproc import PointsToAnalysis
 from repro.pta.memory import AuxObject, aux_param_name
@@ -51,11 +52,13 @@ class ModRefSummary:
 
 
 def compute_modref(
-    ssa_function: cfg.Function, linear: Optional[LinearSolver] = None
+    ssa_function: cfg.Function,
+    linear: Optional[LinearSolver] = None,
+    gates: Optional[GateInfo] = None,
 ) -> ModRefSummary:
     """Compute the Mod/Ref summary from a (throwaway) SSA function whose
     call sites have already been connector-transformed."""
-    analysis = PointsToAnalysis(ssa_function, linear=linear)
+    analysis = PointsToAnalysis(ssa_function, gates=gates, linear=linear)
     result = analysis.run()
     ref = set(result.ref)
     mod = set(result.mod)

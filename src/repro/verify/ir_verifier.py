@@ -12,6 +12,7 @@ and so a mutation corrupting one invariant trips exactly one rule.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 from repro.ir import cfg
@@ -97,7 +98,7 @@ def verify_function_ir(
                     )
                 )
                 structural_ok = False
-            elif Counter(targets) != Counter(block.succs):
+            elif sorted(targets) != sorted(block.succs):
                 violations.append(
                     Violation(
                         "ir-edge-symmetry",
@@ -108,7 +109,7 @@ def verify_function_ir(
                     )
                 )
                 structural_ok = False
-        for instr in list(block.phis) + list(block.instrs):
+        for instr in chain(block.phis, block.instrs):
             if isinstance(instr, _TERMINATORS):
                 violations.append(
                     Violation(
@@ -121,14 +122,15 @@ def verify_function_ir(
                 structural_ok = False
 
     # Pred/succ symmetry as edge multisets.
-    succ_edges = Counter(
+    succ_edges = [
         (label, succ) for label, block in blocks.items() for succ in block.succs
-    )
-    pred_edges = Counter(
+    ]
+    pred_edges = [
         (pred, label) for label, block in blocks.items() for pred in block.preds
-    )
-    if succ_edges != pred_edges:
-        diff = (succ_edges - pred_edges) + (pred_edges - succ_edges)
+    ]
+    if sorted(succ_edges) != sorted(pred_edges):
+        succ_count, pred_count = Counter(succ_edges), Counter(pred_edges)
+        diff = (succ_count - pred_count) + (pred_count - succ_count)
         violations.append(
             Violation(
                 "ir-edge-symmetry",
@@ -165,22 +167,22 @@ def verify_function_ir(
 
     # ---------------------------------------------------------- phi-arity
     for label, block in blocks.items():
+        preds = sorted(block.preds)
         for phi in block.phis:
-            labels = Counter(pred for pred, _ in phi.incomings)
-            if labels != Counter(block.preds):
+            if sorted(pred for pred, _ in phi.incomings) != preds:
+                labels = Counter(pred for pred, _ in phi.incomings)
                 violations.append(
                     Violation(
                         "phi-arity",
                         unit,
                         f"phi {phi.dest!r} incomings {sorted(labels)} do not "
-                        f"match preds {sorted(block.preds)} of {label!r}",
+                        f"match preds {preds} of {label!r}",
                         line=phi.line,
                     )
                 )
 
     # ------------------------------------------------------- ssa-dominance
-    if dom is None:
-        dom = dominators(function)
+    dom = dom or dominators(function)
     reachable = set(dom.order)
 
     def defined_ok(var: str) -> bool:

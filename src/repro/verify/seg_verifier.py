@@ -34,12 +34,19 @@ def verify_seg(seg: SEG, prepared) -> List[Violation]:
     # ----------------------------- seg-dangling-edge / seg-index-symmetry
     # Edges with an unregistered endpoint are reported as dangling and
     # excluded from the symmetry comparison (they are already broken;
-    # double-reporting would mask the root cause).
-    def well_formed_edges(index: Dict) -> Set[int]:
+    # double-reporting would mask the root cause).  An edge filed under
+    # the wrong key is also an index corruption, reported after the
+    # symmetry check.
+    vertices = seg.vertices
+    misfiled: List[Violation] = []
+
+    def well_formed_edges(index: Dict, end: str) -> Set[int]:
         ids = set()
         for key, edges in index.items():
             for edge in edges:
-                if edge.src not in seg.vertices or edge.dst not in seg.vertices:
+                if edge.src in vertices and edge.dst in vertices:
+                    ids.add(id(edge))
+                else:
                     violations.append(
                         Violation(
                             "seg-dangling-edge",
@@ -48,12 +55,19 @@ def verify_seg(seg: SEG, prepared) -> List[Violation]:
                             "unregistered endpoint",
                         )
                     )
-                else:
-                    ids.add(id(edge))
+                if getattr(edge, end) != key:
+                    misfiled.append(
+                        Violation(
+                            "seg-index-symmetry",
+                            unit,
+                            f"edge {edge.src} -> {edge.dst} filed under "
+                            f"{'out' if end == 'src' else 'in'}-key {key}",
+                        )
+                    )
         return ids
 
-    out_ids = well_formed_edges(seg.out_edges)
-    in_ids = well_formed_edges(seg.in_edges)
+    out_ids = well_formed_edges(seg.out_edges, "src")
+    in_ids = well_formed_edges(seg.in_edges, "dst")
     if out_ids != in_ids:
         only_out = len(out_ids - in_ids)
         only_in = len(in_ids - out_ids)
@@ -65,29 +79,7 @@ def verify_seg(seg: SEG, prepared) -> List[Violation]:
                 f"{only_in} missing from the out-index",
             )
         )
-    # An edge filed under the wrong key is also an index corruption.
-    for src, edges in seg.out_edges.items():
-        for edge in edges:
-            if edge.src != src:
-                violations.append(
-                    Violation(
-                        "seg-index-symmetry",
-                        unit,
-                        f"edge {edge.src} -> {edge.dst} filed under "
-                        f"out-key {src}",
-                    )
-                )
-    for dst, edges in seg.in_edges.items():
-        for edge in edges:
-            if edge.dst != dst:
-                violations.append(
-                    Violation(
-                        "seg-index-symmetry",
-                        unit,
-                        f"edge {edge.src} -> {edge.dst} filed under "
-                        f"in-key {dst}",
-                    )
-                )
+    violations.extend(misfiled)
 
     # ------------------------------ seg-def-unresolved / seg-use-anchor
     defined: Set[str] = set(function.params) | set(function.aux_params)
@@ -244,15 +236,10 @@ def verify_call_interfaces(module) -> List[Violation]:
 
     A call to a defined callee outside the caller's SCC must carry one
     extra receiver per callee Aux return; same-SCC calls are expected to
-    stay untransformed (the paper unrolls call-graph cycles once).  With
-    no call graph available, only transformed calls are checked.
+    stay untransformed (the paper unrolls call-graph cycles once).
     """
     violations: List[Violation] = []
-    scc_of: Dict[str, int] = {}
-    if module.callgraph is not None:
-        for index, scc in enumerate(module.callgraph.sccs()):
-            for member in scc:
-                scc_of[member] = index
+    scc_of = module.callgraph.scc_of
     for prepared in module:
         caller = prepared.name
         for instr in _iter_instrs(prepared.function):
@@ -261,13 +248,8 @@ def verify_call_interfaces(module) -> List[Violation]:
             callee_sig = module[instr.callee].signature
             expected = len(callee_sig.aux_returns)
             got = len(instr.extra_receivers)
-            same_scc = (
-                scc_of.get(caller) is not None
-                and scc_of.get(caller) == scc_of.get(instr.callee)
-            )
-            if same_scc or (not scc_of and got == 0):
-                # Untransformed by design (or indistinguishable from it
-                # without a call graph).
+            if scc_of[caller] == scc_of[instr.callee]:
+                # Untransformed by design.
                 if got != 0:
                     violations.append(
                         Violation(

@@ -508,3 +508,21 @@ def test_selfcheck_json_mode(capsys):
 def test_selfcheck_bad_seed_spec_is_an_error(capsys):
     code = main(["selfcheck", "--seeds", "9..2"])
     assert code == 2
+
+
+def test_engine_flags_parse_alike_in_check_profile_and_daemon(capsys):
+    from repro.cli import build_parser
+
+    parser = build_parser()
+    names = ("depth", "pta", "no_smt", "deadline", "smt_deadline", "max_steps")
+    flags = ["--depth", "3", "--pta", "fs", "--no-smt", "--deadline", "2",
+             "--smt-deadline", "0.5", "--max-steps", "9"]
+    for command in (["check", "f.pin"], ["profile", "f.pin"], ["daemon"]):
+        defaults = parser.parse_args(command)
+        assert [getattr(defaults, n) for n in names] == [6, "fi", False, 0.0, 0.0, 0]
+        given = parser.parse_args(command + flags)
+        assert [getattr(given, n) for n in names] == [3, "fs", True, 2.0, 0.5, 9]
+    # The worker and fault flags belong to the one-shot runs only.
+    for flag in ("--worker-timeout", "--fault"):
+        with pytest.raises(SystemExit):
+            parser.parse_args(["daemon", flag, "1"])

@@ -204,7 +204,7 @@ def test_summary_line_stable_format():
 # Call graph
 # ----------------------------------------------------------------------
 def test_callgraph_bottom_up_order():
-    module = lower_program(
+    graph = CallGraph(
         parse_program(
             """
             fn a() { b(); c(); return 0; }
@@ -213,13 +213,12 @@ def test_callgraph_bottom_up_order():
             """
         )
     )
-    graph = CallGraph(module)
     order = graph.bottom_up_order()
     assert order.index("c") < order.index("b") < order.index("a")
 
 
 def test_callgraph_scc_detection():
-    module = lower_program(
+    graph = CallGraph(
         parse_program(
             """
             fn even(n) { r = odd(n); return r; }
@@ -228,25 +227,91 @@ def test_callgraph_scc_detection():
             """
         )
     )
-    graph = CallGraph(module)
-    assert graph.is_recursive_call("even", "odd")
-    assert graph.is_recursive_call("odd", "even")
-    assert not graph.is_recursive_call("main", "even")
-    assert graph.is_recursive_call("main", "main")  # self by definition
+    assert sorted(map(sorted, graph.sccs())) == [["even", "odd"], ["main"]]
+    assert graph.scc_of["even"] == graph.scc_of["odd"]
+    assert graph.scc_of["main"] != graph.scc_of["even"]
 
 
 def test_callgraph_ignores_external_calls():
-    module = lower_program(parse_program("fn f() { g_external(); return 0; }"))
-    graph = CallGraph(module)
+    graph = CallGraph(parse_program("fn f() { g_external(); return 0; }"))
     assert graph.callees["f"] == set()
 
 
-def test_callgraph_call_sites_recorded():
-    module = lower_program(
-        parse_program("fn f() { return 0; } fn g() { f(); f(); return 0; }")
+def _cfg_call_edges(program):
+    """The reference call graph: the Call instructions of the lowered CFGs."""
+    module = lower_program(program)
+    return {
+        function.name: {
+            instr.callee
+            for instr in function.all_instrs()
+            if isinstance(instr, cfg.Call) and instr.callee in module
+        }
+        for function in module
+    }
+
+
+def _assert_ast_call_graph_matches_cfg(source):
+    program = parse_program(source)
+    assert CallGraph(program).callees == _cfg_call_edges(program)
+
+
+@pytest.mark.parametrize("taint", [False, True], ids=["plain", "taint"])
+@pytest.mark.parametrize("lines", [300, 2000])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_callgraph_from_ast_matches_lowered_cfgs(seed, lines, taint):
+    from repro.synth.generator import GeneratorConfig, generate_program
+
+    config = GeneratorConfig(
+        seed=seed, target_lines=lines, taint_period=7 if taint else 0
     )
-    graph = CallGraph(module)
-    assert len(graph.call_sites["f"]) == 2
+    _assert_ast_call_graph_matches_cfg(generate_program(config).source)
+
+
+def test_callgraph_from_ast_matches_lowered_cfgs_on_suites():
+    from repro.synth import juliet, precision
+
+    _assert_ast_call_graph_matches_cfg(
+        juliet.suite_source(juliet.generate_juliet_suite())
+    )
+    _assert_ast_call_graph_matches_cfg(
+        precision.suite_source(precision.generate_precision_suite())
+    )
+
+
+@pytest.mark.parametrize(
+    "source, callees",
+    [
+        # Nothing after a return is lowered.
+        ("fn f() { return 0; g(); }", set()),
+        # Nor after an if whose arms both return.
+        (
+            "fn f(a) { if (a) { return 1; } else { x = g(); return x; } h(); }",
+            {"g"},
+        ),
+        # A return in a loop body kills the rest of the body only.
+        ("fn f(a) { while (a) { return 1; g(); } h(); return 0; }", {"h"}),
+        # An if without an else falls through even when its arm returns.
+        ("fn f(a) { if (a) { return g(); } h(); return 0; }", {"g", "h"}),
+        # Allocations lower to Malloc but evaluate their arguments.
+        ("fn f(x) { malloc(g(x)); return 0; }", {"g"}),
+        ("fn f(x) { p = malloc(g(x)); return p; }", {"g"}),
+        # A defined `alloc` is still the allocation intrinsic.
+        ("fn alloc() { return 0; } fn f() { p = alloc(); return p; }", set()),
+    ],
+)
+def test_callgraph_follows_lowering_reachability(source, callees):
+    defined = "fn g(x) { return 0; } fn h() { return 0; } "
+    program = parse_program(defined + source)
+    assert CallGraph(program).callees["f"] == callees
+    assert _cfg_call_edges(program)["f"] == callees
+
+
+def test_defined_alloc_still_lowers_to_malloc():
+    module = lower_program(
+        parse_program("fn alloc() { return 0; } fn f() { p = alloc(); return p; }")
+    )
+    kinds = {type(instr) for instr in module.functions["f"].all_instrs()}
+    assert cfg.Malloc in kinds and cfg.Call not in kinds
 
 
 # ----------------------------------------------------------------------

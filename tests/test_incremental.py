@@ -209,3 +209,58 @@ def test_replay_keeps_reports_an_earlier_function_inserted_first():
     # Only the edited ``h`` is searched again.
     assert registry.get("engine.check_cache.hit").total() == 3
     assert registry.get("engine.check_cache.miss").total() == 1
+
+
+# Edits that change the call graph, each applied to the previous text.
+CALLS_BASE = """\
+fn leaf(p) { free(p); return 0; }
+fn mid(p, n) { if (n > 0) { r = leaf(p); return r; } return 0; }
+fn top(n) { p = malloc(); r = mid(p, n); x = *p; return x + r; }
+fn other(q) { y = *q; return y; }
+fn main(n) { a = top(n); q = malloc(); b = other(q); return a + b; }
+"""
+CALL_EDITS = [
+    ("add a call", "fn other(q) { y = *q; return y; }",
+     "fn other(q) { y = *q; z = leaf(q); w = *q; return y; }"),
+    ("close a recursion cycle", "fn leaf(p) { free(p); return 0; }",
+     "fn leaf(p) { free(p); t = top(0); return 0; }"),
+    ("reopen the cycle", "t = top(0); ", ""),
+    ("remove a call", "r = mid(p, n);", "r = 0;"),
+    ("add a call after a return", "return 0; }\nfn top",
+     "return 0; s = other(p); }\nfn top"),
+]
+
+
+def _check_all(engine):
+    from repro.cli import CHECKERS
+    from repro.core.report import report_as_dict
+
+    results = [engine.check(checker()) for checker in CHECKERS.values()]
+    stats = []
+    for result in results:
+        fields = result.stats.as_dict()
+        # Solver calls count the queries this run made; a replayed
+        # record makes none (see the fully-replayed recheck above).
+        del fields["smt_queries"], fields["linear_queries"]
+        stats.append(fields)
+    return (
+        [report_as_dict(report) for result in results for report in result],
+        [diag.as_dict() for result in results for diag in result.diagnostics],
+        stats,
+    )
+
+
+def test_call_graph_edits_match_cold_runs():
+    from repro import Pinpoint
+    from repro.lang.parser import parse_program
+
+    analyzer = IncrementalAnalyzer()
+    source = CALLS_BASE
+    _check_all(analyzer.analyze(source))
+    for label, old, new in CALL_EDITS:
+        assert old in source, label
+        source = source.replace(old, new)
+        warm = _check_all(analyzer.analyze(source))
+        cold = _check_all(Pinpoint.from_program(parse_program(source)))
+        assert warm == cold, label
+        assert warm[0], label

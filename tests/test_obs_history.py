@@ -341,6 +341,28 @@ def test_check_records_history(uaf_file, tmp_path, capsys):
     assert "seg" in first["stages"]
 
 
+def test_records_count_each_quarantined_unit_once(tmp_path, capsys):
+    # One unparsable function: every checker's EngineStats counts it,
+    # but the analysis quarantined one unit.
+    path = tmp_path / "broken.pin"
+    path.write_text(UAF + "fn broken( { return 0; }\n")
+    hist = str(tmp_path / "hist")
+    assert main(["check", str(path), "--all", "--history-dir", hist]) == 3
+    assert main(["check", str(path), "--history-dir", hist]) == 3
+    assert main(["profile", str(path), "--history-dir", hist]) == 0
+    records = HistoryStore(hist).records()
+    assert [r["command"] for r in records] == ["check", "check", "profile"]
+    for rec in records:
+        assert rec["robust"]["quarantined"] == 1
+        assert len(rec["robust"]["diagnostics"]) == 1
+    # The per-checker stats still count the module's quarantines.
+    capsys.readouterr()
+    main(["check", str(path), "--all", "--json"])
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    assert len(stats) == 6
+    assert all(fields["quarantined_units"] == 1 for fields in stats.values())
+
+
 def test_check_history_via_env(uaf_file, tmp_path, monkeypatch):
     hist = str(tmp_path / "hist")
     monkeypatch.setenv("REPRO_HISTORY_DIR", hist)

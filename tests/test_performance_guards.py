@@ -154,3 +154,80 @@ def test_verify_fast_overhead_under_ten_percent():
         f"verifier consistently above 10% of analysis time across "
         f"{len(ratios)} runs: " + ", ".join(f"{100 * r:.1f}%" for r in ratios)
     )
+
+
+# ----------------------------------------------------------------------
+# Counting guards: each structure is derived once
+# ----------------------------------------------------------------------
+def _count_calls(monkeypatch, module_name, attribute):
+    """Count calls to a module-level function, also where another repro
+    module imported it by name."""
+    import importlib
+    import sys
+
+    original = getattr(importlib.import_module(module_name), attribute)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(module, attribute, None) is original:
+            monkeypatch.setattr(module, attribute, counting)
+    return calls
+
+
+def test_warm_body_edit_lowers_only_the_edited_function(monkeypatch):
+    import re
+
+    from repro.core.incremental import IncrementalAnalyzer
+
+    source = generate_program(GeneratorConfig(seed=99, target_lines=1000)).source
+    name = re.findall(r"^fn (\w+)\(", source, re.M)[7]
+    edited = re.sub(
+        rf"^(fn {name}\(.*\{{)$", r"\1 guard_edit = 1;", source, flags=re.M
+    )
+    assert edited != source
+    analyzer = IncrementalAnalyzer()
+    analyzer.analyze(source)
+    calls = _count_calls(monkeypatch, "repro.ir.lower", "lower_function")
+    analyzer.analyze(edited)
+    assert analyzer.last_stats.analyzed == 1
+    # The Mod/Ref copy and the real function; the call graph lowers nothing.
+    assert [args[0].name for args in calls] == [name, name]
+
+
+def test_prepare_function_computes_one_dominator_tree(monkeypatch):
+    from repro.core.pipeline import prepare_function
+    from repro.lang.parser import parse_program
+
+    program = parse_program(
+        """
+        fn leaf(p) { *p = 0; return 0; }
+        fn f(p, n) {
+            while (n > 0) {
+                if (n > 5) { r = leaf(p); } else { q = *p; }
+                n = n - 1;
+            }
+            return n;
+        }
+        """
+    )
+    signature = prepare_function(program.function("leaf"), {}).signature
+    calls = _count_calls(monkeypatch, "repro.ir.dominance", "dominators")
+    prepared = prepare_function(program.function("f"), {"leaf": signature})
+    assert len(calls) == 1
+    assert prepared.gates.back  # the loop's back edge, from the shared tree
+
+
+def test_prepare_program_runs_tarjan_once(monkeypatch):
+    from repro.lang.parser import parse_program
+    from repro.sched.scheduler import prepare_program
+
+    spec = generate_program(GeneratorConfig(seed=99, target_lines=300))
+    program = parse_program(spec.source)
+    calls = _count_calls(monkeypatch, "repro.ir.callgraph", "_tarjan")
+    prepared = prepare_program(program)
+    assert len(calls) == 1
+    assert prepared.order == prepared.callgraph.bottom_up_order()

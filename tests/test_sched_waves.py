@@ -1,7 +1,6 @@
 """Wave condensation of the call graph (repro.sched.waves)."""
 
 from repro.ir.callgraph import CallGraph
-from repro.ir.lower import lower_program
 from repro.lang.parser import parse_program
 from repro.sched.waves import scc_waves, wave_sizes
 
@@ -26,7 +25,7 @@ fn main(n) { e = even(n); return e; }
 
 def _waves(source):
     program = parse_program(source)
-    return scc_waves(CallGraph(lower_program(program)))
+    return scc_waves(CallGraph(program))
 
 
 def _flatten(waves):
@@ -43,7 +42,7 @@ def test_leaves_first_callers_later():
 
 def test_wave_invariant_callees_in_earlier_waves():
     program = parse_program(DIAMOND)
-    callgraph = CallGraph(lower_program(program))
+    callgraph = CallGraph(program)
     waves = scc_waves(callgraph)
     wave_of = {
         name: index

@@ -104,3 +104,21 @@ def test_filler_clusters_run_clean():
             program, root, {"use-after-free", "double-free"}
         )
         assert not observed, f"filler {root} violated"
+
+
+@pytest.mark.parametrize(
+    "statement", ["malloc(rel(p));", "q = malloc(rel(p));"], ids=["effect", "assigned"]
+)
+def test_allocation_arguments_run_in_both_analyses(statement):
+    """An allocation evaluates its arguments whether or not its result is
+    kept: `rel` frees p at runtime, so the static analysis must see the
+    use after free too."""
+    from repro import Pinpoint, UseAfterFreeChecker
+
+    source = (
+        "fn rel(p) { free(p); return 0; }\n"
+        f"fn main() {{ p = malloc(); {statement} x = *p; return x; }}\n"
+    )
+    program = parse_program(source)
+    assert dynamic_violations(program, "main", {"use-after-free"})
+    assert len(Pinpoint.from_source(source).check(UseAfterFreeChecker())) == 1
