@@ -5,6 +5,10 @@ fit curves, and report R²: both grow "almost linearly in practice"
 (R² > 0.9).  Here: the same study over a program-size ladder; linear
 least squares plus a power-law fit whose exponent quantifies the
 observed complexity.
+
+Each size is timed by the clock alone (``time_only``) and measured for
+memory in a second, tracemalloc'd run (``measure``): tracemalloc slows
+the analysis several-fold, and not evenly across sizes.
 """
 
 from __future__ import annotations
@@ -15,10 +19,10 @@ from repro.bench.fitting import fit_linear, fit_power
 from repro.bench.tables import render_table
 from repro.core.engine import Pinpoint
 from repro.core.checkers import UseAfterFreeChecker
-from repro.obs.measure import measure
+from repro.obs.measure import measure, time_only
 from repro.synth.generator import GeneratorConfig, generate_program
 
-SIZES = [400, 800, 1600, 3200, 6400, 12800]
+SIZES = [400, 800, 1600, 3200, 6400, 12800, 25600, 51200]
 
 
 def end_to_end(source: str):
@@ -32,13 +36,12 @@ def test_fig10_scalability_fits(record_result):
     memory_series = []
     for size in SIZES:
         program = generate_program(GeneratorConfig(seed=1234, target_lines=size))
+        _, seconds = time_only(lambda: end_to_end(program.source))
         _, m = measure(lambda: end_to_end(program.source))
         lines_series.append(program.line_count)
-        time_series.append(m.seconds)
+        time_series.append(seconds)
         memory_series.append(m.peak_mb)
-        rows.append(
-            (program.line_count, f"{m.seconds:.2f}", f"{m.peak_mb:.1f}")
-        )
+        rows.append((program.line_count, f"{seconds:.2f}", f"{m.peak_mb:.1f}"))
     table = render_table(["lines", "time (s)", "peak memory (MB)"], rows)
 
     time_linear = fit_linear(lines_series, time_series)
@@ -57,7 +60,7 @@ def test_fig10_scalability_fits(record_result):
     assert time_linear.r_squared > 0.9
     assert memory_linear.r_squared > 0.9
     # Observed complexity exponents stay well below quadratic.
-    assert time_power.coefficients[1] < 1.6
+    assert time_power.coefficients[1] < 1.1
     assert memory_power.coefficients[1] < 1.3
 
 

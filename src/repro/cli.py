@@ -56,6 +56,7 @@ from repro.obs.history import (
 )
 from repro.robust import ResourceBudget, install_faults
 from repro.robust.faults import slow_point
+from repro.robust.heap import hold_full_collections
 
 # Exit codes (see EXIT_CODE_TABLE below, shown in --help and README);
 # the check ladder 0 < 1 < 3 < 4 lives in repro.core.report.
@@ -328,6 +329,7 @@ def _findings_fields(results) -> Dict:
     }
 
 
+@hold_full_collections()
 def cmd_check(args: argparse.Namespace) -> int:
     _setup_obs(args)
     source = _read(args.file)
@@ -436,6 +438,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     return exit_code
 
 
+@hold_full_collections()
 def cmd_profile(args: argparse.Namespace) -> int:
     """Run the checkers with tracing on and print where the time,
     memory and SMT effort went: the wave loop's wall, worker compute,

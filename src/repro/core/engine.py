@@ -55,6 +55,7 @@ from repro.robust.diagnostics import (
     DiagnosticLog,
 )
 from repro.robust.faults import fault_point
+from repro.robust.heap import hold_full_collections
 from repro.robust.quarantine import Quarantine
 import repro.verify as verify_mod
 from repro.seg.builder import build_seg
@@ -234,6 +235,7 @@ class Pinpoint:
     by ``module.digests``, and whose callees' records are unchanged since
     it was stored."""
 
+    @hold_full_collections()
     def __init__(
         self,
         module: PreparedModule,
@@ -376,6 +378,7 @@ class Pinpoint:
         return self._seg_size
 
     # ------------------------------------------------------------------
+    @hold_full_collections()
     def check(self, checker: Checker) -> CheckResult:
         """Run one checker over the whole program.
 

@@ -32,6 +32,7 @@ from repro.cache.store import MemoryTier
 from repro.core.engine import CheckMemo, EngineConfig, Pinpoint
 from repro.lang import ast
 from repro.lang.parser import parse_program
+from repro.robust.heap import hold_full_collections
 
 
 @dataclass
@@ -73,6 +74,7 @@ class IncrementalAnalyzer:
         self.check_memo = CheckMemo()
         self.last_stats = IncrementalStats()
 
+    @hold_full_collections()
     def analyze(self, source: str, budget=None) -> Pinpoint:
         """Prepare (incrementally) and wrap in an engine."""
         program = parse_program(source)

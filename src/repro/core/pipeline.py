@@ -41,6 +41,7 @@ from repro.obs.trace import trace
 from repro.pta.intraproc import PointsToAnalysis, PointsToResult
 from repro.robust.budget import ResourceBudget
 from repro.robust.diagnostics import REASON_PARSE_ERROR, STAGE_PARSE, DiagnosticLog
+from repro.robust.heap import hold_full_collections
 from repro.smt.linear_solver import LinearSolver
 from repro.transform.connectors import (
     ConnectorSignature,
@@ -238,6 +239,7 @@ def _find_alias_hazards(function: cfg.Function, points_to: PointsToResult):
     return hazards
 
 
+@hold_full_collections()
 def prepare_source(
     source: str,
     budget: Optional[ResourceBudget] = None,

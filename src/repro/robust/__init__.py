@@ -19,6 +19,10 @@ package supplies the four pieces that make that possible:
 - :mod:`~repro.robust.faults` — a deterministic fault-injection harness
   so tests can prove each degradation path actually fires.
 
+It also holds :mod:`~repro.robust.heap`, the collector policy that every
+analysis entry point enters: no automatic full collections while an
+analysis runs.
+
 The degradation ladder (rather than failing, the engine steps down):
 
 1. SMT per-query deadline exceeded → fall back to the linear solver's

@@ -85,6 +85,7 @@ from repro.robust.diagnostics import (
     DiagnosticLog,
 )
 from repro.robust.faults import fault_point
+from repro.robust.heap import hold_full_collections
 from repro.robust.quarantine import FATAL
 from repro.sched.waves import scc_waves
 from repro.sched.worker import run_wave
@@ -110,6 +111,7 @@ class _Outcome:
     admitted: bool = True
 
 
+@hold_full_collections()
 def prepare_program(
     program: ast.Program,
     *,

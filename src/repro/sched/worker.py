@@ -11,9 +11,9 @@ spans it ran under.  The parent reads every child's pipe concurrently,
 merges each registry into its own and re-parents the ``sched.worker``
 spans under the wave span.
 
-``gc.freeze()`` brackets the forks: the inherited heap then sits in the
-permanent generation, so a child's collections never walk (and, through
-reference counts, copy) the pages it shares with the parent.
+A child inherits the thresholds of the parent's
+:func:`~repro.robust.heap.hold_full_collections` scope, so the full
+collections that would walk the inherited heap stay held in it too.
 
 Crash rules:
 
@@ -36,7 +36,6 @@ forked has been killed or has exited, and has been reaped.
 
 from __future__ import annotations
 
-import gc
 import math
 import os
 import pickle
@@ -162,12 +161,8 @@ def run_wave(
             if queue and len(running) < jobs:
                 starting = queue[: jobs - len(running)]
                 del queue[: len(starting)]
-                gc.freeze()
-                try:
-                    for share in starting:
-                        fork(share)
-                finally:
-                    gc.unfreeze()
+                for share in starting:
+                    fork(share)
 
             soonest = min(c.deadline for c in running.values())
             wait = (

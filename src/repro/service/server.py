@@ -61,6 +61,7 @@ from repro.obs.metrics import get_registry
 from repro.obs.monitor import STREAM_POLL_SECONDS, MonitorServer, _MonitorHandler
 from repro.obs.trace import trace
 from repro.robust import ResourceBudget
+from repro.robust.heap import hold_full_collections
 from repro.service.jobs import (
     STATUS_ABORTED,
     STATUS_DONE,
@@ -329,7 +330,8 @@ class ServiceServer:
                     return
                 continue
             try:
-                self._run_job(job)
+                with hold_full_collections():
+                    self._run_job(job)
             except Exception:
                 # A crash fails the one job, never the worker.
                 self.jobs.finish(

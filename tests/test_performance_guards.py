@@ -231,3 +231,54 @@ def test_prepare_program_runs_tarjan_once(monkeypatch):
     prepared = prepare_program(program)
     assert len(calls) == 1
     assert prepared.order == prepared.callgraph.bottom_up_order()
+
+
+# ----------------------------------------------------------------------
+# Counting guard: an analysis runs no automatic full collection
+# ----------------------------------------------------------------------
+_FULL_COLLECTIONS_SCRIPT = """
+import gc
+from repro import Pinpoint
+from repro.cli import CHECKERS
+from repro.synth.generator import GeneratorConfig, generate_program
+
+source = generate_program(
+    GeneratorConfig(seed=1, target_lines=5000, taint_period=7)
+).source
+full = []
+gc.callbacks.append(
+    lambda phase, info: full.append(1)
+    if phase == "start" and info["generation"] == 2
+    else None
+)
+engine = Pinpoint.from_source(source)
+for checker in CHECKERS.values():
+    engine.check(checker())
+print(len(full))
+"""
+
+
+def test_build_and_six_checkers_run_no_full_collection():
+    # A full collection re-walks the whole analysis heap and frees
+    # almost nothing (repro.robust.heap); the entry points hold them
+    # off.  A fresh interpreter counts them, so what the test suite
+    # left on its heap does not decide the count; the subject is the
+    # 5k-line one of ``repro generate --lines 5000 --seed 1 --taint``.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", _FULL_COLLECTIONS_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0"]
