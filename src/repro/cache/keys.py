@@ -26,10 +26,11 @@ from repro.lang.pretty import pretty_function
 from repro.transform.connectors import ConnectorSignature
 
 #: Bump whenever a pickled artifact shape changes: IR instruction
-#: fields, SSA naming, SEG vertex scheme, PointsToResult layout, or
-#: connector signature fields.  Old version directories are pruned the
-#: first time a newer-schema store opens the same cache dir.
-SCHEMA_VERSION = 3
+#: fields or uid numbering, SSA naming, SEG vertex scheme,
+#: PointsToResult or PreparedFunction layout, or connector signature
+#: fields.  Old version directories are pruned the first time a
+#: newer-schema store opens the same cache dir.
+SCHEMA_VERSION = 4
 
 
 def signature_fingerprint(signature: ConnectorSignature) -> Tuple:

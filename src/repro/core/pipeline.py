@@ -2,15 +2,17 @@
 Fig. 6 architecture).
 
 Functions are processed bottom-up over the call graph so a caller is
-transformed against its callees' already-computed connector signatures:
+transformed against its callees' already-computed connector signatures.
+Each function is prepared in one pass over one CFG:
 
 1. lower the AST to a CFG;
 2. rewrite call sites against known callee signatures (Fig. 3(b));
-3. run Mod/Ref on a throwaway SSA copy to find this function's own
-   side effects;
-4. rewrite the function's interface (Fig. 3(a)), registering its
-   connector signature for upper-level callers;
-5. convert to SSA and run the quasi path-sensitive points-to analysis,
+3. convert to SSA and compute the phi gates;
+4. run Mod/Ref (its own points-to analysis) on that SSA function to
+   find the function's side effects;
+5. edit its interface into the SSA function (Fig. 3(a)), registering
+   its connector signature for upper-level callers;
+6. run the quasi path-sensitive points-to analysis on the result,
    whose conditional data dependence feeds the SEG builder.
 
 Calls to functions in the same call-graph SCC (recursion) are left
@@ -62,12 +64,6 @@ class PreparedFunction:
     control_deps: Dict[str, list]
     signature: ConnectorSignature
     modref: ModRefSummary
-    # Call sites where two distinct actual arguments may point to the
-    # same object — violations of the paper's "distinct parameters do
-    # not alias" soundiness assumption (§4.2, improvable with partial
-    # transfer functions per Wilson & Lam).  Surfaced as diagnostics so
-    # users know where the analysis may be unsound.
-    alias_hazards: List[tuple] = field(default_factory=list)
     # Precision tier this function was prepared under ("fi" or "fs"),
     # and — on the fs tier — the sparse must-alias pass's result
     # (repro.pta.flowsense.FlowSenseResult) whose proofs justified any
@@ -75,6 +71,16 @@ class PreparedFunction:
     # against it.
     pta_tier: str = "fi"
     flow: Optional[object] = None
+
+    @property
+    def alias_hazards(self) -> List[tuple]:
+        """Call sites where two distinct actual arguments may point to
+        the same object — violations of the paper's "distinct parameters
+        do not alias" soundiness assumption (§4.2, improvable with
+        partial transfer functions per Wilson & Lam), as ``(call uid,
+        i, j, line)``.  Computed on demand: no stage of the analysis
+        reads them, so they are neither stored nor reported."""
+        return _find_alias_hazards(self.function, self.points_to)
 
 
 @dataclass
@@ -166,23 +172,21 @@ def prepare_function(
     # function — that is what makes parallel and cache-warmed runs
     # byte-identical to serial ones.
     with cfg.scoped_uids():
-        # Throwaway copy for Mod/Ref.
-        scratch = lower_function(func_ast)
-        # One dominator tree serves both copies: they are lowered from
-        # the same AST, and connectors and SSA add instructions and phis
-        # but never blocks or edges.
-        dom = dominators(scratch)
-        transform_call_sites(scratch, usable_signatures)
-        to_ssa(scratch, dom)
-        modref = compute_modref(scratch, linear=linear, gates=GateInfo(scratch, dom))
-
-        # The real function: transform call sites + own interface, SSA.
         function = lower_function(func_ast)
+        # Connectors and SSA add instructions and phis but never blocks
+        # or edges, so one dominator tree serves every stage.
+        dom = dominators(function)
         transform_call_sites(function, usable_signatures)
-        signature = transform_function_interface(function, modref)
-        to_ssa(function, dom)
-
+        # Unused phis stay until the interface edit: the version of a
+        # parameter reaching the return may be one only an Aux return
+        # load will use.
+        to_ssa(function, dom, prune=False)
+        # The edit adds no phi, so these gates serve both analyses (the
+        # entries of phis it prunes are left unread).
         gates = GateInfo(function, dom)
+        modref = compute_modref(function, linear=linear, gates=gates)
+        signature = transform_function_interface(function, modref, dom)
+
         flow = None
         if pta_tier == "fs":
             from repro.pta.flowsense import FlowSensitivePTA
@@ -201,7 +205,6 @@ def prepare_function(
         control_deps=control_dependence(function),
         signature=signature,
         modref=modref,
-        alias_hazards=_find_alias_hazards(function, points_to),
         pta_tier=pta_tier,
         flow=flow,
     )

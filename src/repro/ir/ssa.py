@@ -4,7 +4,10 @@ Phi nodes are placed at iterated dominance frontiers of each variable's
 definition blocks, then variables are renamed with per-variable version
 stacks.  Versioned names are ``name.N``; parameters enter as ``name.0``.
 Temporaries introduced by lowering (``%tN``) are already single-assignment
-but are renamed uniformly for consistency.
+but are renamed uniformly for consistency.  Phis nothing uses are pruned
+last; a caller that will still add uses (the connector interface edit,
+:func:`repro.transform.connectors.transform_function_interface`) keeps
+them with ``prune=False`` and prunes after its edit.
 """
 
 from __future__ import annotations
@@ -21,16 +24,44 @@ def base_name(ssa_name: str) -> str:
     return ssa_name[:dot] if dot > 0 else ssa_name
 
 
-def to_ssa(function: cfg.Function, dom: Optional[DomInfo] = None) -> cfg.Function:
+def to_ssa(
+    function: cfg.Function, dom: Optional[DomInfo] = None, prune: bool = True
+) -> cfg.Function:
     """Convert ``function`` to SSA form in place and return it.  ``dom``
-    is its dominator tree, when the caller already has one."""
+    is its dominator tree, when the caller already has one; ``prune=False``
+    keeps the phis nothing uses (see :func:`prune_dead_phis`)."""
     if function.is_ssa:
         return function
     dom = dom or dominators(function)
     _place_phis(function, dom)
     _rename(function, dom)
     function.is_ssa = True
+    if prune:
+        prune_dead_phis(function)
     return function
+
+
+def reaching_version(
+    function: cfg.Function, dom: DomInfo, label: str, var: str
+) -> str:
+    """The SSA version of parameter ``var`` live at the end of block
+    ``label``: its last definition in the block, else its phi there, else
+    the same lookup in the immediate dominator, ending at the entry
+    version ``var.0``.  This is the version renaming would have given a
+    use of ``var`` appended to the block.  (Connector receivers of calls
+    are never parameters, so only ``defined_var`` is read.)"""
+    node: Optional[str] = label
+    while node is not None:
+        block = function.blocks[node]
+        for instr in reversed(block.instrs):
+            dest = instr.defined_var()
+            if dest is not None and base_name(dest) == var:
+                return dest
+        for phi in block.phis:
+            if base_name(phi.dest) == var:
+                return phi.dest
+        node = dom.idom.get(node)
+    return f"{var}.0"
 
 
 def _place_phis(function: cfg.Function, dom: DomInfo) -> None:
@@ -147,10 +178,9 @@ def _rename(function: cfg.Function, dom: DomInfo) -> None:
     rename_block(function.entry)
     function.params = new_params
     function.aux_params = new_aux
-    _prune_dead_phis(function)
 
 
-def _prune_dead_phis(function: cfg.Function) -> None:
+def prune_dead_phis(function: cfg.Function) -> None:
     """Remove phis whose value is never used (iterate to fixpoint)."""
     changed = True
     while changed:

@@ -36,17 +36,10 @@ and golden files are deterministic.  See ``docs/observability.md`` for
 naming conventions and wiring recipes.
 """
 
-from repro.obs.attr import cost_breakdown, render_profile
+import importlib
+
 from repro.obs.clock import DEFAULT_CLOCK, ManualClock
 from repro.obs.export import atomic_write, ensure_parent_dir
-from repro.obs.history import (
-    HistoryStore,
-    TrendReport,
-    TrendThresholds,
-    collect_run_record,
-    compute_trend,
-    write_bench_file,
-)
 from repro.obs.log import StructuredLogger, configure as configure_logging, get_logger
 from repro.obs.measure import Measurement, measure, peak_rss_mb, time_only
 from repro.obs.metrics import (
@@ -60,8 +53,6 @@ from repro.obs.metrics import (
     get_registry,
     set_registry,
 )
-from repro.obs.monitor import MonitorServer, get_active_monitor
-from repro.obs.profiling import pass_table, unit_table
 from repro.obs.progress import ProgressTracker, get_progress, set_progress
 from repro.obs.trace import (
     Span,
@@ -72,6 +63,34 @@ from repro.obs.trace import (
     trace,
     traced,
 )
+
+# No analysis needs the reporting side (profile tables, run history, the
+# HTTP monitor), so ``import repro`` does not load it: these names import
+# their module on first access (PEP 562).
+_LAZY = {
+    "cost_breakdown": "repro.obs.attr",
+    "render_profile": "repro.obs.attr",
+    "HistoryStore": "repro.obs.history",
+    "TrendReport": "repro.obs.history",
+    "TrendThresholds": "repro.obs.history",
+    "collect_run_record": "repro.obs.history",
+    "compute_trend": "repro.obs.history",
+    "write_bench_file": "repro.obs.history",
+    "MonitorServer": "repro.obs.monitor",
+    "get_active_monitor": "repro.obs.monitor",
+    "pass_table": "repro.obs.profiling",
+    "unit_table": "repro.obs.profiling",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "cost_breakdown",

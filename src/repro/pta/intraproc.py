@@ -82,6 +82,29 @@ class PointsToResult:
     def pts(self, var: str) -> Tuple[Tuple[MemObject, Term], ...]:
         return self.points_to.get(var, ())
 
+    def fact_count(self) -> int:
+        """Points-to facts: (variable, object, condition) entries."""
+        return sum(len(entries) for entries in self.points_to.values())
+
+    def publish(self) -> None:
+        """Count this result in the ``pta.*`` counters.  The prepare
+        driver calls it once per admitted function, so the counters
+        cover the results the run keeps — served from a store or not —
+        and neither Mod/Ref's analysis nor the fs audit's fi reference."""
+        registry = get_registry()
+        registry.counter(
+            "pta.facts", "Points-to facts (variable, object, condition)"
+        ).inc(self.fact_count())
+        if self.strong_updates:
+            registry.counter(
+                "pta.strong_updates",
+                "Stores strong-updated (syntactic or proof-driven)",
+            ).inc(self.strong_updates, tier=self.tier)
+        if self.weak_updates:
+            registry.counter("pta.weak_updates", "Stores weak-updated").inc(
+                self.weak_updates, tier=self.tier
+            )
+
 
 class PointsToAnalysis:
     """Runs the quasi path-sensitive analysis on one SSA function."""
@@ -243,21 +266,7 @@ class PointsToAnalysis:
     def run(self) -> PointsToResult:
         with trace("pta.run", unit=self.function.name) as span:
             result = self._run()
-            facts = sum(len(entries) for entries in result.points_to.values())
-            registry = get_registry()
-            registry.counter(
-                "pta.facts", "Points-to facts (variable, object, condition)"
-            ).inc(facts)
-            if result.strong_updates:
-                registry.counter(
-                    "pta.strong_updates",
-                    "Stores strong-updated (syntactic or proof-driven)",
-                ).inc(result.strong_updates, tier=result.tier)
-            if result.weak_updates:
-                registry.counter(
-                    "pta.weak_updates", "Stores weak-updated"
-                ).inc(result.weak_updates, tier=result.tier)
-            span.set(facts=facts, degraded=self.degraded)
+            span.set(facts=result.fact_count(), degraded=self.degraded)
             return result
 
     def _run(self) -> PointsToResult:

@@ -359,6 +359,7 @@ def prepare_program(
             )
         prepared.functions[name] = out.result
         prepared.order.append(name)
+        out.result.points_to.publish()
         if out.seg is not None:
             prepared.segs[name] = out.seg
         if out.cached:

@@ -1,18 +1,20 @@
 """The connector transformation (paper Fig. 3).
 
-Two semantics-preserving rewrites on the *pre-SSA* CFG:
+Two semantics-preserving rewrites of one function's CFG:
 
-- :func:`transform_function_interface` (Fig. 3(a)): for each referenced
-  location ``*(p, k)`` insert ``*(p, k) <- F$p$k`` at the entry and add
-  ``F$p$k`` as an Aux formal parameter; for each modified location insert
-  ``R$p$k <- *(p, k)`` before the return and add ``R$p$k`` as an Aux
+- :func:`transform_call_sites` (Fig. 3(b)), on the lowered CFG before
+  SSA: at every call to a transformed callee, load the actual values
+  ``A <- *(u_j, k)`` of the callee's Aux formal parameters and pass them
+  as extra arguments; receive the callee's Aux return values into fresh
+  receivers ``C`` and store them back, ``*(u_q, r) <- C``.
+
+- :func:`transform_function_interface` (Fig. 3(a)), an edit of the same
+  function's SSA form once Mod/Ref has run on it: for each referenced
+  location ``*(p, k)`` insert ``*(p.0, k) <- F$p$k.0`` at the entry and
+  add ``F$p$k.0`` as an Aux formal parameter; for each modified location
+  insert ``R$p$k.0 <- *(p_exit, k)`` before the return, where ``p_exit``
+  is the version of ``p`` that reaches it, and add ``R$p$k`` as an Aux
   return value.
-
-- :func:`transform_call_sites` (Fig. 3(b)): at every call to a
-  transformed callee, load the actual values ``A <- *(u_j, k)`` of the
-  callee's Aux formal parameters and pass them as extra arguments;
-  receive the callee's Aux return values into fresh receivers ``C`` and
-  store them back, ``*(u_q, r) <- C``.
 
 The functions named here (``F``/``A``/``C``/``R``) are the connectors of
 Fig. 2: ``K``/``L`` at the call site, ``X``/``Y`` in the callee.
@@ -21,9 +23,11 @@ Fig. 2: ``K``/``L`` at the call site, ``X``/``Y`` in the callee.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.ir import cfg
+from repro.ir.dominance import DomInfo, dominators
+from repro.ir.ssa import base_name, prune_dead_phis, reaching_version
 from repro.pta.memory import aux_param_name, aux_return_name
 from repro.transform.modref import ModRefSummary
 
@@ -44,12 +48,22 @@ class ConnectorSignature:
 
 
 def transform_function_interface(
-    function: cfg.Function, summary: ModRefSummary
+    function: cfg.Function,
+    summary: ModRefSummary,
+    dom: Optional[DomInfo] = None,
 ) -> ConnectorSignature:
-    """Apply Fig. 3(a) to ``function`` (pre-SSA, in place)."""
-    if function.is_ssa:
-        raise ValueError("interface transformation must run before SSA")
-    signature = ConnectorSignature(function.name, list(function.params))
+    """Apply Fig. 3(a) to ``function`` as an in-place SSA edit.
+
+    ``function`` still holds the phis nothing used when it was put in
+    SSA form (``to_ssa(function, prune=False)``): the version of ``p``
+    reaching the return may be a phi only an Aux return load uses.  The
+    edit prunes the phis still unused after it.  ``dom`` is the
+    function's dominator tree, when the caller has one."""
+    if not function.is_ssa:
+        raise ValueError("interface transformation edits SSA form")
+    signature = ConnectorSignature(
+        function.name, [base_name(p) for p in function.params]
+    )
     signature.aux_params = summary.ordered_ref()
     signature.aux_returns = summary.ordered_mod()
 
@@ -59,29 +73,33 @@ def transform_function_interface(
     entry = function.blocks[function.entry]
     stores: List[cfg.Instr] = []
     for param, depth in signature.aux_params:
-        name = aux_param_name(param, depth)
+        name = f"{aux_param_name(param, depth)}.0"
         function.aux_params.append(name)
-        store = cfg.Store(cfg.Var(param), depth, cfg.Var(name))
+        store = cfg.Store(cfg.Var(f"{param}.0"), depth, cfg.Var(name))
         store.block = entry.label
         store.synthetic = True
         stores.append(store)
     entry.instrs[:0] = stores
 
     # Exit loads before each return (lowering guarantees exactly one).
-    for block in function.blocks.values():
-        terminator = block.terminator
-        if not isinstance(terminator, cfg.Ret):
-            continue
-        for param, depth in signature.aux_returns:
-            name = aux_return_name(param, depth)
-            load = cfg.Load(name, cfg.Var(param), depth)
-            load.block = block.label
-            load.synthetic = True
-            block.instrs.append(load)
-            terminator.extra_values.append(cfg.Var(name))
+    if signature.aux_returns:
+        dom = dom or dominators(function)
+        for block in function.blocks.values():
+            terminator = block.terminator
+            if not isinstance(terminator, cfg.Ret):
+                continue
+            for param, depth in signature.aux_returns:
+                name = f"{aux_return_name(param, depth)}.0"
+                pointer = reaching_version(function, dom, block.label, param)
+                load = cfg.Load(name, cfg.Var(pointer), depth)
+                load.block = block.label
+                load.synthetic = True
+                block.instrs.append(load)
+                terminator.extra_values.append(cfg.Var(name))
     function.aux_returns = [
         aux_return_name(p, k) for p, k in signature.aux_returns
     ]
+    prune_dead_phis(function)
     return signature
 
 

@@ -1,9 +1,9 @@
 """Mod/Ref analysis: which non-local locations a function reads/writes.
 
 This is the first box of the paper's architecture (Fig. 6).  It runs the
-local points-to analysis on a throwaway SSA copy of the function (with
-call sites already connector-transformed, so callee side effects appear
-as explicit loads/stores) and collects:
+local points-to analysis on the function's own SSA form (with call sites
+already connector-transformed, so callee side effects appear as explicit
+loads/stores), before its interface is transformed, and collects:
 
 - ``ref``: locations ``*(p, k)`` whose *incoming* value may be read —
   each needs an Aux formal parameter;
@@ -56,8 +56,10 @@ def compute_modref(
     linear: Optional[LinearSolver] = None,
     gates: Optional[GateInfo] = None,
 ) -> ModRefSummary:
-    """Compute the Mod/Ref summary from a (throwaway) SSA function whose
-    call sites have already been connector-transformed."""
+    """Compute the Mod/Ref summary of an SSA function whose call sites
+    have already been connector-transformed and whose interface has not.
+    The analysis is Mod/Ref's own: the final points-to analysis runs
+    again once the interface edit has made the entry stores explicit."""
     analysis = PointsToAnalysis(ssa_function, gates=gates, linear=linear)
     result = analysis.run()
     ref = set(result.ref)

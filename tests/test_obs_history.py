@@ -363,6 +363,51 @@ def test_records_count_each_quarantined_unit_once(tmp_path, capsys):
     assert all(fields["quarantined_units"] == 1 for fields in stats.values())
 
 
+def test_record_pta_counts_equal_stats_cold_and_warm(tmp_path, capsys):
+    # The record's pta section counts each admitted function's kept
+    # points-to result once, as --stats does: not Mod/Ref's own analysis,
+    # and on a warm run also what the artifact store served.
+    from repro.synth.generator import GeneratorConfig, generate_program
+
+    path = tmp_path / "subject.pin"
+    path.write_text(
+        generate_program(
+            GeneratorConfig(seed=1, target_lines=600, taint_period=7)
+        ).source
+    )
+    hist, cache = str(tmp_path / "hist"), str(tmp_path / "cache")
+    stats = []
+    for _ in range(2):
+        main(
+            ["check", str(path), "--all", "--json", "--cache-dir", cache,
+             "--history-dir", hist]
+        )
+        document = json.loads(capsys.readouterr().out)
+        # The second run is served from the store.
+        assert not stats or document["metrics"]["cache.hits"]["value"] > 0
+        stats.append(document["stats"]["use-after-free"])
+    records = HistoryStore(hist).records()
+    assert len(records) == 2
+    for rec, fields in zip(records, stats):
+        assert rec["pta"]["strong_updates"] == fields["strong_updates"] > 0
+        assert rec["pta"]["weak_updates"] == fields["weak_updates"]
+
+
+def test_pta_facts_counter_counts_kept_results():
+    from repro.core.engine import Pinpoint
+    from repro.obs.metrics import get_registry, set_registry
+
+    set_registry(MetricsRegistry())
+    engine = Pinpoint.from_source(UAF + "fn set(p, v) { *p = v; return 0; }\n")
+    kept = sum(
+        len(entries)
+        for pf in engine.module
+        for entries in pf.points_to.points_to.values()
+    )
+    assert kept > 0
+    assert get_registry().counter("pta.facts").total() == kept
+
+
 def test_check_history_via_env(uaf_file, tmp_path, monkeypatch):
     hist = str(tmp_path / "hist")
     monkeypatch.setenv("REPRO_HISTORY_DIR", hist)

@@ -1,6 +1,9 @@
 """Tests for the progress tracker and the live analysis monitor."""
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -51,6 +54,25 @@ def tracker(enabled=True):
     t = ProgressTracker(clock=lambda: 123.0)
     t.enabled = enabled
     return t
+
+
+def test_import_repro_leaves_the_monitor_stack_unloaded():
+    # A fresh interpreter: this one has imported the monitor already.
+    script = (
+        "import sys\n"
+        "import repro\n"
+        "loaded = [m for m in ('http.server', 'repro.obs.monitor') "
+        "if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+        "from repro.obs import MonitorServer, HistoryStore, pass_table\n"
+        "assert MonitorServer.__module__ == 'repro.obs.monitor'\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
 
 
 # ----------------------------------------------------------------------

@@ -194,8 +194,9 @@ def test_warm_body_edit_lowers_only_the_edited_function(monkeypatch):
     calls = _count_calls(monkeypatch, "repro.ir.lower", "lower_function")
     analyzer.analyze(edited)
     assert analyzer.last_stats.analyzed == 1
-    # The Mod/Ref copy and the real function; the call graph lowers nothing.
-    assert [args[0].name for args in calls] == [name, name]
+    # One lowering: Mod/Ref runs on the function's own SSA form, and the
+    # call graph lowers nothing.
+    assert [args[0].name for args in calls] == [name]
 
 
 def test_prepare_function_computes_one_dominator_tree(monkeypatch):
@@ -219,6 +220,45 @@ def test_prepare_function_computes_one_dominator_tree(monkeypatch):
     prepared = prepare_function(program.function("f"), {"leaf": signature})
     assert len(calls) == 1
     assert prepared.gates.back  # the loop's back edge, from the shared tree
+
+
+def test_prepare_function_runs_each_stage_once(monkeypatch):
+    from repro.core.pipeline import prepare_function
+    from repro.ir.gating import GateInfo
+    from repro.lang.parser import parse_program
+    from repro.pta.intraproc import PointsToAnalysis
+
+    program = parse_program(
+        """
+        fn leaf(p) { *p = 0; return 0; }
+        fn f(p, n) {
+            if (n > 5) { r = leaf(p); } else { p = malloc(); }
+            return n;
+        }
+        """
+    )
+    signature = prepare_function(program.function("leaf"), {}).signature
+    lowered = _count_calls(monkeypatch, "repro.ir.lower", "lower_function")
+    converted = _count_calls(monkeypatch, "repro.ir.ssa", "to_ssa")
+    gated, analysed = [], []
+    init, run = GateInfo.__init__, PointsToAnalysis.run
+
+    def counting_init(self, *args, **kwargs):
+        gated.append(self)
+        init(self, *args, **kwargs)
+
+    def counting_run(self):
+        analysed.append(self)
+        return run(self)
+
+    monkeypatch.setattr(GateInfo, "__init__", counting_init)
+    monkeypatch.setattr(PointsToAnalysis, "run", counting_run)
+    prepared = prepare_function(program.function("f"), {"leaf": signature})
+    assert len(lowered) == len(converted) == len(gated) == 1
+    # Mod/Ref's own analysis and the final one, on one function.
+    assert len(analysed) == 2
+    assert {id(a.function) for a in analysed} == {id(prepared.function)}
+    assert prepared.signature.aux_returns == [("p", 1)]
 
 
 def test_prepare_program_runs_tarjan_once(monkeypatch):

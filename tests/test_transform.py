@@ -1,5 +1,7 @@
 """Unit tests for Mod/Ref and the connector transformation (Fig. 3)."""
 
+import pytest
+
 from repro.core.pipeline import prepare_source
 from repro.ir import cfg
 from repro.ir.lower import lower_function
@@ -96,30 +98,65 @@ def test_modref_depth_closure():
 
 
 def test_interface_transform_adds_connectors():
-    func = lower_function(
-        parse_function("fn bar(q, b) { t3 = *q; if (t3 != 0) { *q = b; } return 0; }")
-    )
-    scratch = to_ssa(
+    func = to_ssa(
         lower_function(
             parse_function(
                 "fn bar(q, b) { t3 = *q; if (t3 != 0) { *q = b; } return 0; }"
             )
-        )
+        ),
+        prune=False,
     )
-    summary = compute_modref(scratch)
+    # Mod/Ref runs on the same SSA function the interface edit changes.
+    summary = compute_modref(func)
     signature = transform_function_interface(func, summary)
+    assert signature.params == ["q", "b"]
     assert ("q", 1) in signature.aux_params
     assert ("q", 1) in signature.aux_returns
-    # Entry block starts with the store *(q,1) <- F$q$1.
+    # Entry block starts with the store *(q.0, 1) <- F$q$1.0.
     entry = func.blocks[func.entry]
     first = entry.instrs[0]
     assert isinstance(first, cfg.Store)
-    assert first.pointer.name == "q"
-    assert first.value.name == "F$q$1"
-    # The return carries the aux return value.
+    assert first.pointer.name == "q.0"
+    assert first.value.name == "F$q$1.0"
+    assert func.aux_params == ["F$q$1.0"]
+    # The return carries the aux return value, loaded through q.0.
     rets = func.return_instrs()
     assert rets and rets[0].extra_values
-    assert rets[0].extra_values[0].name.startswith("R$q$")
+    assert rets[0].extra_values[0].name == "R$q$1.0"
+    assert func.aux_returns == ["R$q$1"]
+    exit_load = func.blocks[rets[0].block].instrs[-1]
+    assert isinstance(exit_load, cfg.Load)
+    assert exit_load.pointer.name == "q.0"
+
+
+def test_interface_transform_loads_through_the_reaching_phi():
+    # q is reassigned on one branch: the Aux return load reads *q through
+    # the join's phi of q, which nothing else uses.
+    func = to_ssa(
+        lower_function(
+            parse_function(
+                "fn f(q, c) { *q = 1; if (c > 0) { q = malloc(); } return 0; }"
+            )
+        ),
+        prune=False,
+    )
+    signature = transform_function_interface(func, compute_modref(func))
+    assert ("q", 1) in signature.aux_returns
+    (ret,) = func.return_instrs()
+    exit_load = func.blocks[ret.block].instrs[-1]
+    assert isinstance(exit_load, cfg.Load) and exit_load.dest == "R$q$1.0"
+    phis = {phi.dest: phi for block in func.blocks.values() for phi in block.phis}
+    assert exit_load.pointer.name in phis
+    assert base_name(exit_load.pointer.name) == "q"
+    # Phis nothing uses, even after the edit, are pruned by it.
+    used = {var for instr in func.all_instrs() for var in instr.used_vars()}
+    assert set(phis) <= used
+
+
+def test_interface_transform_requires_ssa():
+    func = lower_function(parse_function("fn f(q) { *q = 1; return 0; }"))
+    with pytest.raises(ValueError):
+        transform_function_interface(func, modref_of("fn f(q) { *q = 1; return 0; }"))
 
 
 def test_call_site_transform():
@@ -129,9 +166,8 @@ def test_call_site_transform():
         fn callee(q, v) { *q = v; t = *q; return t; }
         """
     )
-    callee = lower_function(program.function("callee"))
-    scratch = to_ssa(lower_function(program.function("callee")))
-    signature = transform_function_interface(callee, compute_modref(scratch))
+    callee = to_ssa(lower_function(program.function("callee")), prune=False)
+    signature = transform_function_interface(callee, compute_modref(callee))
     caller = lower_function(program.function("caller"))
     transform_call_sites(caller, {"callee": signature})
     instrs = list(caller.all_instrs())
