@@ -1,7 +1,10 @@
 """The Pinpoint engine: demand-driven, compositional global value-flow
 analysis (paper Section 3.3).
 
-One bottom-up pass over the call graph per checker.  For each function:
+One bottom-up pass over the call graph per checker, over the checker's
+demand set only (:func:`demand_set`): the functions that share a
+call-graph ancestor with a function holding one of its sources.  For
+each of them:
 
 1. start value-flow searches at (a) every formal-parameter slot, (b)
    every local checker source, (c) every call-site receiver whose callee
@@ -37,6 +40,7 @@ from repro.core.summaries import (
     return_slots,
 )
 from repro.ir import cfg
+from repro.ir.callgraph import CallGraph
 from repro.lang import ast
 from repro.obs.log import get_logger
 from repro.obs.metrics import get_registry
@@ -56,7 +60,7 @@ from repro.robust.diagnostics import (
 )
 from repro.robust.faults import fault_point
 from repro.robust.heap import hold_full_collections
-from repro.robust.quarantine import Quarantine
+from repro.robust.quarantine import FATAL, Quarantine
 import repro.verify as verify_mod
 from repro.seg.builder import build_seg
 from repro.seg.conditions import ConditionBuilder, Constraint, TRUE_CONSTRAINT
@@ -304,6 +308,7 @@ class Pinpoint:
         )
         # Each function's processing rank (see _CheckerRun._ranks).
         self.ranks = {name: rank for rank, name in enumerate(module.order)}
+        self._scan_keys: Optional[Dict[str, tuple]] = None
         # SEG work is shared by every checker run on this engine, so it
         # is published once here, not per checker (the prepare driver
         # publishes the shared ``prepare`` phase the same way).
@@ -377,6 +382,23 @@ class Pinpoint:
         """Total SEG (vertices, edges) over the engine's functions."""
         return self._seg_size
 
+    def scan_keys(self) -> Dict[str, tuple]:
+        """The key under which a session stores each function's source
+        scan: its prepare digest and its defined callees (a call to a
+        defined function is never an intrinsic source).  Built once per
+        engine, on the first read."""
+        if self._scan_keys is None:
+            module = self.module
+            callees = module.callgraph.callees
+            self._scan_keys = {
+                name: (
+                    digest,
+                    frozenset(c for c in callees[name] if c in module.functions),
+                )
+                for name, digest in module.digests.items()
+            }
+        return self._scan_keys
+
     # ------------------------------------------------------------------
     @hold_full_collections()
     def check(self, checker: Checker) -> CheckResult:
@@ -409,22 +431,31 @@ class CheckMemo:
 
     This is the check-phase half of warm re-checks: the memory tier
     makes re-*preparation* incremental, but a checker run still walks
-    every function.  With the memo, unchanged functions replay their
-    records and only the edit-invalidated cone is searched for real.
+    every demanded function.  With the memo, unchanged functions replay
+    their records and only the edit-invalidated cone is searched for
+    real.  The memo also keeps each function's source scan (see
+    :meth:`Pinpoint.scan_keys`), which decides the demand set.
     """
 
     def __init__(self) -> None:
         self._tables: Dict[str, Dict[str, CheckRecord]] = {}
+        self._scans: Dict[str, Dict[str, tuple]] = {}
 
     def table(self, checker: str) -> Dict[str, CheckRecord]:
         return self._tables.setdefault(checker, {})
 
+    def scans(self, checker: str) -> Dict[str, tuple]:
+        """Function -> (scan key, local sources) for ``checker``."""
+        return self._scans.setdefault(checker, {})
+
     def clear(self) -> None:
         self._tables.clear()
+        self._scans.clear()
 
     def prune(self, live: Set[str]) -> None:
-        """Drop the records of functions no longer in the program."""
-        for table in self._tables.values():
+        """Drop the records and scans of functions no longer in the
+        program."""
+        for table in (*self._tables.values(), *self._scans.values()):
             for name in [n for n in table if n not in live]:
                 del table[name]
 
@@ -533,8 +564,31 @@ class _LazyCondition:
         return self.force().receivers
 
 
+def demand_set(callgraph: CallGraph, holders: Set[str]) -> Set[str]:
+    """The functions a checker run processes, given the functions
+    ``holders`` that hold one of its local sources: U, every function
+    from which a holder is reachable (holders included), and D, every
+    function reachable from U by a call.
+
+    Every report needs a source in its function's call-graph cone, so it
+    is found in U; a function in U or D reads summaries only from its
+    callees, which are in D.  So the set is closed under what its
+    functions read, and a function outside it could report nothing.
+    """
+    demand = set(holders)
+    for edges in (callgraph.callers, callgraph.callees):
+        stack = list(demand)
+        while stack:
+            for name in edges[stack.pop()]:
+                if name not in demand:
+                    demand.add(name)
+                    stack.append(name)
+    return demand
+
+
 class _CheckerRun:
-    """One checker's bottom-up pass (summaries + bug search)."""
+    """One checker's bottom-up pass (summaries + bug search) over its
+    demand set."""
 
     def __init__(self, engine: Pinpoint, checker: Checker) -> None:
         self.engine = engine
@@ -578,8 +632,14 @@ class _CheckerRun:
         # mid-run.
         self._memo: Optional[Dict[str, CheckRecord]] = None
         self._memo_keys: Dict[str, str] = {}
+        # Each function's local sources, or the exception its scan
+        # raised (see _demand), and how many functions the run skips.
+        self._sources: Dict[str, object] = {}
+        self._skipped = 0
+        self._scans: Dict[str, tuple] = {}
         if engine.memo is not None and not self.budget.limited:
             self._memo = engine.memo.table(checker.name)
+            self._scans = engine.memo.scans(checker.name)
             config = self.config
             self._memo_config = "|".join(
                 (
@@ -598,7 +658,10 @@ class _CheckerRun:
     def execute(self) -> CheckResult:
         self._search_start = time.perf_counter()
         self.budget.start()
+        demand = self._demand()
         for name in self.module.order:
+            if name not in demand:
+                continue
             zone = Quarantine(self.diagnostics, STAGE_CHECKER, name)
             with zone:
                 self._process_function(name)
@@ -609,6 +672,50 @@ class _CheckerRun:
                 self._memo_keys.pop(name, None)
         return self.finish()
 
+    def _demand(self) -> Set[str]:
+        """Scan every function for its local sources and return the
+        run's :func:`demand_set`.
+
+        This is the one source scan per function: ``_process_prepared``
+        reads its result.  A scan that raises is raised again there,
+        inside the function's quarantine zone, so the failure yields the
+        diagnostic it always did; meanwhile the function counts as a
+        source holder.  A session reuses a function's stored scan while
+        its :meth:`Pinpoint.scan_keys` entry is unchanged."""
+        defined = self.module.functions
+        keys = self.engine.scan_keys() if self._memo is not None else {}
+        holders: Set[str] = set()
+        for name, pf in self.engine.functions.items():
+            key = keys.get(name)
+            stored = self._scans.get(name)
+            if stored is not None and stored[0] == key:
+                found = stored[1]
+            else:
+                try:
+                    found = self.checker.sources(pf.prepared, pf.seg)
+                except FATAL:
+                    raise
+                except Exception as error:
+                    self._sources[name] = error
+                    holders.add(name)
+                    continue
+                # Intrinsic specs (free, fgetc, ...) only apply to
+                # *external* callees; a defined function's behaviour
+                # comes from its summaries, not from its name.
+                if found:
+                    call_uids = {
+                        call.uid for call in pf.seg.call_sites if call.callee in defined
+                    }
+                    found = [spec for spec in found if spec.instr_uid not in call_uids]
+                if key is not None:
+                    self._scans[name] = (key, found)
+            self._sources[name] = found
+            if found:
+                holders.add(name)
+        demand = demand_set(self.module.callgraph, holders)
+        self._skipped = sum(1 for name in self.engine.functions if name not in demand)
+        return demand
+
     def finish(self) -> CheckResult:
         """Assemble the CheckResult from whatever has been computed so
         far (also used to salvage a crashed run)."""
@@ -616,9 +723,6 @@ class _CheckerRun:
         vertices, edges = self.engine.seg_size()
         self.stats.seg_vertices = vertices
         self.stats.seg_edges = edges
-        self.stats.smt_queries = self.smt.queries
-        self.stats.smt_deadline_hits = self.smt.deadline_hits
-        self.stats.linear_queries = self.linear.queries
         self.stats.reported = len(self.reports)
         self.stats.pta_tier = self.engine.pta_tier
         self.stats.strong_updates, self.stats.weak_updates = self.engine.update_totals
@@ -643,6 +747,11 @@ class _CheckerRun:
         )
         for kind, count in self._forced.items():
             forced.inc(count, checker=self.checker.name, kind=kind)
+        registry.counter(
+            "engine.demand.skipped",
+            "Functions a checker run skipped: no call-graph ancestor"
+            " shared with a source",
+        ).inc(self._skipped, checker=self.checker.name)
         for outcome, count in self._cache.items():
             if count:  # only a session run has records to replay or store
                 registry.counter(
@@ -739,13 +848,20 @@ class _CheckerRun:
         self.contexts = ContextAllocator()
         self._pending = None
         with obs_trace("checker.fn", unit=name) as span:
-            smt_before = self.smt.queries
+            smt, linear = self.smt, self.linear
+            before = (smt.queries, smt.deadline_hits, linear.queries)
             try:
                 self._process_prepared(pf)
             finally:
+                # Solver calls count per record, so a replayed record
+                # brings them back like every other count.
+                counts = record.stats
+                counts.smt_queries = smt.queries - before[0]
+                counts.smt_deadline_hits = smt.deadline_hits - before[1]
+                counts.linear_queries = linear.queries - before[2]
                 # A function that raises leaves its partial results too.
                 self._merge(record)
-            span.set(smt_queries=self.smt.queries - smt_before)
+            span.set(smt_queries=counts.smt_queries)
         if key is not None:
             self._memo[name] = record
             self._cache["miss"] += 1
@@ -767,6 +883,9 @@ class _CheckerRun:
         totals.search_steps += counts.search_steps
         totals.summary_hits += counts.summary_hits
         totals.summary_misses += counts.summary_misses
+        totals.smt_queries += counts.smt_queries
+        totals.smt_deadline_hits += counts.smt_deadline_hits
+        totals.linear_queries += counts.linear_queries
         totals.degraded_candidates += counts.degraded_candidates
         totals.quarantined_units += counts.quarantined_units
 
@@ -794,9 +913,8 @@ class _CheckerRun:
             self._build_rv_summaries(pf, summaries)
         lint_after = self.engine.verify_mode == verify_mod.MODE_FULL
 
-        # Intrinsic source/sink specs (free, fgetc, ...) only apply to
-        # *external* callees; a defined function's behaviour comes from
-        # its summaries, not from its name.
+        # Intrinsic sink specs only apply to external callees, like the
+        # source specs _demand kept.
         defined = self.module.functions
         call_uids = {call.uid for call in pf.seg.call_sites if call.callee in defined}
 
@@ -814,11 +932,9 @@ class _CheckerRun:
             for spec in self.checker.sinks(prepared, pf.seg)
             if spec.instr_uid not in call_uids
         }
-        sources = [
-            spec
-            for spec in self.checker.sources(prepared, pf.seg)
-            if spec.instr_uid not in call_uids
-        ]
+        sources = self._sources[name]
+        if isinstance(sources, Exception):
+            raise sources
 
         # (a) parameter-slot searches -> VF1/VF3/VF4 summaries.
         params = interface_params(prepared.function)

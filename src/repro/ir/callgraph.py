@@ -12,6 +12,7 @@ encounter.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, List, Set
 
 from repro.ir.lower import called_names
@@ -41,6 +42,16 @@ class CallGraph:
     def bottom_up_order(self) -> List[str]:
         """Function names, callees before callers."""
         return [name for scc in self._sccs for name in sorted(scc)]
+
+    @cached_property
+    def callers(self) -> Dict[str, Set[str]]:
+        """Each defined function's defined callers, the reverse of
+        ``callees``; built on first use."""
+        callers: Dict[str, Set[str]] = {name: set() for name in self.callees}
+        for name, targets in self.callees.items():
+            for callee in targets:
+                callers[callee].add(name)
+        return callers
 
 
 def _tarjan(callees: Dict[str, Set[str]]) -> List[List[str]]:

@@ -79,7 +79,9 @@ def test_build_and_check_hold_and_restore(monkeypatch, source, caller_collector)
     monkeypatch.setattr(scheduler, "prepare_function", probe_prepare)
     monkeypatch.setattr(engine_mod._CheckerRun, "execute", probe_execute)
     before = collector_state()
-    engine = Pinpoint.from_source(source)
+    # Serial, whatever REPRO_JOBS says: forked wave workers would call
+    # the patched prepare_function where this process cannot see it.
+    engine = Pinpoint.from_source(source, jobs=1)
     assert collector_state() == before
     engine.check(UseAfterFreeChecker())
     assert collector_state() == before == (CALLER, caller_collector, 0)

@@ -273,6 +273,39 @@ def test_prepare_program_runs_tarjan_once(monkeypatch):
     assert prepared.order == prepared.callgraph.bottom_up_order()
 
 
+def test_data_transmission_processes_only_its_demanded_functions(monkeypatch):
+    # On the 5k subject of ``repro generate --lines 5000 --seed 1
+    # --taint``, 12 of the 634 functions share a call-graph ancestor
+    # with a data-transmission source.  A run over every function
+    # processed all 634.
+    import repro.core.engine as engine_mod
+    from repro.core.checkers.taint import DataTransmissionChecker
+    from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
+
+    source = generate_program(
+        GeneratorConfig(seed=1, target_lines=5000, taint_period=7)
+    ).source
+    engine = Pinpoint.from_source(source)
+    processed = []
+    process = engine_mod._CheckerRun._process_prepared
+
+    def counting(self, pf):
+        processed.append(pf.prepared.name)
+        return process(self, pf)
+
+    monkeypatch.setattr(engine_mod._CheckerRun, "_process_prepared", counting)
+    previous = get_registry()
+    registry = set_registry(MetricsRegistry())
+    try:
+        result = engine.check(DataTransmissionChecker())
+    finally:
+        set_registry(previous)
+    assert result.stats.functions == len(engine.functions) == 634
+    assert len(processed) == len(set(processed)) == 12
+    skipped = registry.get("engine.demand.skipped")
+    assert skipped.value(checker="data-transmission") == 634 - 12
+
+
 # ----------------------------------------------------------------------
 # Counting guard: an analysis runs no automatic full collection
 # ----------------------------------------------------------------------
