@@ -4,26 +4,38 @@
     python benchmarks/scale.py --parent ../parent -o BENCH_scale.json
 
 Subject N is the program of ``repro generate --lines N --seed 1``.  Each
-size runs ``repro check SUBJECT --all --json`` once, in a fresh
-interpreter, without tracing or tracemalloc.  A row records
+size runs three times per side, each run in fresh interpreters, without
+tracing or tracemalloc.  A run is two children:
 
-- ``wall_s``: the wall time of the ``repro.cli.main`` call, output
-  included (interpreter start-up and ``import repro`` excluded);
-- ``prepare_s``, ``seg_s``, ``search_s``, ``solving_s``: the
-  ``engine.seconds`` stage times, search and solving summed over the six
-  checkers;
-- ``peak_rss_mb``: the process's resident-set high-water mark;
-- ``full_collections``: generation-2 collections that started during
-  the call (``gc.callbacks``);
-- the findings count and a digest of the reports, so two sides can be
-  checked for identical findings.
+- ``repro check SUBJECT --all --json``, which gives
+  - ``wall_s``: the wall time of the ``repro.cli.main`` call, output
+    included (interpreter start-up and ``import repro`` excluded);
+  - ``prepare_s``, ``seg_s``, ``search_s``, ``solving_s``: the
+    ``engine.seconds`` stage times, search and solving summed over the
+    six checkers;
+  - ``peak_rss_mb``: the process's resident-set high-water mark;
+  - ``full_collections``: generation-2 collections that started during
+    the call (``gc.callbacks``);
+  - the findings count and a digest of the reports, so two sides can be
+    checked for identical findings;
+- a warm session: an ``IncrementalAnalyzer`` analysis and the six
+  checks, then five single-function body edits (``bench_edit = k;``
+  prepended on the function's own line, the shape of the benchmark's
+  ``edit-2k`` edits) spliced in with ``apply_function_edit``, each
+  re-analyzed and re-checked.  ``edit_p50_ms`` is the median edit.  A
+  body edit keeps the findings, so the run fails if the last edit's
+  findings digest differs from the session's cold one.
+
+A row holds each timing column's median over the three runs, and its
+minimum and maximum under ``<column>_range``; the counts and digests
+must agree across runs.
 
 ``--parent DIR`` names the root of another checkout of the repository
-(for example the parent commit, from ``git worktree add`` or ``git
-clone``).  Its rows are taken on the same subjects, each size
-alternating which side runs first, and the script fails if the two
-sides' reports differ.  Each side gets its least-squares wall exponent
-over the sizes (a power law fitted in log space).
+(for example the parent commit, from ``git clone``).  Its rows are
+taken on the same subjects, each run alternating which side goes first,
+and the script fails if the two sides' reports differ.  Each side gets
+its least-squares wall exponent over the sizes' medians (a power law
+fitted in log space).
 """
 
 from __future__ import annotations
@@ -32,6 +44,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -41,6 +54,8 @@ from typing import Dict, List, Optional
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (5_000, 10_000, 20_000, 40_000, 80_000)
 SEED = 1
+RUNS = 3
+EDITS = 5
 
 #: Runs in the fresh interpreter, under the side's ``src``.
 _CHILD = r"""
@@ -86,19 +101,87 @@ json.dump(
 )
 """
 
+#: The warm-edit session, in its own fresh interpreter.
+_EDIT_CHILD = r"""
+import json, random, statistics, sys, time
 
-def _run(src: Path, subject: Path) -> Dict:
+from repro import IncrementalAnalyzer
+from repro.cli import CHECKERS
+from repro.core.incremental import apply_function_edit
+from repro.lang import ast
+from repro.lang.parser import parse_program
+from repro.obs.history import findings_digest
+
+program = parse_program(open(sys.argv[1]).read())
+seed, edits = int(sys.argv[2]), int(sys.argv[3])
+
+
+def check(engine):
+    results = [engine.check(checker()) for checker in CHECKERS.values()]
+    return findings_digest([r.key() for result in results for r in result])
+
+
+analyzer = IncrementalAnalyzer()
+cold = check(analyzer.analyze_program(program))
+names = sorted(f.name for f in program.functions)
+random.Random(seed).shuffle(names)
+seconds, digest = [], cold
+for k, name in enumerate(names[:edits]):
+    old = program.function(name)
+    stmt = ast.AssignStmt(
+        target="bench_edit", value=ast.Num(value=k, line=old.line), line=old.line
+    )
+    new = ast.FuncDef(
+        name=old.name,
+        params=list(old.params),
+        body=ast.Block(stmts=[stmt] + list(old.body.stmts)),
+        line=old.line,
+    )
+    started = time.perf_counter()
+    program = apply_function_edit(program, new)
+    digest = check(analyzer.analyze_program(program))
+    seconds.append(time.perf_counter() - started)
+if digest != cold:
+    sys.exit(f"the last edit's findings digest {digest} differs from cold {cold}")
+json.dump({"edit_p50_ms": round(statistics.median(seconds) * 1000, 2)}, sys.stdout)
+"""
+
+#: Columns reported as a median with its range.
+_TIMED = (
+    "wall_s", "prepare_s", "seg_s", "search_s", "solving_s", "peak_rss_mb",
+    "edit_p50_ms",
+)
+
+
+def _run(src: Path, script: str, *args: str) -> Dict:
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
     env["PYTHONPATH"] = str(src)
     env["PYTHONHASHSEED"] = "0"
     done = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(subject)],
+        [sys.executable, "-c", script, *args],
         env=env,
         capture_output=True,
         text=True,
-        check=True,
     )
+    if done.returncode != 0:
+        raise SystemExit(f"error: child under {src} failed:\n{done.stderr}")
     return json.loads(done.stdout)
+
+
+def _summarize(runs: List[Dict]) -> Dict:
+    """One row from a size's runs: medians and ranges of the timing
+    columns; every other column must agree across the runs."""
+    row: Dict = {}
+    for column in runs[0]:
+        values = [run[column] for run in runs]
+        if column in _TIMED:
+            row[column] = round(statistics.median(values), 3)
+            row[f"{column}_range"] = [min(values), max(values)]
+        elif len(set(values)) != 1:
+            raise SystemExit(f"error: {column} differs between runs: {values}")
+        else:
+            row[column] = values[0]
+    return row
 
 
 def _rev(root: Path) -> Optional[str]:
@@ -131,17 +214,26 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.parent is not None:
         sides["parent"] = args.parent.resolve()
     rows: Dict[str, List[Dict]] = {name: [] for name in sides}
+    turn = 0
     with tempfile.TemporaryDirectory() as scratch:
-        for index, size in enumerate(SIZES):
+        for size in SIZES:
             program = generate_program(GeneratorConfig(seed=SEED, target_lines=size))
             subject = Path(scratch) / f"scale-{size}.pin"
             subject.write_text(program.source)
-            order = list(sides) if index % 2 == 0 else list(reversed(sides))
-            for name in order:
+            runs: Dict[str, List[Dict]] = {name: [] for name in sides}
+            for _ in range(RUNS):
+                order = list(sides) if turn % 2 == 0 else list(reversed(sides))
+                turn += 1
+                for name in order:
+                    src = sides[name] / "src"
+                    run = _run(src, _CHILD, str(subject))
+                    run.update(_run(src, _EDIT_CHILD, str(subject), str(SEED), str(EDITS)))
+                    runs[name].append(run)
+                    print(f"{name:>6} {size:>6} lines:", json.dumps(run), file=sys.stderr)
+            for name in sides:
                 row = {"target_lines": size, "lines": program.line_count}
-                row.update(_run(sides[name] / "src", subject))
+                row.update(_summarize(runs[name]))
                 rows[name].append(row)
-                print(f"{name:>6} {size:>6} lines:", json.dumps(row), file=sys.stderr)
             digests = {rows[name][-1]["reports_sha256"] for name in sides}
             if len(digests) != 1:
                 print(f"error: reports differ at {size} lines", file=sys.stderr)
@@ -149,7 +241,14 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     document = {
         "command": "repro check SUBJECT --all --json",
+        "warm_edits": (
+            f"an IncrementalAnalyzer session and six checks, then {EDITS} "
+            "single-function body edits through apply_function_edit, each "
+            "re-analyzed and re-checked; edit_p50_ms is their median"
+        ),
         "subjects": f"repro generate --lines N --seed {SEED}",
+        "runs": f"{RUNS} per size and side, alternating which side runs first; "
+        "each timing column is the median, with [min, max] in <column>_range",
         "host": {
             "nproc": os.cpu_count(),
             "python": platform.python_version(),

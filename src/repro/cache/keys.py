@@ -46,9 +46,15 @@ def ast_fingerprint(func_ast: ast.FuncDef) -> str:
     """Structural hash of one function's AST.
 
     The pretty-printed body is the hash input, so whitespace and comment
-    edits do not invalidate the cache."""
-    text = pretty_function(func_ast)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    edits do not invalidate the cache.  Computed once per definition
+    object and kept in ``func_ast.derived`` (definitions are values, see
+    :mod:`repro.lang.ast`)."""
+    fingerprint = func_ast.derived.get("fingerprint")
+    if fingerprint is None:
+        text = pretty_function(func_ast)
+        fingerprint = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        func_ast.derived["fingerprint"] = fingerprint
+    return fingerprint
 
 
 def prepare_cache_key(

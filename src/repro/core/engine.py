@@ -181,13 +181,13 @@ class PinpointFunction:
         # A prebuilt SEG (scheduler worker or artifact cache) is adopted
         # as-is; build_seg is deterministic, so both paths agree.
         self.seg: SEG = seg if seg is not None else build_seg(prepared)
+        # One builder per engine: its DD cache cuts loops where the first
+        # lookup entered them, so a shared one would make conditions
+        # depend on the order earlier runs asked in.
         self.conditions = ConditionBuilder(self.seg, prepared.function)
-        # Statement uid -> (block label, index) for happens-after checks.
-        self.position: Dict[int, Tuple[str, int]] = {}
-        for label in prepared.function.block_order():
-            block = prepared.function.blocks[label]
-            for index, instr in enumerate(block.all_instrs()):
-                self.position[instr.uid] = (label, index)
+        # Statement uid -> (block label, index) for happens-after checks,
+        # read here so a cold run builds it during engine set-up.
+        self.position: Dict[int, Tuple[str, int]] = prepared.statement_index
         self._reach_cache: Dict[str, Set[str]] = {}
 
     def happens_after(self, first_uid: int, second_uid: int) -> bool:

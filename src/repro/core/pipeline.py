@@ -28,7 +28,8 @@ here calls.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from functools import cached_property
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.ir import cfg
 from repro.ir.callgraph import CallGraph
@@ -71,6 +72,19 @@ class PreparedFunction:
     # against it.
     pta_tier: str = "fi"
     flow: Optional[object] = None
+
+    @cached_property
+    def statement_index(self) -> Dict[int, Tuple[str, int]]:
+        """Statement uid -> (block label, index in the block) over the
+        final CFG, for the engine's happens-after checks.  Built on first
+        read: a session's memory tier hands the same prepared function
+        to every warm run, so every engine over it shares one index."""
+        function = self.function
+        index: Dict[int, Tuple[str, int]] = {}
+        for label in function.block_order():
+            for position, instr in enumerate(function.blocks[label].all_instrs()):
+                index[instr.uid] = (label, position)
+        return index
 
     @property
     def alias_hazards(self) -> List[tuple]:

@@ -416,6 +416,12 @@ class Function:
     """A function as a CFG.  ``params`` are variable names; after SSA they
     carry version suffixes (``a.0``)."""
 
+    # Reverse postorder, computed on first use and dropped whenever a
+    # block or an edge is added (after lowering, nothing adds either).
+    # A class-level default, so Functions pickled without it still load;
+    # never pickled itself (``__getstate__``).
+    _block_order: Optional[Tuple[str, ...]] = None
+
     def __init__(self, name: str, params: List[str]) -> None:
         self.name = name
         self.params = list(params)
@@ -428,19 +434,36 @@ class Function:
         self.aux_params: List[str] = []
         self.aux_returns: List[str] = []
 
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_block_order", None)
+        return state
+
     def new_block(self, hint: str = "bb") -> Block:
         self._label_counter += 1
         label = f"{hint}{self._label_counter}"
         block = Block(label)
         self.blocks[label] = block
+        self._block_order = None
         return block
 
     def add_edge(self, src: str, dst: str) -> None:
         self.blocks[src].succs.append(dst)
         self.blocks[dst].preds.append(src)
+        self._block_order = None
 
-    def block_order(self) -> List[str]:
-        """Reverse postorder from the entry block."""
+    def remove_block(self, label: str) -> None:
+        """Delete a block that no edge reaches."""
+        del self.blocks[label]
+        self._block_order = None
+
+    def block_order(self) -> Tuple[str, ...]:
+        """Reverse postorder from the entry block, computed once."""
+        if self._block_order is None:
+            self._block_order = self._reverse_postorder()
+        return self._block_order
+
+    def _reverse_postorder(self) -> Tuple[str, ...]:
         visited = set()
         order: List[str] = []
 
@@ -462,7 +485,7 @@ class Function:
 
         visit(self.entry)
         order.reverse()
-        return order
+        return tuple(order)
 
     def all_instrs(self) -> Iterable[Instr]:
         for label in self.block_order():

@@ -94,7 +94,9 @@ def _compute(
 
 def dominators(function: cfg.Function) -> DomInfo:
     """Dominator info for a function's CFG."""
-    order = function.block_order()
+    # A list of its own: the tree is pickled with the prepared function,
+    # whose stored form keeps its shape.
+    order = list(function.block_order())
     preds = {label: function.blocks[label].preds for label in order}
     return _compute(order, preds, function.entry)
 

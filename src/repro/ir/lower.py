@@ -9,7 +9,7 @@ binary operations rather than short-circuit control flow.
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import FrozenSet, Optional, Set
 
 from repro.lang import ast
 from repro.ir import cfg
@@ -141,7 +141,7 @@ class _FunctionLowerer:
             self._start_block(join_block)
         else:
             # Both arms returned; the join block is unreachable.
-            del func.blocks[join_block.label]
+            func.remove_block(join_block.label)
             self._current = None
 
     def _lower_while(self, stmt: ast.WhileStmt) -> None:
@@ -276,12 +276,22 @@ def lower_function(func_ast: ast.FuncDef) -> cfg.Function:
     return _FunctionLowerer(func_ast).lower()
 
 
-def called_names(func_ast: ast.FuncDef) -> Set[str]:
+def called_names(func_ast: ast.FuncDef) -> FrozenSet[str]:
     """Callee names of the ``Call`` instructions ``lower_function`` emits
     for ``func_ast``, read off the AST.  The lowerer's reachability rule
     applies: nothing after a ``return``, or after an ``if`` whose arms
     both return, is lowered; code after a loop whose body returns stays
-    live.  An allocation lowers to ``Malloc``: only its arguments count."""
+    live.  An allocation lowers to ``Malloc``: only its arguments count.
+
+    Walked once per definition object and kept in ``func_ast.derived``
+    (definitions are values, see :mod:`repro.lang.ast`)."""
+    names = func_ast.derived.get("callees")
+    if names is None:
+        names = func_ast.derived["callees"] = _walk_called_names(func_ast)
+    return names
+
+
+def _walk_called_names(func_ast: ast.FuncDef) -> FrozenSet[str]:
     names: Set[str] = set()
 
     def walk(expr: Optional[ast.Expr]) -> None:
@@ -320,7 +330,7 @@ def called_names(func_ast: ast.FuncDef) -> Set[str]:
         return True
 
     falls_through(func_ast.body)
-    return names
+    return frozenset(names)
 
 
 def lower_program(program: ast.Program) -> cfg.Module:

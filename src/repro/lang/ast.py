@@ -4,12 +4,22 @@ Nodes carry the source line they started on (``line``) so bug reports can
 point back into the program text.  Expressions are arbitrarily nested in
 the surface syntax; the lowering pass in :mod:`repro.ir.lower` flattens
 them into the paper's three-address statement forms.
+
+A parsed definition is a value: nothing edits a :class:`FuncDef`, or any
+node under it, in place once it is built.  An edit is a new ``FuncDef``
+(the daemon's ``/v1/edit`` parses one from the edited text, and
+:func:`repro.core.incremental.apply_function_edit` splices it into a new
+:class:`Program`).  So the facts derived from a definition -- its
+fingerprint (:func:`repro.cache.keys.ast_fingerprint`) and its callees
+(:func:`repro.ir.lower.called_names`) -- are computed on first use and
+kept in its ``derived`` field for every later analysis of the same
+object; a warm one-function edit derives them for that one function.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 
 # ----------------------------------------------------------------------
@@ -118,6 +128,11 @@ class FuncDef:
     params: List[str]
     body: Block
     line: int = 0
+    # Facts computed from this definition on first use (see the module
+    # docstring); not part of the definition's content.
+    derived: Dict[str, Any] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
 
 @dataclass

@@ -26,7 +26,7 @@ Aux return values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.ir import cfg
 from repro.ir.gating import GateInfo
@@ -86,23 +86,35 @@ class PointsToResult:
         """Points-to facts: (variable, object, condition) entries."""
         return sum(len(entries) for entries in self.points_to.values())
 
-    def publish(self) -> None:
-        """Count this result in the ``pta.*`` counters.  The prepare
-        driver calls it once per admitted function, so the counters
-        cover the results the run keeps — served from a store or not —
-        and neither Mod/Ref's analysis nor the fs audit's fi reference."""
-        registry = get_registry()
-        registry.counter(
-            "pta.facts", "Points-to facts (variable, object, condition)"
-        ).inc(self.fact_count())
-        if self.strong_updates:
+
+def publish_results(results: Iterable[PointsToResult]) -> None:
+    """Count a run's results in the ``pta.*`` counters, one increment per
+    series.  The prepare driver calls it once per run with the results
+    of the functions it admitted, served from a store or not, so the
+    counters cover neither Mod/Ref's analysis nor the fs audit's fi
+    reference.  A run that kept no function publishes nothing."""
+    facts = 0
+    updates: Dict[str, List[int]] = {}  # tier -> [strong, weak]
+    for result in results:
+        facts += result.fact_count()
+        tier = updates.setdefault(result.tier, [0, 0])
+        tier[0] += result.strong_updates
+        tier[1] += result.weak_updates
+    if not updates:
+        return
+    registry = get_registry()
+    registry.counter(
+        "pta.facts", "Points-to facts (variable, object, condition)"
+    ).inc(facts)
+    for tier, (strong, weak) in updates.items():
+        if strong:
             registry.counter(
                 "pta.strong_updates",
                 "Stores strong-updated (syntactic or proof-driven)",
-            ).inc(self.strong_updates, tier=self.tier)
-        if self.weak_updates:
+            ).inc(strong, tier=tier)
+        if weak:
             registry.counter("pta.weak_updates", "Stores weak-updated").inc(
-                self.weak_updates, tier=self.tier
+                weak, tier=tier
             )
 
 

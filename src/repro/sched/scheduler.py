@@ -75,6 +75,7 @@ from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.progress import get_progress
 from repro.obs.trace import trace
+from repro.pta.intraproc import publish_results
 from repro.robust.budget import ResourceBudget
 from repro.robust.diagnostics import (
     REASON_BUDGET,
@@ -359,11 +360,11 @@ def prepare_program(
             )
         prepared.functions[name] = out.result
         prepared.order.append(name)
-        out.result.points_to.publish()
         if out.seg is not None:
             prepared.segs[name] = out.seg
         if out.cached:
             prepared.cached.add(name)
+    publish_results(result.points_to for result in prepared.functions.values())
 
     # Shared by every checker run on the module: published once, here.
     registry.counter("engine.seconds", "Engine time by phase (seconds)").inc(

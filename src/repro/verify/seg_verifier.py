@@ -15,13 +15,12 @@ untransformed).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from repro.ir import cfg
 from repro.ir.ssa import base_name
 from repro.pta.memory import aux_param_name, aux_return_name
 from repro.seg.graph import SEG
-from repro.verify.ir_verifier import instr_defs
 from repro.verify.violation import Violation
 
 
@@ -29,15 +28,147 @@ def verify_seg(seg: SEG, prepared) -> List[Violation]:
     """Check one function's SEG; ``prepared`` is its PreparedFunction."""
     function: cfg.Function = prepared.function
     unit = function.name
-    violations: List[Violation] = []
+    violations = _edge_violations(seg, unit)
 
-    # ----------------------------- seg-dangling-edge / seg-index-symmetry
+    # ------------------------------ seg-def-unresolved / seg-use-anchor
+    # ``instr_defs`` of every instruction, unreachable blocks included,
+    # inlined: a phi defines its ``dest``, a terminator nothing.
+    defined: Set[str] = set(function.params)
+    defined.update(function.aux_params)
+    for block in function.blocks.values():
+        for phi in block.phis:
+            defined.add(phi.dest)
+        for instr in block.instrs:
+            dest = instr.defined_var()
+            if dest is not None:
+                defined.add(dest)
+            if isinstance(instr, cfg.Call):
+                defined.update(instr.extra_receivers)
+    instr_by_uid = seg.instr_by_uid
+    # Variables each anchoring statement reads, derived once per statement.
+    used_at: Dict[int, List[str]] = {}
+    for key in seg.vertices:
+        kind = key[0]
+        if kind == "def":
+            name = key[1]
+            # Bare names are source-level undefined variables and
+            # ``x.undef`` marks definition-free phi paths; both are
+            # deliberate free values, not graph corruption.
+            if name in defined or "." not in name or name.endswith(".undef"):
+                continue
+            violations.append(
+                Violation(
+                    "seg-def-unresolved",
+                    unit,
+                    f"def vertex names unknown SSA variable {name!r}",
+                )
+            )
+        elif kind == "use":
+            name, uid = key[1], key[2]
+            used = used_at.get(uid)
+            if used is None:
+                instr = instr_by_uid.get(uid)
+                if instr is None:
+                    violations.append(
+                        Violation(
+                            "seg-use-anchor",
+                            unit,
+                            f"use vertex {name!r} anchored at unknown "
+                            f"statement uid {uid}",
+                        )
+                    )
+                    continue
+                used = used_at[uid] = instr.used_vars()
+            if name not in used:
+                instr = instr_by_uid[uid]
+                violations.append(
+                    Violation(
+                        "seg-use-anchor",
+                        unit,
+                        f"use vertex {name!r} anchored at {instr!r}, "
+                        "which does not read it",
+                        line=instr.line,
+                    )
+                )
+        elif kind in ("const", "op"):
+            uid = key[-1]
+            if uid not in instr_by_uid:
+                violations.append(
+                    Violation(
+                        "seg-use-anchor",
+                        unit,
+                        f"{kind} vertex anchored at unknown statement "
+                        f"uid {uid}",
+                    )
+                )
+
+    # -------------------------------------------------- seg-gate-condition
+    branch_conds: Set[str] = set()
+    for block in function.blocks.values():
+        term = block.terminator
+        if isinstance(term, cfg.Branch) and isinstance(term.cond, cfg.Var):
+            branch_conds.add(term.cond.name)
+    for uid, controls in seg.control.items():
+        if uid not in seg.instr_by_uid:
+            violations.append(
+                Violation(
+                    "seg-gate-condition",
+                    unit,
+                    f"control entry for unknown statement uid {uid}",
+                )
+            )
+        for cond_var, _taken in controls:
+            if cond_var not in branch_conds:
+                violations.append(
+                    Violation(
+                        "seg-gate-condition",
+                        unit,
+                        f"gate references {cond_var!r}, which is not the "
+                        "condition of any Branch",
+                    )
+                )
+
+    violations.extend(_verify_aux_pairing(function, prepared.signature))
+    return violations
+
+
+def _edge_violations(seg: SEG, unit: str) -> List[Violation]:
+    """``seg-dangling-edge`` and ``seg-index-symmetry``.
+
+    A well-formed graph registers every index key as a vertex and files
+    the same edges in both indexes, each under its own endpoint, so one
+    pass per index with one comparison per edge proves it.  Only a graph
+    that fails that pass is walked again for the violations."""
+    vertices = seg.vertices
+    if not (
+        vertices.issuperset(seg.out_edges) and vertices.issuperset(seg.in_edges)
+    ):
+        return _diagnose_edges(seg, unit)
+    out_ids: Set[int] = set()
+    for key, edges in seg.out_edges.items():
+        for edge in edges:
+            if edge.src != key:
+                return _diagnose_edges(seg, unit)
+            out_ids.add(id(edge))
+    in_ids: Set[int] = set()
+    for key, edges in seg.in_edges.items():
+        for edge in edges:
+            if edge.dst != key:
+                return _diagnose_edges(seg, unit)
+            in_ids.add(id(edge))
+    if out_ids != in_ids:
+        return _diagnose_edges(seg, unit)
+    return []
+
+
+def _diagnose_edges(seg: SEG, unit: str) -> List[Violation]:
     # Edges with an unregistered endpoint are reported as dangling and
     # excluded from the symmetry comparison (they are already broken;
     # double-reporting would mask the root cause).  An edge filed under
     # the wrong key is also an index corruption, reported after the
     # symmetry check.
     vertices = seg.vertices
+    violations: List[Violation] = []
     misfiled: List[Violation] = []
 
     def well_formed_edges(index: Dict, end: str) -> Set[int]:
@@ -80,88 +211,6 @@ def verify_seg(seg: SEG, prepared) -> List[Violation]:
             )
         )
     violations.extend(misfiled)
-
-    # ------------------------------ seg-def-unresolved / seg-use-anchor
-    defined: Set[str] = set(function.params) | set(function.aux_params)
-    for instr in _iter_instrs(function):
-        defined.update(instr_defs(instr))
-    for key in seg.vertices:
-        kind = key[0]
-        if kind == "def":
-            name = key[1]
-            # Bare names are source-level undefined variables and
-            # ``x.undef`` marks definition-free phi paths; both are
-            # deliberate free values, not graph corruption.
-            if name in defined or "." not in name or name.endswith(".undef"):
-                continue
-            violations.append(
-                Violation(
-                    "seg-def-unresolved",
-                    unit,
-                    f"def vertex names unknown SSA variable {name!r}",
-                )
-            )
-        elif kind == "use":
-            name, uid = key[1], key[2]
-            instr = seg.instr_by_uid.get(uid)
-            if instr is None:
-                violations.append(
-                    Violation(
-                        "seg-use-anchor",
-                        unit,
-                        f"use vertex {name!r} anchored at unknown "
-                        f"statement uid {uid}",
-                    )
-                )
-            elif name not in instr.used_vars():
-                violations.append(
-                    Violation(
-                        "seg-use-anchor",
-                        unit,
-                        f"use vertex {name!r} anchored at {instr!r}, "
-                        "which does not read it",
-                        line=instr.line,
-                    )
-                )
-        elif kind in ("const", "op"):
-            uid = key[-1]
-            if uid not in seg.instr_by_uid:
-                violations.append(
-                    Violation(
-                        "seg-use-anchor",
-                        unit,
-                        f"{kind} vertex anchored at unknown statement "
-                        f"uid {uid}",
-                    )
-                )
-
-    # -------------------------------------------------- seg-gate-condition
-    branch_conds: Set[str] = set()
-    for block in function.blocks.values():
-        term = block.terminator
-        if isinstance(term, cfg.Branch) and isinstance(term.cond, cfg.Var):
-            branch_conds.add(term.cond.name)
-    for uid, controls in seg.control.items():
-        if uid not in seg.instr_by_uid:
-            violations.append(
-                Violation(
-                    "seg-gate-condition",
-                    unit,
-                    f"control entry for unknown statement uid {uid}",
-                )
-            )
-        for cond_var, _taken in controls:
-            if cond_var not in branch_conds:
-                violations.append(
-                    Violation(
-                        "seg-gate-condition",
-                        unit,
-                        f"gate references {cond_var!r}, which is not the "
-                        "condition of any Branch",
-                    )
-                )
-
-    violations.extend(_verify_aux_pairing(function, prepared.signature))
     return violations
 
 

@@ -261,3 +261,80 @@ def test_call_graph_edits_match_cold_runs():
         cold = _check_all(Pinpoint.from_program(parse_program(source)))
         assert warm == cold, label
         assert warm[0], label
+
+
+def _delta(analyzer, program, source):
+    """Splice the one function of ``program`` whose text differs in
+    ``source`` the way ``/v1/edit`` does: parse just that function (at
+    its own line, so reports name the same lines) and re-analyze through
+    :func:`apply_function_edit`."""
+    from repro.core.incremental import apply_function_edit
+    from repro.lang.parser import parse_program
+    from repro.lang.pretty import pretty_function
+
+    edited = {f.name: f for f in parse_program(source).functions}
+    (name,) = [
+        f.name
+        for f in program.functions
+        if pretty_function(f) != pretty_function(edited[f.name])
+    ]
+    line = edited[name].line
+    text = "\n" * (line - 1) + source.splitlines()[line - 1]
+    (func,) = parse_program(text).functions
+    program = apply_function_edit(program, func)
+    return program, analyzer.analyze_program(program)
+
+
+def test_single_function_deltas_match_cold_runs():
+    # Each edit, an added call among them, spliced in as one definition.
+    from repro import Pinpoint
+    from repro.lang.parser import parse_program
+
+    analyzer = IncrementalAnalyzer()
+    program = parse_program(CALLS_BASE)
+    _check_all(analyzer.analyze_program(program))
+    source = CALLS_BASE
+    for label, old, new in CALL_EDITS:
+        source = source.replace(old, new)
+        program, engine = _delta(analyzer, program, source)
+        assert analyzer.last_stats.analyzed >= 1, label
+        warm = _check_all(engine)
+        cold = _check_all(Pinpoint.from_program(parse_program(source)))
+        assert warm == cold, label
+
+
+def test_reverting_to_the_earlier_definition_matches_cold_run():
+    from repro import Pinpoint
+    from repro.core.incremental import apply_function_edit
+    from repro.lang.parser import parse_program
+
+    analyzer = IncrementalAnalyzer()
+    program = parse_program(CALLS_BASE)
+    original = program.function("other")
+    _check_all(analyzer.analyze_program(program))
+    _label, old, new = CALL_EDITS[0]
+    program, engine = _delta(analyzer, program, CALLS_BASE.replace(old, new))
+    before = _check_all(Pinpoint.from_program(parse_program(CALLS_BASE)))
+    assert _check_all(engine) != before
+    # The earlier object, whose facts were derived before the edit.
+    assert original.derived
+    program = apply_function_edit(program, original)
+    warm = _check_all(analyzer.analyze_program(program))
+    assert program.function("other") is original
+    assert warm == before
+
+
+def test_reparse_after_deltas_matches_cold_run():
+    from repro import Pinpoint
+    from repro.lang.parser import parse_program
+
+    analyzer = IncrementalAnalyzer()
+    program = parse_program(CALLS_BASE)
+    _check_all(analyzer.analyze_program(program))
+    source = CALLS_BASE
+    for _label, old, new in CALL_EDITS[:2]:
+        source = source.replace(old, new)
+        program, _engine = _delta(analyzer, program, source)
+    warm = _check_all(analyzer.analyze(source))
+    assert analyzer.last_stats.analyzed == 0
+    assert warm == _check_all(Pinpoint.from_program(parse_program(source)))

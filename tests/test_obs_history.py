@@ -394,18 +394,38 @@ def test_record_pta_counts_equal_stats_cold_and_warm(tmp_path, capsys):
 
 
 def test_pta_facts_counter_counts_kept_results():
+    # Cold, and warm with every function served from the session's
+    # memory: the counters are the sums over the kept results.
     from repro.core.engine import Pinpoint
+    from repro.core.incremental import IncrementalAnalyzer
     from repro.obs.metrics import get_registry, set_registry
 
-    set_registry(MetricsRegistry())
-    engine = Pinpoint.from_source(UAF + "fn set(p, v) { *p = v; return 0; }\n")
-    kept = sum(
-        len(entries)
-        for pf in engine.module
-        for entries in pf.points_to.points_to.values()
-    )
-    assert kept > 0
-    assert get_registry().counter("pta.facts").total() == kept
+    source = UAF + "fn set(p, v) { *p = v; return 0; }\n"
+    analyzer = IncrementalAnalyzer()
+    analyzer.analyze(source)
+    runs = []
+    for build in (
+        lambda: Pinpoint.from_source(source),
+        lambda: analyzer.analyze(source),
+    ):
+        set_registry(MetricsRegistry())
+        engine = build()
+        runs.append((engine, get_registry()))
+    assert len(runs[1][0].module.cached) == len(runs[1][0].module.order)
+    for engine, registry in runs:
+        results = [pf.points_to for pf in engine.module]
+        kept = sum(
+            len(entries) for result in results for entries in result.points_to.values()
+        )
+        assert kept > 0
+        assert registry.counter("pta.facts").total() == kept
+        for series, field in (
+            ("pta.strong_updates", "strong_updates"),
+            ("pta.weak_updates", "weak_updates"),
+        ):
+            assert registry.counter(series).value(tier="fi") == sum(
+                getattr(result, field) for result in results
+            )
 
 
 def test_check_history_via_env(uaf_file, tmp_path, monkeypatch):

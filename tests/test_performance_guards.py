@@ -199,6 +199,137 @@ def test_warm_body_edit_lowers_only_the_edited_function(monkeypatch):
     assert [args[0].name for args in calls] == [name]
 
 
+def _warm_body_edit_session():
+    """A session on the 2k-line subject of ``repro generate --lines 2000
+    --seed 1 --taint`` and a one-function body edit of the benchmark's
+    shape (``bench_edit = 0;`` prepended), not yet analyzed."""
+    from repro.core.incremental import IncrementalAnalyzer, apply_function_edit
+    from repro.lang import ast
+    from repro.lang.parser import parse_program
+
+    program = parse_program(
+        generate_program(
+            GeneratorConfig(seed=1, target_lines=2000, taint_period=7)
+        ).source
+    )
+    analyzer = IncrementalAnalyzer()
+    analyzer.analyze_program(program)
+    old = program.functions[7]
+    stmt = ast.AssignStmt(
+        target="bench_edit", value=ast.Num(value=0, line=old.line), line=old.line
+    )
+    new = ast.FuncDef(
+        name=old.name,
+        params=list(old.params),
+        body=ast.Block(stmts=[stmt] + list(old.body.stmts)),
+        line=old.line,
+    )
+    return analyzer, apply_function_edit(program, new), old.name
+
+
+def test_warm_body_edit_derives_facts_for_the_edited_definition(monkeypatch):
+    # Fingerprints and callees are kept on each definition, and the
+    # statement index on each prepared function, so a warm edit derives
+    # them for the one new definition.  Recomputed, they cost 251
+    # pretty-prints, call-edge walks and statement indexes per edit.
+    from repro.core.pipeline import PreparedFunction
+
+    analyzer, edited, name = _warm_body_edit_session()
+    assert len(edited.functions) == 251
+    printed = _count_calls(monkeypatch, "repro.lang.pretty", "pretty_function")
+    walked = _count_calls(monkeypatch, "repro.ir.lower", "_walk_called_names")
+    indexed = []
+    index = PreparedFunction.__dict__["statement_index"]
+    build = index.func
+
+    def counting(prepared):
+        indexed.append(prepared.name)
+        return build(prepared)
+
+    monkeypatch.setattr(index, "func", counting)
+    engine = analyzer.analyze_program(edited)
+    assert analyzer.last_stats.analyzed == 1
+    assert [args[0].name for args in printed] == [name]
+    assert [args[0].name for args in walked] == [name]
+    assert indexed == [name]
+    assert len(engine.functions) == 251
+
+
+def test_points_to_counters_are_published_once_per_run(monkeypatch):
+    from repro.obs.metrics import (
+        Counter,
+        MetricsRegistry,
+        get_registry,
+        set_registry,
+    )
+
+    analyzer, edited, _name = _warm_body_edit_session()
+    increments = []
+    inc = Counter.inc
+
+    def counting(self, amount=1, **labels):
+        if self.name.startswith("pta."):
+            increments.append((self.name, tuple(sorted(labels.items()))))
+        inc(self, amount, **labels)
+
+    monkeypatch.setattr(Counter, "inc", counting)
+    previous = get_registry()
+    registry = set_registry(MetricsRegistry())
+    try:
+        engine = analyzer.analyze_program(edited)
+    finally:
+        set_registry(previous)
+    # One increment per series (counter and label set), not one per
+    # admitted function.
+    assert len(increments) == len(set(increments))
+    assert {name for name, _ in increments} == {
+        name for name in registry.names() if name.startswith("pta.")
+    } >= {"pta.facts", "pta.strong_updates"}
+    results = [pf.prepared.points_to for pf in engine.functions.values()]
+    assert registry.counter("pta.facts").total() == sum(
+        result.fact_count() for result in results
+    )
+    assert registry.counter("pta.strong_updates").value(tier="fi") == sum(
+        result.strong_updates for result in results
+    )
+
+
+def test_prepare_function_walks_the_cfg_once(monkeypatch):
+    # Reverse postorder is cached on the function: lowering adds every
+    # block and edge, and nothing after it adds either.
+    from repro.core.pipeline import prepare_function
+    from repro.ir import cfg
+    from repro.lang.parser import parse_program
+
+    program = parse_program(
+        """
+        fn leaf(p) { *p = 0; return 0; }
+        fn f(p, n) {
+            while (n > 0) {
+                if (n > 5) { r = leaf(p); } else { q = *p; }
+                n = n - 1;
+            }
+            return n;
+        }
+        """
+    )
+    signature = prepare_function(program.function("leaf"), {}).signature
+    walks = []
+    reverse_postorder = cfg.Function._reverse_postorder
+
+    def counting(self):
+        walks.append(self.name)
+        return reverse_postorder(self)
+
+    monkeypatch.setattr(cfg.Function, "_reverse_postorder", counting)
+    prepared = prepare_function(program.function("f"), {"leaf": signature})
+    assert walks == ["f"]
+    order = prepared.function.block_order()
+    assert isinstance(order, tuple) and order[0] == "entry"
+    assert prepared.statement_index  # read from the cached order
+    assert walks == ["f"]
+
+
 def test_prepare_function_computes_one_dominator_tree(monkeypatch):
     from repro.core.pipeline import prepare_function
     from repro.lang.parser import parse_program

@@ -210,6 +210,19 @@ def test_mutation_seg_index_symmetry():
     assert fired(module, segs) == {"seg-index-symmetry"}
 
 
+def test_mutation_seg_misfiled_edge():
+    # Both indexes hold the edge, but the out-index files it under a key
+    # that is not its source.
+    module, segs = build()
+    seg = segs["main"]
+    (src, edges), (other, _) = list(seg.out_edges.items())[:2]
+    edge = edges.pop()
+    if not edges:
+        del seg.out_edges[src]
+    seg.out_edges[other].append(edge)
+    assert fired(module, segs) == {"seg-index-symmetry"}
+
+
 def test_mutation_seg_def_unresolved():
     module, segs = build()
     segs["main"].vertices.add(("def", "ghost.7"))
@@ -219,6 +232,20 @@ def test_mutation_seg_def_unresolved():
 def test_mutation_seg_use_anchor():
     module, segs = build()
     segs["main"].vertices.add(("use", "ghost.7", 999999999))
+    assert fired(module, segs) == {"seg-use-anchor"}
+
+
+def test_mutation_seg_use_anchor_wrong_statement():
+    # A real statement that does not read the variable.
+    module, segs = build()
+    seg = segs["main"]
+    name, uid = next((k[1], k[2]) for k in seg.vertices if k[0] == "use")
+    other = next(
+        instr.uid
+        for instr in seg.instr_by_uid.values()
+        if name not in instr.used_vars()
+    )
+    seg.vertices.add(("use", name, other))
     assert fired(module, segs) == {"seg-use-anchor"}
 
 
