@@ -115,61 +115,3 @@ def test_disk_cache_cold_vs_warm(record_result, results_dir, tmp_path):
     assert cold["hits"] == 0
     assert hit_rate >= 0.9
     assert warm["seconds"] < cold["seconds"]
-
-
-def test_parallel_scaling_serial_vs_jobs(record_result, results_dir):
-    """Wave-scheduler scaling: wall-clock of --jobs 1 vs --jobs 4.
-
-    Synthetic subjects at bench scale are small, so this measures
-    overhead + scaling shape rather than big speedups; the JSON artifact
-    keeps the curve comparable across revisions.
-    """
-    import json
-
-    from repro.core.pipeline import prepare_source
-    from repro.obs.metrics import MetricsRegistry, set_registry
-
-    program = subject_program("git")
-    series = []
-    for jobs in (1, 2, 4):
-        # Fresh registry per point so the sched.dispatch.* counters
-        # attribute result decoding to exactly this run.
-        registry = set_registry(MetricsRegistry())
-        _, seconds = time_only(lambda: prepare_source(program.source, jobs=jobs))
-        point = {"jobs": jobs, "seconds": seconds}
-        for counter in ("decode_seconds", "result_bytes"):
-            metric = registry.get(f"sched.dispatch.{counter}")
-            value = metric.total() if metric is not None else 0.0
-            point[counter] = int(value) if counter.endswith("bytes") else value
-        series.append(point)
-    set_registry(MetricsRegistry())
-
-    serial = series[0]["seconds"]
-    for point in series:
-        point["speedup"] = serial / max(point["seconds"], 1e-9)
-
-    (results_dir / "parallel_scaling.json").write_text(
-        json.dumps({"subject": "git", "series": series}, indent=2) + "\n"
-    )
-    rows = [
-        (
-            str(p["jobs"]),
-            f"{p['seconds']:.2f}",
-            f"{p['speedup']:.2f}x",
-            f"{p['decode_seconds'] * 1e3:.1f}",
-            f"{p['result_bytes'] / 1024:.0f}",
-        )
-        for p in series
-    ]
-    record_result(
-        render_table(
-            ["jobs", "time (s)", "speedup", "decode (ms)", "results (KiB)"],
-            rows,
-        ),
-        "parallel_scaling",
-    )
-
-    assert all(p["seconds"] > 0 for p in series)
-    # Parallel points shipped outcomes back; the serial point shipped none.
-    assert series[0]["result_bytes"] == 0
-    assert all(p["result_bytes"] > 0 for p in series[1:])

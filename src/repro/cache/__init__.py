@@ -8,7 +8,7 @@ its connector signature, and its SEG — *cacheable across processes*:
 the key is a pure function of the inputs, so a second CLI run on an
 unchanged program can skip nearly all preparation work.
 
-Layout on disk (see ``docs/parallelism.md``)::
+Layout on disk (see ``docs/prepare-and-store.md``)::
 
     <cache-dir>/
       v<SCHEMA_VERSION>/          one directory per schema version

@@ -195,8 +195,8 @@ def _record_history(
 ) -> str:
     """Append a run record when history recording is on; returns the
     run id ('' when recording is off).  ``wall_seconds`` is clock time;
-    the record's ``peak_mb`` is the resident-set high-water mark of this
-    process and its waited-for workers."""
+    the record's ``peak_mb`` is this process's resident-set high-water
+    mark."""
     history_dir = resolve_history_dir(getattr(args, "history_dir", ""))
     if not history_dir:
         return ""
@@ -275,7 +275,7 @@ def _run_checkers(
 
     Returns ``(engine, results, wall_seconds, monitor, run_config)``;
     ``run_config`` is the run record's config, so both commands record
-    the tier and job count that ran."""
+    the tier that ran."""
     if args.fault:
         install_faults(args.fault)
     config = EngineConfig(
@@ -295,15 +295,12 @@ def _run_checkers(
         config,
         budget=_build_budget(args),
         recover=recover,
-        jobs=args.jobs or None,
         cache_dir=args.cache_dir or None,
-        worker_timeout=args.worker_timeout,
     )
     results = [engine.check(CHECKERS[name]()) for name in names]
     wall_seconds = time.perf_counter() - started
     run_config = {
         "checkers": names,
-        "jobs": args.jobs or 0,
         "cache": bool(args.cache_dir),
         "depth": args.depth,
         "smt": not args.no_smt,
@@ -441,9 +438,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 @hold_full_collections()
 def cmd_profile(args: argparse.Namespace) -> int:
     """Run the checkers with tracing on and print where the time,
-    memory and SMT effort went: the wave loop's wall, worker compute,
-    utilization and outcome decoding, then per pass and per function
-    (paper Figs. 7-10; :mod:`repro.obs.attr`).  ``history diff``
+    memory and SMT effort went: the wave loop's wall, then per pass and
+    per function (paper Figs. 7-10; :mod:`repro.obs.attr`).  ``history diff``
     compares two profiles recorded with ``--history-dir``."""
     _setup_obs(args, force_trace=True)
     source = _read(args.file)
@@ -555,9 +551,7 @@ def cmd_dump_seg(args: argparse.Namespace) -> int:
     from repro.viz.dot import seg_to_dot
 
     source = _read(args.file)
-    engine = Pinpoint.from_source(
-        source, jobs=args.jobs or None, cache_dir=args.cache_dir or None
-    )
+    engine = Pinpoint.from_source(source, cache_dir=args.cache_dir or None)
     if args.function not in engine.functions:
         print(f"no such function: {args.function}", file=sys.stderr)
         return 2
@@ -569,9 +563,7 @@ def cmd_dump_cfg(args: argparse.Namespace) -> int:
     from repro.viz.dot import cfg_to_dot
 
     source = _read(args.file)
-    engine = Pinpoint.from_source(
-        source, jobs=args.jobs or None, cache_dir=args.cache_dir or None
-    )
+    engine = Pinpoint.from_source(source, cache_dir=args.cache_dir or None)
     if args.function not in engine.functions:
         print(f"no such function: {args.function}", file=sys.stderr)
         return 2
@@ -627,7 +619,6 @@ def cmd_cache_warm(args: argparse.Namespace) -> int:
     any checker — so the next `repro check --cache-dir ...` starts hot."""
     from repro.core.pipeline import prepare_source
     from repro.obs import MetricsRegistry, Tracer, set_registry, set_tracer
-    from repro.sched import resolve_jobs
 
     store = _open_cache(args)
     if store is None:
@@ -635,9 +626,7 @@ def cmd_cache_warm(args: argparse.Namespace) -> int:
     set_registry(MetricsRegistry())
     set_tracer(Tracer())
     source = _read(args.file)
-    module = prepare_source(
-        source, recover=True, jobs=resolve_jobs(args.jobs or None), store=store
-    )
+    module = prepare_source(source, recover=True, store=store)
     registry = get_registry()
     hits = int(registry.counter("cache.hits").total())
     writes = int(registry.counter("cache.writes").total())
@@ -687,7 +676,6 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
         lines=args.lines,
         mode=args.verify or "full",
         oracle=not args.no_oracle,
-        jobs=args.jobs or None,
         cache_dir=args.cache_dir or None,
     )
     wall_seconds = time.perf_counter() - started
@@ -743,7 +731,6 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
             "lines": args.lines,
             "verify": args.verify or "full",
             "oracle": not args.no_oracle,
-            "jobs": args.jobs or 0,
         },
         wall_seconds=wall_seconds,
         exit_code=exit_code,
@@ -1085,12 +1072,6 @@ def cmd_history_diff(args: argparse.Namespace) -> int:
                 int(old.get("sched", {}).get("retries", 0)),
                 int(new.get("sched", {}).get("retries", 0)),
             ],
-            "attr": {
-                "utilization": [
-                    float(old.get("sched", {}).get("utilization", 0.0)),
-                    float(new.get("sched", {}).get("utilization", 0.0)),
-                ],
-            },
             "pta": {
                 "tier": [
                     str(old.get("pta", {}).get("tier", "fi")),
@@ -1160,14 +1141,6 @@ def cmd_history_diff(args: argparse.Namespace) -> int:
     new_s = new.get("sched", {})
     if old_s.get("retries") or new_s.get("retries"):
         print(f"  retries {old_s.get('retries', 0)} -> {new_s.get('retries', 0)}")
-    if old_s.get("utilization") or new_s.get("utilization"):
-        print(
-            delta(
-                "utilization",
-                float(old_s.get("utilization", 0.0)),
-                float(new_s.get("utilization", 0.0)),
-            )
-        )
     if profiles:
         for name, (a, b) in profiles["passes"].items():
             print(delta(f"pass {name}", a, b, "s"))
@@ -1286,19 +1259,10 @@ def build_parser() -> argparse.ArgumentParser:
         "announced on stderr)",
     )
 
-    # The parallel wave scheduler and the persistent artifact cache
-    # (repro.sched / repro.cache).  Reports are byte-identical whatever
-    # the job count or cache state.
-    par = argparse.ArgumentParser(add_help=False)
-    par.add_argument(
-        "--jobs",
-        type=int,
-        default=0,
-        metavar="N",
-        help="prepare call-graph waves on N worker processes (default: "
-        "the REPRO_JOBS environment variable, else 1 = serial)",
-    )
-    par.add_argument(
+    # The persistent artifact cache (repro.cache).  Reports are
+    # byte-identical whatever the cache state.
+    cache_flag = argparse.ArgumentParser(add_help=False)
+    cache_flag.add_argument(
         "--cache-dir",
         default="",
         metavar="DIR",
@@ -1345,17 +1309,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="cooperative step budget for points-to + value-flow search",
     )
 
-    # The worker and fault flags of the one-shot runs, 'check' and 'profile'.
+    # The fault flag of the one-shot runs, 'check' and 'profile'.
     oneshot = argparse.ArgumentParser(add_help=False)
-    oneshot.add_argument(
-        "--worker-timeout",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="per-function ceiling for worker tasks under --jobs; a worker "
-        "past it is killed, the function gets one more attempt alone, and "
-        "is quarantined (exit 3) if that times out too",
-    )
     oneshot.add_argument(
         "--fault",
         default="",
@@ -1367,7 +1322,7 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser(
         "check",
         help="statically check a program",
-        parents=[obs, monitor, par, engine, oneshot],
+        parents=[obs, monitor, cache_flag, engine, oneshot],
     )
     check.add_argument("file", help="program file ('-' for stdin)")
     check.add_argument(
@@ -1424,9 +1379,8 @@ def build_parser() -> argparse.ArgumentParser:
     profile = sub.add_parser(
         "profile",
         help="run the checkers and print where the time went: the wave "
-        "loop's wall, worker compute, utilization and outcome decoding, "
-        "then the hottest passes and functions",
-        parents=[obs, monitor, par, engine, oneshot],
+        "loop's wall, then the hottest passes and functions",
+        parents=[obs, monitor, cache_flag, engine, oneshot],
     )
     profile.add_argument("file", help="program file ('-' for stdin)")
     profile.add_argument(
@@ -1457,7 +1411,7 @@ def build_parser() -> argparse.ArgumentParser:
     seg = sub.add_parser(
         "dump-seg",
         help="print a function's SEG as Graphviz dot",
-        parents=[par],
+        parents=[cache_flag],
     )
     seg.add_argument("file")
     seg.add_argument("--function", required=True)
@@ -1466,7 +1420,7 @@ def build_parser() -> argparse.ArgumentParser:
     cfg = sub.add_parser(
         "dump-cfg",
         help="print a function's CFG as Graphviz dot",
-        parents=[par],
+        parents=[cache_flag],
     )
     cfg.add_argument("file")
     cfg.add_argument("--function", required=True)
@@ -1498,17 +1452,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache_warm.add_argument("file", help="program file ('-' for stdin)")
     cache_warm.add_argument("--cache-dir", default="", metavar="DIR", help=cache_dir_help)
-    cache_warm.add_argument(
-        "--jobs", type=int, default=0, metavar="N",
-        help="worker processes for the warm-up (default REPRO_JOBS, else 1)",
-    )
     cache_warm.set_defaults(func=cmd_cache_warm)
 
     selfcheck = sub.add_parser(
         "selfcheck",
         help="differential sanitizer harness: seeded synth programs, "
         "static results cross-checked against the interpreter oracle",
-        parents=[obs, monitor, par],
+        parents=[obs, monitor, cache_flag],
     )
     selfcheck.add_argument(
         "--seeds",

@@ -266,7 +266,7 @@ class Pinpoint:
             with zone:
                 # The fault point fires even with a prebuilt SEG so
                 # injected `seg` faults behave identically under
-                # --jobs N / --cache-dir.
+                # --cache-dir.
                 fault_point("seg", name)
                 pf = PinpointFunction(module[name], seg=module.segs.get(name))
             if zone.tripped:
@@ -326,19 +326,18 @@ class Pinpoint:
         recover: bool = False,
         jobs: Optional[int] = None,
         cache_dir: Optional[str] = None,
-        worker_timeout: float = 0.0,
     ) -> "Pinpoint":
         """Parse, prepare and index a program.
 
-        ``jobs > 1`` prepares each call-graph wave in forked workers;
         ``cache_dir`` persists per-function artifacts across runs, so a
         rerun after a crash recomputes only what the killed run had not
-        stored.  When either is left unset, the ``REPRO_JOBS`` /
-        ``REPRO_CACHE_DIR`` environment variables apply (an explicit
-        ``jobs=1`` wins over the environment).  Reports are
-        byte-identical to a serial, uncached, uninterrupted run."""
+        stored; when it is unset, ``REPRO_CACHE_DIR`` applies.  Reports
+        are byte-identical to an uncached, uninterrupted run.
+
+        ``jobs`` is accepted and ignored: preparation runs in this
+        process.  The keyword stays only while the repository
+        benchmark's ``all-5k-jobs2`` workload passes it."""
         from repro.cache import open_store
-        from repro.sched import resolve_jobs
 
         config = config or EngineConfig()
         return cls(
@@ -347,9 +346,7 @@ class Pinpoint:
                 budget=budget,
                 recover=recover,
                 verify=config.verify,
-                jobs=resolve_jobs(jobs),
                 store=open_store(cache_dir),
-                worker_timeout=worker_timeout,
                 pta_tier=config.pta_tier,
             ),
             config,

@@ -111,8 +111,8 @@ class PreparedModule:
     # name, valued ('cfg', Function)) so --dump-on-verify-fail can
     # render the offending artifact.
     verify_failures: Dict[str, tuple] = field(default_factory=dict)
-    # SEGs built ahead of the engine (by scheduler workers or loaded
-    # from the on-disk artifact cache).  The engine consumes these
+    # SEGs built ahead of the engine (for the artifact store, or loaded
+    # from it).  The engine consumes these
     # instead of rebuilding; absence just means "build it yourself".
     segs: Dict[str, object] = field(default_factory=dict)
     # Points-to precision tier every function was prepared at ("fi" or
@@ -183,8 +183,8 @@ def prepare_function(
     # Per-function uid scope: instruction uids (and the loop-gate
     # variable names and SEG vertex identities derived from them) must
     # not depend on which process, or in what order, prepared this
-    # function — that is what makes parallel and cache-warmed runs
-    # byte-identical to serial ones.
+    # function — that is what makes cache-warmed and session runs
+    # byte-identical to fresh ones.
     with cfg.scoped_uids():
         function = lower_function(func_ast)
         # Connectors and SSA add instructions and phis but never blocks
@@ -263,9 +263,7 @@ def prepare_source(
     diagnostics: Optional[DiagnosticLog] = None,
     recover: bool = False,
     verify: str = "",
-    jobs: int = 1,
     store=None,
-    worker_timeout: float = 0.0,
     pta_tier: str = "fi",
 ) -> PreparedModule:
     """Parse and prepare a program given as source text.
@@ -274,7 +272,6 @@ def prepare_source(
     (recorded as ``parse`` diagnostics) instead of failing the whole
     program; input in which *nothing* parses still raises.
 
-    ``jobs > 1`` prepares each call-graph wave in forked workers and
     ``store`` (a :class:`repro.cache.SummaryStore`) persists/loads
     per-function artifacts; results are identical either way."""
     from repro.sched.scheduler import prepare_program
@@ -301,11 +298,9 @@ def prepare_source(
             )
     return prepare_program(
         program,
-        jobs=jobs or 1,
         budget=budget,
         diagnostics=diagnostics,
         verify=verify,
         store=store,
-        worker_timeout=worker_timeout,
         pta_tier=pta_tier,
     )

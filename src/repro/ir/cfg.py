@@ -46,7 +46,7 @@ def scoped_uids(start: int = 1):
     instruction uids depend only on its own lowering sequence — not on
     which process (or in what order) prepared it.  Uid-derived names
     (``loop.<uid>.<pred>`` gate variables, SEG vertex identities) then
-    come out identical in serial, parallel, and cache-warmed runs.
+    come out identical in fresh, cache-warmed and session runs.
 
     Uids stay unique *within* a function; across functions they may
     collide, which the engine tolerates by construction: uids key only

@@ -65,11 +65,13 @@ class _Token:
         return f"_Token({self.kind!r}, {self.text!r}, line={self.line})"
 
 
-def _tokenize(source: str, errors: Optional[List[ParseError]] = None) -> List[_Token]:
-    """Tokenize; with an ``errors`` list, bad characters are recorded
-    and skipped instead of raising (tolerant mode)."""
+def _tokenize(
+    source: str, errors: Optional[List[ParseError]] = None, line: int = 1
+) -> List[_Token]:
+    """Tokenize, numbering the source's first line ``line``; with an
+    ``errors`` list, bad characters are recorded and skipped instead of
+    raising (tolerant mode)."""
     tokens: List[_Token] = []
-    line = 1
     pos = 0
     length = len(source)
     while pos < length:
@@ -352,9 +354,10 @@ class _Parser:
         raise ParseError(f"unexpected token {token.text!r} in expression", token.line)
 
 
-def parse_program(source: str) -> ast.Program:
-    """Parse a whole program (one or more ``fn`` definitions)."""
-    return _Parser(_tokenize(source)).parse_program()
+def parse_program(source: str, first_line: int = 1) -> ast.Program:
+    """Parse a whole program (one or more ``fn`` definitions) whose
+    first line is numbered ``first_line``."""
+    return _Parser(_tokenize(source, line=first_line)).parse_program()
 
 
 def parse_program_tolerant(

@@ -16,9 +16,8 @@ SMT):
   nesting-safe tracemalloc meter, and the resident-set high-water mark
   CLI run records carry;
 - **profiling** (:mod:`repro.obs.profiling` + :mod:`repro.obs.attr`):
-  the one ``repro profile`` report — per-pass / per-function tables
-  and the wave loop's measured wall, worker compute, utilization and
-  outcome decoding (``--json`` for the machine twin);
+  the one ``repro profile`` report — the wave loop's measured wall and
+  per-pass / per-function tables (``--json`` for the machine twin);
 - **run history** (:mod:`repro.obs.history`): schema-versioned run
   records in an append-only store (``--history-dir`` /
   ``$REPRO_HISTORY_DIR``) with rolling-baseline regression detection

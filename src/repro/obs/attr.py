@@ -1,15 +1,13 @@
 """Cost attribution: the ``repro profile`` document.
 
 One run's span tree and registry answer the questions the paper's
-evaluation (Figs. 7-10) and the parallelism work ask of a slow run:
+evaluation (Figs. 7-10) asks of a slow run:
 
 - **passes and functions** — per-pass and per-function self time with
   SMT-query attribution (:mod:`repro.obs.profiling`);
-- **the wave loop** — what the prepare scheduler measured: its wall,
-  the summed per-function compute, their ratio against ``jobs``
-  workers (utilization), and the parent's decoding of worker outcomes.
-  Worker spans re-parent under the ``sched.wave`` span that forked
-  them, so ``--trace`` shows every wave and every worker's share.
+- **the wave loop** — the wall of ``prepare_program``'s loop over the
+  call-graph waves (the ``attr.wave_seconds`` gauge); ``--trace`` shows every
+  ``sched.wave`` span with the functions prepared under it.
 
 Every figure is measured, none modelled, and a profiled run is timed by
 the clock (no tracemalloc), so it costs what a plain one does.
@@ -29,14 +27,7 @@ from repro.obs.profiling import pass_table, unit_table
 from repro.obs.trace import Tracer
 
 #: Document schema tag, bumped on incompatible shape changes.
-SCHEMA = "repro.profile/3"
-
-
-def _counter_total(registry: MetricsRegistry, name: str) -> float:
-    metric = registry.get(name)
-    if isinstance(metric, Counter):
-        return metric.total()
-    return 0.0
+SCHEMA = "repro.profile/4"
 
 
 def _gauge_value(registry: MetricsRegistry, name: str) -> float:
@@ -61,26 +52,14 @@ def cost_breakdown(
 
     ``wall_seconds`` is the run's clock time and ``peak_mb`` its
     resident-set high-water mark (:func:`repro.obs.measure.peak_rss_mb`;
-    left out of the document when None).  The ``parallel`` block is the
-    scheduler's ``attr.*`` gauges and ``sched.dispatch.*`` counters as
-    measured: ``work_seconds`` is worker compute, which overlaps itself
-    and the parent, and ``decode_seconds`` is the parent's wall time
-    spent unpickling worker outcomes.
+    left out of the document when None).  The ``parallel`` block holds
+    the wave loop's measured wall, ``wave_seconds``.
     """
     spans = list(tracer.spans)
     traced_seconds = sum(s.duration for s in spans if s.parent is None)
 
     parallel = {
-        "jobs": int(_gauge_value(registry, "sched.jobs") or 1),
         "wave_seconds": round(_gauge_value(registry, "attr.wave_seconds"), 6),
-        "work_seconds": round(_gauge_value(registry, "attr.work_seconds"), 6),
-        "utilization": round(_gauge_value(registry, "attr.utilization"), 4),
-        "decode_seconds": round(
-            _counter_total(registry, "sched.dispatch.decode_seconds"), 6
-        ),
-        "result_bytes": int(
-            _counter_total(registry, "sched.dispatch.result_bytes")
-        ),
     }
 
     # Wave spans carry bookkeeping units (wave indices), not functions —
@@ -191,15 +170,7 @@ def render_profile(document: Dict[str, Any], top: int = 10) -> str:
         bits.append(f"{smt['queries']} SMT queries")
     lines.append(", ".join(bits))
     if parallel.get("wave_seconds"):
-        jobs = parallel.get("jobs", 1)
-        lines.append(
-            f"wave loop: {_fmt_seconds(parallel['wave_seconds'])} wall, "
-            f"{_fmt_seconds(parallel.get('work_seconds', 0.0))} worker compute, "
-            f"{100 * parallel.get('utilization', 0.0):.1f}% utilization of "
-            f"{jobs} worker{'s' if jobs != 1 else ''}, "
-            f"{_fmt_seconds(parallel.get('decode_seconds', 0.0))} decoding "
-            f"{parallel.get('result_bytes', 0)} B of outcomes"
-        )
+        lines.append(f"wave loop: {_fmt_seconds(parallel['wave_seconds'])} wall")
     lines.append("")
 
     lines.append(f"hottest passes (top {top}, by self time)")

@@ -193,21 +193,9 @@ def collect_run_record(
             "writes": int(_counter_total(registry, "cache.writes")),
         },
         "sched": {
-            "jobs": int(_gauge_value(registry, "sched.jobs")),
             "waves": int(_gauge_value(registry, "sched.waves")),
-            "tasks": int(_counter_total(registry, "sched.tasks")),
-            # How hard did the supervision policy have to work?
+            # How hard did the cache I/O retry policy have to work?
             "retries": int(_counter_total(registry, "sched.retries")),
-            # Share of jobs x wave wall the workers spent computing.
-            "utilization": round(_gauge_value(registry, "attr.utilization"), 4),
-            "dispatch": {
-                "result_bytes": int(
-                    _counter_total(registry, "sched.dispatch.result_bytes")
-                ),
-                "decode_seconds": round(
-                    _counter_total(registry, "sched.dispatch.decode_seconds"), 6
-                ),
-            },
         },
         "robust": {
             "degradations": int(_counter_total(registry, "robust.degradations")),

@@ -109,13 +109,10 @@ def time_only(thunk: Callable[[], T]) -> Tuple[T, float]:
 
 
 def peak_rss_mb() -> float:
-    """Largest resident set, in MiB, of this process and of any child it
-    has waited for (scheduler workers); 0.0 where ``resource`` is
-    missing.  ``ru_maxrss`` is in KiB on Linux and in bytes on macOS."""
+    """Largest resident set of this process, in MiB; 0.0 where
+    ``resource`` is missing.  ``ru_maxrss`` is in KiB on Linux and in
+    bytes on macOS."""
     if resource is None:
         return 0.0
-    peak = max(
-        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-        resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,
-    )
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0)

@@ -380,43 +380,6 @@ class MetricsRegistry:
         return len(self._metrics)
 
     # ------------------------------------------------------------------
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Fold another registry's samples into this one.
-
-        This is how worker processes report: each task runs under a
-        fresh registry, ships it back pickled, and the parent merges —
-        counters add per label set, gauges take the incoming value
-        (last-writer-wins), histograms add bucket counts (the bucket
-        bounds must match or the merge raises).  Returns ``self`` so
-        merges chain.
-        """
-        for name in sorted(other._metrics):
-            incoming = other._metrics[name]
-            if isinstance(incoming, Counter):
-                mine = self.counter(name, incoming.help)
-                for labels, value in incoming._values.items():
-                    mine._values[labels] = mine._values.get(labels, 0) + value
-            elif isinstance(incoming, Gauge):
-                mine = self.gauge(name, incoming.help)
-                for labels, value in incoming._values.items():
-                    mine._values[labels] = value
-            elif isinstance(incoming, Histogram):
-                mine = self.histogram(name, incoming.help, incoming.buckets)
-                if mine.buckets != incoming.buckets:
-                    raise ValueError(
-                        f"histogram {name!r}: bucket bounds differ, cannot merge"
-                    )
-                for labels, state in incoming._states.items():
-                    target = mine._state(dict(labels))
-                    target.count += state.count
-                    target.sum += state.sum
-                    for index, count in enumerate(state.bucket_counts):
-                        target.bucket_counts[index] += count
-            else:  # pragma: no cover - no other metric kinds exist
-                raise ValueError(f"metric {name!r}: unknown kind {incoming.kind}")
-        return self
-
-    # ------------------------------------------------------------------
     # Exports
     # ------------------------------------------------------------------
     def as_dict(self) -> dict:

@@ -10,8 +10,7 @@ all read-only:
     200 even while degraded; degradation is state, not ill health.
 ``/metrics``
     The process :class:`~repro.obs.metrics.MetricsRegistry` in
-    Prometheus text exposition format (worker metrics appear as the
-    scheduler merges them at wave boundaries).
+    Prometheus text exposition format.
 ``/status``
     JSON progress snapshot from the global
     :class:`~repro.obs.progress.ProgressTracker`: current stage,

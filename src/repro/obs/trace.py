@@ -158,8 +158,8 @@ class Tracer:
     def trace_id(self) -> str:
         """Stable id naming this run's trace, allocated on first use.
 
-        Propagated to workers and daemon jobs so all spans of one run —
-        across processes — share a single trace identity.
+        Propagated to daemon jobs so all spans of one request share a
+        single trace identity.
         """
         if not self._trace_id:
             self._trace_id = uuid.uuid4().hex[:16]
@@ -175,43 +175,6 @@ class Tracer:
     def clear(self) -> None:
         with self._lock:
             self.spans = []
-
-    def absorb(self, spans: List[Span], parent: Optional[int] = None) -> None:
-        """Adopt spans recorded by another tracer (a worker process).
-
-        Uids are remapped onto this tracer's sequence — preserving
-        parent links within the absorbed batch — so absorbed spans can
-        never collide with locally recorded ones.  Batch *roots* (spans
-        whose parent is unset or not part of the batch) re-parent under
-        ``parent`` — the local uid of the span that dispatched the
-        remote work — so a worker's task span nests under the wave that
-        submitted it instead of floating free.  Start offsets are kept
-        as-is: worker clocks share the parent's origin under ``fork``,
-        and Chrome trace rendering tolerates small skews.
-        """
-        if not spans:
-            return
-        with self._lock:
-            remap: Dict[int, int] = {}
-            for span in spans:
-                self._uid += 1
-                remap[span.uid] = self._uid
-            for span in spans:
-                adopted = remap.get(span.parent) if span.parent else None
-                if adopted is None:
-                    adopted = parent
-                self.spans.append(
-                    Span(
-                        uid=remap[span.uid],
-                        name=span.name,
-                        start=span.start,
-                        duration=span.duration,
-                        unit=span.unit,
-                        thread_id=span.thread_id,
-                        parent=adopted,
-                        args=dict(span.args),
-                    )
-                )
 
     # ------------------------------------------------------------------
     def _stack(self) -> List[int]:

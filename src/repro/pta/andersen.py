@@ -147,7 +147,7 @@ class AndersenAnalysis:
     # set order.  Set iteration depends on PYTHONHASHSEED; sorted
     # iteration makes content-node naming, copy-edge discovery order,
     # and therefore everything downstream (baseline SVFG shape, report
-    # order) byte-identical across processes, runs, and --jobs values.
+    # order) byte-identical across processes and runs.
 
     def solve(self, max_iterations: int = 100) -> None:
         changed = True

@@ -23,7 +23,6 @@ STAGE_SEARCH = "search"
 STAGE_SMT = "smt"
 STAGE_CHECKER = "checker"
 STAGE_VERIFY = "verify"
-STAGE_SCHED = "sched"
 
 # Reasons.
 REASON_QUARANTINED = "quarantined"

@@ -32,24 +32,14 @@ from typing import Dict, Optional, Tuple
 ENV_VAR = "REPRO_FAULTS"
 
 #: The recognised injection sites, for validation and documentation.
-#: ``sched`` is special: it is consumed inside worker processes of the
-#: parallel scheduler and kills the worker outright (``os._exit``)
-#: instead of raising, to exercise the parent's crash-quarantine path.
-#: ``slow`` is also special: it does not raise — the unit field encodes
-#: a sleep in seconds (``slow:0.25``) consumed by :func:`slow_point` in
+#: ``slow`` is special: it does not raise — the unit field encodes a
+#: sleep in seconds (``slow:0.25``) consumed by :func:`slow_point` in
 #: the CLI's measured region, so perf-regression detection can be
-#: exercised deterministically.
-#:
-#: The crash-durability sites:
-#: - ``kill-worker:<wave>`` kills any worker process the moment it
-#:   picks up a task of that call-graph wave (``os._exit``, like
-#:   ``sched`` but keyed by wave index instead of function name), so
-#:   tests can SIGKILL-like interrupt a run mid-wave deterministically;
-#: - ``disk-full`` raises ``OSError(ENOSPC)`` from the artifact store's
-#:   write path (consumed by :func:`disk_full_point`) to exercise the
-#:   supervised I/O retry path in ``repro.robust.retry``.
-SITES = ("parse", "prepare", "seg", "smt", "sched", "slow",
-         "kill-worker", "disk-full")
+#: exercised deterministically.  ``disk-full`` raises
+#: ``OSError(ENOSPC)`` from the artifact store's write path (consumed by
+#: :func:`disk_full_point`) to exercise the supervised I/O retry path in
+#: ``repro.robust.retry``.
+SITES = ("parse", "prepare", "seg", "smt", "slow", "disk-full")
 
 
 class InjectedFault(RuntimeError):

@@ -14,10 +14,10 @@ keep the caller's thresholds and still free short-lived cycles;
 Every analysis entry point enters the scope: ``prepare_source``,
 ``prepare_program``, ``IncrementalAnalyzer.analyze``,
 ``Pinpoint.__init__``, ``Pinpoint.check``, the ``check`` and ``profile``
-commands (output included) and each daemon job.  Forked ``--jobs``
-workers inherit the held threshold.  The scope is re-entrant and shared
-by every thread: the outermost entry saves ``gc.get_threshold()`` and
-the outermost exit, exceptions included, restores it.  It never
+commands (output included) and each daemon job.  The scope is
+re-entrant and shared by every thread: the outermost entry saves
+``gc.get_threshold()`` and the outermost exit, exceptions included,
+restores it.  It never
 enables, disables or freezes the collector, so a long-lived process (a
 session, the daemon) is left between analyses as its owner set it up.
 

@@ -12,12 +12,10 @@ The artifact store's writes (:mod:`repro.cache.store`) go through
   charged independently; a final failure re-raises for the caller's
   own degradation path.
 
-The wave scheduler's crashed workers are retried without a backoff (a
-dead process is not a transient condition a delay cures; see
-:mod:`repro.sched.worker`), but count into the same ``sched.retries``
-counter, labelled by ``site`` (``sched``, ``cache``) and ``kind``
-(``crash``, ``timeout``, ``io``), so supervised recovery is visible in
-``--stats`` and Prometheus output.
+Every retry counts into the ``sched.retries`` counter, labelled by
+``site`` and ``kind`` (``cache``/``io`` for the store's writes), so
+supervised recovery is visible in ``--stats``, run records and
+Prometheus output.
 """
 
 from __future__ import annotations
@@ -31,14 +29,6 @@ from repro.obs.metrics import get_registry
 
 #: The retries-visible-everywhere counter.
 RETRIES_COUNTER = "sched.retries"
-
-
-def count_retry(site: str, kind: str) -> None:
-    """Count one supervised retry into :data:`RETRIES_COUNTER`."""
-    get_registry().counter(
-        RETRIES_COUNTER, "Supervised retries (solo worker re-runs, cache I/O "
-        "retries)"
-    ).inc(site=site, kind=kind)
 
 
 @dataclass(frozen=True)
@@ -90,5 +80,7 @@ def with_retries(
             attempt += 1
             if attempt > policy.max_retries:
                 raise
-            count_retry(site, kind)
+            get_registry().counter(
+                RETRIES_COUNTER, "Supervised retries (cache I/O retries)"
+            ).inc(site=site, kind=kind)
             sleep(policy.delay(unit, attempt))

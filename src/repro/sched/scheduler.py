@@ -12,26 +12,24 @@ call it.  Per call-graph wave it
   :mod:`repro.cache.keys` (a :class:`~repro.cache.store.SummaryStore`
   under ``--cache-dir``, or the incremental analyzer's
   :class:`~repro.cache.store.MemoryTier` in front of one);
-- prepares the misses with :func:`_run_inline` — per-function stage
+- prepares the misses with :func:`_prepare_one` — per-function stage
   1-3 work: connector transformation, intraprocedural points-to, SEG
-  construction — in this process (``jobs=1``) or in up to ``jobs``
-  children forked at the wave barrier (:mod:`repro.sched.worker`),
-  which run the same function;
-- writes the fresh, full-precision results back to ``store``.
+  construction;
+- writes the fresh, full-precision results back to ``store`` at the
+  wave barrier.
 
-A run killed part-way leaves every function it finished in the store,
-so rerunning with the same ``--cache-dir`` recomputes only the rest.
+A run killed part-way leaves every wave it finished in the store, so
+rerunning with the same ``--cache-dir`` recomputes only the rest.
 
 Determinism is preserved by construction:
 
-- wave order is used only for *dispatch*; the merged module's
+- wave order is used only for preparation; the merged module's
   ``functions``/``order`` follow the exact serial ``bottom_up_order``,
-  so the engine's summary/checker pass (which stays serial — context
-  numbering is sequential across it) sees the same world in the same
-  order;
+  so the engine's summary/checker pass sees the same world in the same
+  order whatever the store served;
 - diagnostics are buffered per function and replayed in serial order
   during final assembly, so the diagnostics list is the same for every
-  ``jobs`` value and every store state;
+  store state;
 - verification (and the admit/quarantine decision it implies) runs at
   the wave barrier because a rejected function must not publish its
   connector signature to later waves.  With verification on and
@@ -39,29 +37,23 @@ Determinism is preserved by construction:
   against an fi preparation of it; one that fails keeps the fi
   artifacts.
 
-Failure semantics: a Python exception while preparing a function (inline
-or inside a worker) becomes a ``prepare``-stage quarantine diagnostic; a
-worker process that *dies or hangs* on a function twice, the second time
-alone, becomes a ``sched``-stage quarantine (inline runs can't crash
-that way, and a healthy parallel run records neither).
-SEG-construction failures leave ``seg=None`` and the engine rebuilds
-under its own ``seg`` quarantine, so deterministic failures reproduce
-with identical diagnostics.
+Failure semantics: a Python exception while preparing a function becomes
+a ``prepare``-stage quarantine diagnostic.  SEG-construction failures
+leave ``seg=None`` and the engine rebuilds under its own ``seg``
+quarantine, so deterministic failures reproduce with identical
+diagnostics.
 
-Resource budgets are cooperative (checked inside the analysis loops of
-*this* process), so a limited budget forces inline preparation —
-workers could not observe a shared deadline.  So does a platform
-without ``os.fork``.  Store lookups still apply, but a budget-degraded
-artifact is never written back: its content address names the
-full-precision result.
+Resource budgets are cooperative (checked inside the analysis loops).
+Store lookups still apply under a budget, but a budget-degraded artifact
+is never written back: its content address names the full-precision
+result.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.cache.keys import key_digest, prepare_cache_key
 from repro.core.pipeline import (
@@ -72,7 +64,7 @@ from repro.core.pipeline import (
 from repro.ir.callgraph import CallGraph
 from repro.lang import ast
 from repro.obs.log import get_logger
-from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.metrics import get_registry
 from repro.obs.progress import get_progress
 from repro.obs.trace import trace
 from repro.pta.intraproc import publish_results
@@ -82,14 +74,12 @@ from repro.robust.diagnostics import (
     REASON_QUARANTINED,
     STAGE_PREPARE,
     STAGE_PTA,
-    STAGE_SCHED,
     DiagnosticLog,
 )
 from repro.robust.faults import fault_point
 from repro.robust.heap import hold_full_collections
 from repro.robust.quarantine import FATAL
 from repro.sched.waves import scc_waves
-from repro.sched.worker import run_wave
 
 _log = get_logger("sched")
 
@@ -103,7 +93,6 @@ class _Outcome:
     result: Optional[PreparedFunction] = None
     seg: Any = None
     cached: bool = False
-    stage: str = STAGE_PREPARE
     detail: str = ""
     line: int = 0
     violations: List[Any] = field(default_factory=list)
@@ -116,12 +105,10 @@ class _Outcome:
 def prepare_program(
     program: ast.Program,
     *,
-    jobs: int = 1,
     budget: Optional[ResourceBudget] = None,
     diagnostics: Optional[DiagnosticLog] = None,
     verify: str = "",
     store=None,
-    worker_timeout: float = 0.0,
     pta_tier: str = "fi",
 ) -> PreparedModule:
     """Prepare a parsed program bottom-up over its call-graph waves.
@@ -152,21 +139,6 @@ def prepare_program(
     if budget is not None:
         budget.start()
 
-    effective_jobs = max(1, int(jobs))
-    limited = budget is not None and budget.limited
-    if effective_jobs > 1 and (limited or not hasattr(os, "fork")):
-        registry.counter(
-            "sched.serial_fallback",
-            "Parallel runs forced serial by a cooperative resource budget "
-            "or a platform without fork",
-        ).inc()
-        _log.info(
-            "forcing serial preparation",
-            requested_jobs=effective_jobs,
-            reason="cooperative resource budget" if limited else "no os.fork",
-        )
-        effective_jobs = 1
-
     with trace("callgraph", unit="<module>"):
         callgraph = CallGraph(program)
     prepared.callgraph = callgraph
@@ -176,40 +148,25 @@ def prepare_program(
     scc_of = callgraph.scc_of
 
     waves = scc_waves(callgraph)
-    registry.gauge("sched.jobs", "Worker processes of the last run").set(
-        effective_jobs
-    )
     registry.gauge("sched.waves", "Call-graph waves of the last run").set(
         len(waves)
     )
     progress = get_progress()
-    progress.set_stage(
-        "prepare", functions=len(serial_order), waves=len(waves), jobs=effective_jobs
-    )
+    progress.set_stage("prepare", functions=len(serial_order), waves=len(waves))
     progress.set_functions_total(len(serial_order))
 
     signatures: Dict[str, Any] = {}
     outcomes: Dict[str, _Outcome] = {}
     digests = prepared.digests
 
-    def prepare_forked(
-        name: str, func_ast: ast.FuncDef, usable: Dict[str, Any]
-    ) -> _Outcome:
-        return _run_inline(
-            name, func_ast, usable, prepared.linear, budget, pta_tier,
-            with_seg=True,
-        )
-
-    # The wave loop's wall and its per-function compute feed the attr.*
-    # gauges below.
+    # The wave loop's wall feeds the attr.wave_seconds gauge below.
     total_wave_seconds = 0.0
-    work_seconds = 0.0
     for wave_index, wave in enumerate(waves):
         names = [name for scc in wave for name in scc]
         wave_started = time.perf_counter()
         usable_of: Dict[str, Dict[str, Any]] = {}
         with trace("sched.wave", unit=str(wave_index)) as span:
-            pending: List[Tuple[str, ast.FuncDef, Dict[str, Any]]] = []
+            cached = 0
             for name in names:
                 func_ast = ast_by_name[name]
                 # Only this function's own callees: lookups and the
@@ -234,38 +191,15 @@ def prepare_program(
                         outcomes[name] = _Outcome(
                             "prepared", result=result, seg=seg, cached=True
                         )
+                        cached += 1
                         continue
-                pending.append((name, func_ast, usable))
-            span.set(
-                functions=len(names),
-                cached=len(names) - len(pending),
-                dispatched=len(pending),
-            )
-
-            if effective_jobs > 1 and pending:
-                finished, crashed = run_wave(
-                    pending,
-                    prepare_forked,
-                    jobs=effective_jobs,
-                    timeout=worker_timeout,
-                    wave_index=wave_index,
-                    wave_span=span.uid,
+                outcomes[name] = _prepare_one(
+                    name, func_ast, usable, prepared.linear, budget,
+                    pta_tier, with_seg=store is not None,
                 )
-                for name, (outcome, seconds) in finished.items():
-                    outcomes[name] = outcome
-                    work_seconds += seconds
-                for name, detail in crashed.items():
-                    outcomes[name] = _Outcome(
-                        "quarantined", stage=STAGE_SCHED, detail=detail
-                    )
-            else:
-                for name, func_ast, usable in pending:
-                    task_started = time.perf_counter()
-                    outcomes[name] = _run_inline(
-                        name, func_ast, usable, prepared.linear, budget,
-                        pta_tier, with_seg=store is not None,
-                    )
-                    work_seconds += time.perf_counter() - task_started
+            span.set(
+                functions=len(names), cached=cached, prepared=len(names) - cached
+            )
 
             # Wave-boundary admission gate: a function must pass the
             # IR verifier before its connector signature becomes
@@ -324,19 +258,19 @@ def prepare_program(
             ),
         )
 
-    _publish_attribution(
-        registry, effective_jobs, total_wave_seconds, work_seconds
-    )
+    registry.gauge(
+        "attr.wave_seconds", "Wall seconds spent inside the wave loop"
+    ).set(round(total_wave_seconds, 6))
 
     # Serial-order assembly: identical functions/order/diagnostics for
-    # every jobs value and store state.
+    # every store state.
     log = prepared.diagnostics
     for name in serial_order:
         out = outcomes[name]
         func_ast = ast_by_name[name]
         if out.kind == "quarantined":
             log.record(
-                out.stage,
+                STAGE_PREPARE,
                 name,
                 REASON_QUARANTINED,
                 detail=out.detail,
@@ -374,37 +308,10 @@ def prepare_program(
         "module prepared",
         functions=len(prepared.functions),
         quarantined=len(serial_order) - len(prepared.functions),
-        jobs=effective_jobs,
         waves=len(waves),
         cached=len(prepared.cached),
     )
     return prepared
-
-
-def _publish_attribution(
-    registry: MetricsRegistry,
-    jobs: int,
-    wave_seconds: float,
-    work_seconds: float,
-) -> None:
-    """Run-level attribution gauges, computed from plain perf counters
-    so they exist (and land in run history) even when tracing is off.
-
-    At most ``jobs`` functions are prepared at once, so the work is at
-    most ``jobs`` times the wave wall and utilization at most 1."""
-    registry.gauge(
-        "attr.wave_seconds", "Wall seconds spent inside the wave loop"
-    ).set(round(wave_seconds, 6))
-    registry.gauge(
-        "attr.work_seconds", "Summed per-task compute across all waves"
-    ).set(round(work_seconds, 6))
-    registry.gauge(
-        "attr.utilization",
-        "Fraction of available worker-seconds spent computing "
-        "(work / jobs x wave wall)",
-    ).set(
-        round(work_seconds / (jobs * wave_seconds), 4) if wave_seconds > 0 else 0.0
-    )
 
 
 def _has_error(violations: List[Any]) -> bool:
@@ -434,7 +341,7 @@ def _audit_flow_tier(
 
 
 # ----------------------------------------------------------------------
-def _run_inline(
+def _prepare_one(
     name: str,
     func_ast: ast.FuncDef,
     usable: Dict[str, Any],
@@ -443,9 +350,8 @@ def _run_inline(
     pta_tier: str,
     with_seg: bool,
 ) -> _Outcome:
-    """Prepare one function in this process — the serial loop's, or a
-    forked worker's.  ``with_seg`` also builds its SEG eagerly so the
-    artifact can be stored, or shipped from a worker, whole."""
+    """Prepare one function.  ``with_seg`` also builds its SEG eagerly
+    so the artifact can be stored whole."""
     try:
         with trace("prepare.fn", unit=name):
             fault_point("prepare", name)
@@ -457,7 +363,6 @@ def _run_inline(
     except Exception as error:
         return _Outcome(
             "quarantined",
-            stage=STAGE_PREPARE,
             detail=f"{type(error).__name__}: {error}",
             line=getattr(error, "line", 0) or 0,
         )

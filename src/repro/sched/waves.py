@@ -1,23 +1,22 @@
-"""Call-graph condensation into parallel waves.
+"""Call-graph condensation into waves.
 
-The bottom-up phase is embarrassingly parallel *across* call-graph SCCs
-at the same depth: a function's stage 1-3 artifacts depend only on its
-own AST plus the connector signatures of its (non-recursive) callees,
-so once every callee SCC is prepared, all SCCs whose dependencies are
-satisfied can be prepared concurrently.
+A function's stage 1-3 artifacts depend only on its own AST plus the
+connector signatures of its (non-recursive) callees, so once every
+callee SCC is prepared, every SCC whose dependencies are satisfied can
+be prepared next.
 
 ``scc_waves`` reads the call graph's one SCC condensation (Tarjan SCCs,
 computed bottom-up once by :class:`~repro.ir.callgraph.CallGraph`) and
 assigns each SCC a *wave*: ``wave(S) = 1 + max(wave(T) for callee SCCs
 T)``, leaves at wave 0.  Every function in wave *k* can be prepared as
-soon as waves ``< k`` are merged — that is the scheduler's barrier.
+soon as waves ``< k`` are published — that is the wave barrier.
 
 Determinism: SCCs within a wave keep their bottom-up (Tarjan) order and
 members within an SCC are sorted, so flattening the waves visits
-functions in a reproducible order.  Note this *wave order* is only used
-for dispatch; the merged module always presents functions in the exact
-serial ``bottom_up_order`` so downstream passes (and reports) are
-byte-identical to a ``--jobs 1`` run.
+functions in a reproducible order.  This *wave order* is only the
+preparation order; the prepared module always presents functions in the
+exact serial ``bottom_up_order``, so downstream passes (and reports)
+do not depend on it.
 """
 
 from __future__ import annotations

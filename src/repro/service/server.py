@@ -253,7 +253,7 @@ class ServiceServer:
                 "(run /v1/check with this session name first)",
             }
         try:
-            func = parse_single_function(text)
+            func = parse_single_function(text, session.program)
         except (ParseError, ValueError) as exc:
             return {"http": 400, "error": f"bad edit payload: {exc}"}
         wanted = payload.get("function")

@@ -135,14 +135,28 @@ class SessionCache:
         ).set(len(self._sessions))
 
 
-def parse_single_function(text: str) -> ast.FuncDef:
+def parse_single_function(text: str, program: ast.Program) -> ast.FuncDef:
     """Parse the text of exactly one function definition (the ``/v1/edit``
-    payload).  Raises :class:`ParseError` on malformed input and
-    ``ValueError`` when the text holds zero or several functions."""
-    program = parse_program(text)
-    if len(program.functions) != 1:
-        raise ValueError(
-            f"edit payload must contain exactly one function, "
-            f"got {len(program.functions)}"
-        )
-    return program.functions[0]
+    payload) that replaces a definition of ``program``.  Raises
+    :class:`ParseError` on malformed input and ``ValueError`` when the
+    text holds zero or several functions.
+
+    The text's lines are numbered so that its ``fn`` keyword lands on
+    the line of the definition it replaces, so the edited function's
+    reports name the lines a one-shot check of the spliced program
+    names."""
+
+    def parse(first_line: int) -> ast.FuncDef:
+        functions = parse_program(text, first_line).functions
+        if len(functions) != 1:
+            raise ValueError(
+                f"edit payload must contain exactly one function, "
+                f"got {len(functions)}"
+            )
+        return functions[0]
+
+    func = parse(1)
+    old = next((f for f in program.functions if f.name == func.name), None)
+    if old is not None and old.line != func.line:
+        func = parse(old.line - func.line + 1)
+    return func

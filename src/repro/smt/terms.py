@@ -91,10 +91,9 @@ class Term:
         # Structural (Merkle) key: identical for structurally equal
         # terms in *any* process, unlike ``_id`` (allocation order) and
         # ``hash()`` (PYTHONHASHSEED).  Canonical argument ordering
-        # sorts by this key so conditions built in scheduler workers
-        # or loaded from the artifact cache collapse to the exact terms
-        # a serial run builds — a requirement for byte-identical
-        # reports under --jobs N / --cache-dir.
+        # sorts by this key so conditions loaded from the artifact
+        # cache collapse to the exact terms a fresh run builds — a
+        # requirement for byte-identical reports under --cache-dir.
         digest = hashlib.sha1(f"{kind}\x00{value!r}\x00".encode("utf-8"))
         for arg in args:
             digest.update(arg._skey)

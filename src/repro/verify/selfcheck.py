@@ -168,7 +168,6 @@ def run_selfcheck(
     oracle: bool = True,
     checker: Optional[object] = None,
     config: Optional[EngineConfig] = None,
-    jobs: Optional[int] = None,
     cache_dir: Optional[str] = None,
 ) -> SelfCheckReport:
     """Run the differential harness over ``seeds``; never raises for a
@@ -188,7 +187,7 @@ def run_selfcheck(
         run_config = config or EngineConfig()
         run_config = dataclasses.replace(run_config, verify=mode)
         engine = Pinpoint.from_source(
-            program.source, run_config, jobs=jobs, cache_dir=cache_dir
+            program.source, run_config, cache_dir=cache_dir
         )
         result = engine.check(checker or UseAfterFreeChecker())
 

@@ -1,27 +1,28 @@
 """Crash durability through the content-addressed artifact store.
 
-A run killed mid-wave leaves every function it finished in its
+A run killed mid-wave leaves every wave it finished in its
 ``--cache-dir`` store.  Rerunning with the same ``--cache-dir`` serves
 those functions from the store, recomputes only the rest, and reports
-findings and diagnostics byte-identical to an uninterrupted run.  The
-``kill-worker``/``disk-full`` fault sites make those paths
-deterministic to exercise.
+findings and diagnostics byte-identical to an uninterrupted run.  A
+child process that exits abruptly part-way, and the ``disk-full`` fault
+site, make those paths deterministic to exercise.
 """
 
 import dataclasses
+import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
 from repro import Pinpoint, UseAfterFreeChecker
 from repro.cache import SummaryStore
 from repro.cache.store import CACHE_DIR_ENV
-from repro.cli import main
 from repro.obs.history import HISTORY_DIR_ENV
 from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
-from repro.robust.diagnostics import STAGE_SCHED
 from repro.robust.faults import install_faults, reset_faults
-from repro.sched import JOBS_ENV
 
 PROGRAM = """
 fn helper(p) { x = *p; return x; }
@@ -52,7 +53,7 @@ WAVE0 = {"helper", "touch"}
 
 @pytest.fixture(autouse=True)
 def _clean_state(monkeypatch):
-    for var in (JOBS_ENV, CACHE_DIR_ENV, HISTORY_DIR_ENV):
+    for var in (CACHE_DIR_ENV, HISTORY_DIR_ENV):
         monkeypatch.delenv(var, raising=False)
     reset_faults()
     set_registry(MetricsRegistry())
@@ -82,42 +83,87 @@ def _stored_names(cache_dir):
 
 
 # ----------------------------------------------------------------------
-# kill-worker: a run killed mid-wave exits 3 and leaves its store behind
+# A run that dies part-way keeps the waves it finished
 # ----------------------------------------------------------------------
-def test_kill_worker_exits_degraded_with_store_behind(tmp_path, capsys):
+#: Runs ``repro check`` with ``prepare_function`` patched to end the
+#: process abruptly (no unwinding, no flush) at its ``DIE_AT``-th call.
+_DYING_CHECK = textwrap.dedent(
+    """
+    import os, sys
+    from repro.sched import scheduler
+    from repro.cli import main
+
+    real, calls = scheduler.prepare_function, [0]
+
+    def prepare_function(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] == int(os.environ["DIE_AT"]):
+            os._exit(70)
+        return real(*args, **kwargs)
+
+    scheduler.prepare_function = prepare_function
+    sys.exit(main(sys.argv[1:]))
+    """
+)
+
+
+def _check_in_child(argv, die_at=0):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src")]
+        + env.get("PYTHONPATH", "").split(os.pathsep)
+    )
+    for var in (CACHE_DIR_ENV, HISTORY_DIR_ENV):
+        env.pop(var, None)
+    env["DIE_AT"] = str(die_at)
+    return subprocess.run(
+        [sys.executable, "-c", _DYING_CHECK, "check", *argv, "--all", "--json"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+
+
+def _semantic(stdout):
+    document = json.loads(stdout)
+    return json.dumps(
+        {key: document[key] for key in ("reports", "diagnostics", "stats")},
+        sort_keys=True,
+    )
+
+
+def _die_part_way(tmp_path):
+    """Run ``check --cache-dir`` in a child that dies in wave 1; return
+    (program path, cache dir, the dead child's result)."""
     program = tmp_path / "prog.pin"
     program.write_text(PROGRAM)
     cache_dir = str(tmp_path / "cache")
-    code = main(
-        [
-            "check", str(program), "--all", "--json",
-            "--jobs", "2",
-            "--cache-dir", cache_dir,
-            "--fault", "kill-worker:0",
-        ]
-    )
-    capsys.readouterr()
-    assert code == 3  # degraded coverage
-    # Wave 0's functions died before completing, so the store holds
-    # nothing for them.  Later waves completed (degraded) and are stored.
-    stored = _stored_names(cache_dir)
-    assert WAVE0.isdisjoint(stored)
-    assert "main" in stored
+    # The third preparation is wave 1's `chain`: wave 0 is written at
+    # its barrier before the process dies.
+    dead = _check_in_child([str(program), "--cache-dir", cache_dir], die_at=3)
+    return program, cache_dir, dead
 
 
-def test_resume_after_kill_worker_matches_uninterrupted(tmp_path):
-    reference = _snapshot(PROGRAM)
+def test_killed_run_leaves_finished_waves_in_the_store(tmp_path):
+    _program, cache_dir, dead = _die_part_way(tmp_path)
+    assert dead.returncode == 70, dead.stderr
+    assert dead.stdout == ""
+    assert _stored_names(cache_dir) == WAVE0
 
-    cache_dir = str(tmp_path / "cache")
-    install_faults("kill-worker:0")
-    set_registry(MetricsRegistry())
-    killed = _snapshot(PROGRAM, jobs=2, cache_dir=cache_dir)
-    assert any(d["stage"] == STAGE_SCHED for d in killed[1])
 
-    reset_faults()
-    set_registry(MetricsRegistry())
-    rerun = _snapshot(PROGRAM, jobs=2, cache_dir=cache_dir)
-    assert rerun == reference
+def test_resume_after_killed_run_matches_uninterrupted(tmp_path):
+    program, cache_dir, dead = _die_part_way(tmp_path)
+    assert dead.returncode == 70, dead.stderr
+    reference = _check_in_child([str(program)])
+    assert reference.returncode == 1, reference.stderr
+
+    rerun = _check_in_child([str(program), "--cache-dir", cache_dir])
+    assert rerun.returncode == reference.returncode
+    assert _semantic(rerun.stdout) == _semantic(reference.stdout)
+    metrics = json.loads(rerun.stdout)["metrics"]
+    assert metrics["cache.hits"]["value"] == len(WAVE0)
+    assert metrics["cache.misses"]["value"] == metrics["cache.writes"]["value"] == 2
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,8 @@ Every analysis entry point holds automatic full collections off
 (:mod:`repro.robust.heap`).  After any of them the collection
 thresholds, the enabled flag and the freeze count must be what the
 caller set: after a build and a check, a CLI command, a run that raises,
-a session edit, a ``--jobs 2`` build and a daemon job, and when entries
-nest or overlap across threads.  A daemon whose jobs never pause still
+a session edit and a daemon job, and when entries nest or overlap
+across threads.  A daemon whose jobs never pause still
 runs full collections.
 """
 
@@ -79,9 +79,7 @@ def test_build_and_check_hold_and_restore(monkeypatch, source, caller_collector)
     monkeypatch.setattr(scheduler, "prepare_function", probe_prepare)
     monkeypatch.setattr(engine_mod._CheckerRun, "execute", probe_execute)
     before = collector_state()
-    # Serial, whatever REPRO_JOBS says: forked wave workers would call
-    # the patched prepare_function where this process cannot see it.
-    engine = Pinpoint.from_source(source, jobs=1)
+    engine = Pinpoint.from_source(source)
     assert collector_state() == before
     engine.check(UseAfterFreeChecker())
     assert collector_state() == before == (CALLER, caller_collector, 0)
@@ -121,20 +119,6 @@ def test_incremental_edit_restores(source):
     assert analyzer.last_stats.analyzed >= 1
     assert [len(r.reports) for r in warm] == [len(r.reports) for r in cold]
     assert collector_state() == before
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_jobs2_build_restores_and_keeps_the_callers_freeze(source):
-    gc.freeze()
-    try:
-        before = collector_state()
-        assert before[2] > 0
-        engine = Pinpoint.from_source(source, jobs=2)
-        engine.check(UseAfterFreeChecker())
-        # Nothing unfreezes what the caller froze.
-        assert collector_state() == before
-    finally:
-        gc.unfreeze()
 
 
 def test_daemon_job_restores(source, caller_collector):

@@ -132,14 +132,7 @@ def test_collect_run_record_empty_registry():
     )
     assert rec["stages"] == {}
     assert rec["quantiles"] == {}
-    assert rec["sched"] == {
-        "jobs": 0,
-        "waves": 0,
-        "tasks": 0,
-        "retries": 0,
-        "utilization": 0.0,
-        "dispatch": {"result_bytes": 0, "decode_seconds": 0.0},
-    }
+    assert rec["sched"] == {"waves": 0, "retries": 0}
 
 
 # ----------------------------------------------------------------------
@@ -491,36 +484,6 @@ def test_history_diff(uaf_file, tmp_path, capsys):
     assert payload["same_findings_digest"] is True
 
 
-def test_history_diff_surfaces_dispatch_overhead_split(uaf_file, tmp_path, capsys):
-    """Acceptance: the measured utilization and outcome decoding of a
-    --jobs 2 run land in run history and ``history diff`` surfaces the
-    utilization delta."""
-    hist = str(tmp_path / "hist")
-    main(["check", uaf_file, "--jobs", "2", "--history-dir", hist])
-    main(["check", uaf_file, "--jobs", "2", "--history-dir", hist])
-    capsys.readouterr()
-
-    records = HistoryStore(hist).records()
-    for rec in records:
-        sched = rec["sched"]
-        assert sched["jobs"] == 2
-        assert 0.0 < sched["utilization"] <= 1.0
-        assert not {"critical_path_seconds", "overhead_ratio"} & set(sched)
-        dispatch = sched["dispatch"]
-        assert dispatch["result_bytes"] > 0
-        assert dispatch["decode_seconds"] >= 0
-
-    assert main(["history", "diff", "--history-dir", hist]) == 0
-    out = capsys.readouterr().out
-    assert "utilization" in out
-    assert "critical_path" not in out and "overhead_ratio" not in out
-
-    main(["history", "diff", "--history-dir", hist, "--json"])
-    payload = json.loads(capsys.readouterr().out)
-    (utilization,) = payload["attr"].values()
-    assert [r["sched"]["utilization"] for r in records] == utilization
-
-
 def test_history_trend_check_passes_and_writes_bench(uaf_file, tmp_path, capsys):
     hist = str(tmp_path / "hist")
     bench = str(tmp_path / "BENCH_pinpoint.json")
@@ -673,7 +636,7 @@ def test_history_reads_records_with_the_dropped_dispatch_keys(
     ``shares``, ``critical_path``, ``waves`` and ``overhead``.  Diff and
     trend read them next to new records, and a high ``overhead_ratio``
     gates nothing."""
-    argv = ["profile", uaf_file, "--jobs", "2", "--json"]
+    argv = ["profile", uaf_file, "--json"]
     main(argv + ["--history-dir", str(tmp_path / "seed")])
     (seed,) = HistoryStore(str(tmp_path / "seed")).records()
     old = dict(seed)
@@ -734,12 +697,12 @@ def test_history_reads_records_with_the_dropped_dispatch_keys(
         assert main(["history", "diff", *span]) == 0
         out = capsys.readouterr().out
         assert f"{old_id} (" in out and f"{new_id} (" in out
-        assert "pass " in out and "utilization" in out
+        assert "pass " in out and "utilization" not in out
         assert main(["history", "diff", *span, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["same_findings_digest"] is True
         assert payload["passes"] and "shares" not in payload
-        assert list(payload["attr"]) == ["utilization"]
+        assert "attr" not in payload
     code = main(
         ["history", "trend", "--history-dir", hist, "--check",
          "--bench-out", str(tmp_path / "b.json")]
@@ -749,16 +712,15 @@ def test_history_reads_records_with_the_dropped_dispatch_keys(
     assert "vs median of 3 prior runs" in out
 
 
-def test_profile_records_the_tier_and_jobs_that_ran(uaf_file, tmp_path, capsys):
+def test_profile_records_the_tier_that_ran(uaf_file, tmp_path, capsys):
     hist = str(tmp_path / "hist")
-    argv = [uaf_file, "--pta", "fs", "--jobs", "2", "--history-dir", hist]
+    argv = [uaf_file, "--pta", "fs", "--history-dir", hist]
     main(["profile", *argv])
     main(["check", "--all", *argv])
     profiled, checked = HistoryStore(hist).records()
     assert profiled["command"] == "profile"
     assert profiled["config"]["pta"] == "fs"
     assert profiled["pta"]["tier"] == "fs"
-    assert profiled["config"]["jobs"] == 2
     # Both commands record the same config fields, with the same values.
     assert profiled["config"] == checked["config"]
 

@@ -214,66 +214,3 @@ def test_write_json_vs_prom(tmp_path):
     registry.write(str(prom_path))
     assert json.loads(json_path.read_text())["a"]["value"] == 1
     assert "repro_a_total 1" in prom_path.read_text()
-
-
-# ----------------------------------------------------------------------
-# Cross-process merging (how scheduler workers report)
-# ----------------------------------------------------------------------
-def test_merge_adds_counters_per_labelset():
-    parent = MetricsRegistry()
-    parent.counter("smt.queries").inc(2)
-    parent.counter("smt.queries").inc(1, result="sat")
-    worker = MetricsRegistry()
-    worker.counter("smt.queries").inc(3)
-    worker.counter("smt.queries").inc(4, result="unsat")
-    worker.counter("cache.hits").inc()
-    assert parent.merge(worker) is parent
-    queries = parent.counter("smt.queries")
-    assert queries.value() == 5
-    assert queries.value(result="sat") == 1
-    assert queries.value(result="unsat") == 4
-    assert parent.counter("cache.hits").value() == 1
-
-
-def test_merge_gauges_last_writer_wins():
-    parent = MetricsRegistry()
-    parent.gauge("sched.jobs").set(1)
-    worker = MetricsRegistry()
-    worker.gauge("sched.jobs").set(4)
-    parent.merge(worker)
-    assert parent.gauge("sched.jobs").value() == 4
-
-
-def test_merge_histograms_adds_buckets():
-    buckets = (1.0, 10.0)
-    parent = MetricsRegistry()
-    parent.histogram("t", buckets=buckets).observe(0.5)
-    worker = MetricsRegistry()
-    worker.histogram("t", buckets=buckets).observe(5.0)
-    worker.histogram("t", buckets=buckets).observe(50.0)
-    parent.merge(worker)
-    merged = parent.histogram("t", buckets=buckets)
-    assert merged.count() == 3
-    assert merged.sum() == 55.5
-
-
-def test_merge_histogram_bucket_mismatch_raises():
-    parent = MetricsRegistry()
-    parent.histogram("t", buckets=(1.0,)).observe(0.5)
-    worker = MetricsRegistry()
-    worker.histogram("t", buckets=(2.0,)).observe(0.5)
-    with pytest.raises(ValueError):
-        parent.merge(worker)
-
-
-def test_merge_chains_and_registry_survives_pickling():
-    import pickle
-
-    worker = MetricsRegistry()
-    worker.counter("a").inc()
-    worker.gauge("b").set(2)
-    worker.histogram("c", buckets=(1.0,)).observe(0.5)
-    revived = pickle.loads(pickle.dumps(worker))
-    parent = MetricsRegistry().merge(revived).merge(revived)
-    assert parent.counter("a").value() == 2
-    assert parent.histogram("c", buckets=(1.0,)).count() == 2

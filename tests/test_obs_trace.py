@@ -233,124 +233,6 @@ def test_unit_table_charges_nested_passes_once():
     assert set(row.passes) == {"prepare.fn", "pta.run", "checker.fn"}
 
 
-# ----------------------------------------------------------------------
-# Absorbing worker spans (how scheduler workers report)
-# ----------------------------------------------------------------------
-def test_absorb_remaps_uids_and_keeps_parent_links():
-    parent_tracer = make_tracer()
-    with parent_tracer.span("lower", unit="<module>"):
-        pass
-    local_uids = {span.uid for span in parent_tracer.spans}
-
-    worker = make_tracer()
-    with worker.span("sched.worker", unit="helper"):
-        with worker.span("prepare.fn", unit="helper"):
-            pass
-    parent_tracer.absorb(worker.spans)
-
-    assert len(parent_tracer.spans) == 3
-    absorbed = parent_tracer.spans[1:]
-    by_name = {span.name: span for span in absorbed}
-    # Fresh uids, no collision with locally recorded spans.
-    assert not local_uids & {span.uid for span in absorbed}
-    # The intra-batch parent link survived the remap.
-    assert by_name["prepare.fn"].parent == by_name["sched.worker"].uid
-    assert by_name["sched.worker"].parent is None
-    assert by_name["prepare.fn"].unit == "helper"
-
-
-def test_absorb_empty_batch_is_a_noop():
-    tracer = make_tracer()
-    tracer.absorb([])
-    assert tracer.spans == []
-
-
-def test_absorbed_spans_render_in_chrome_trace():
-    tracer = make_tracer()
-    worker = make_tracer()
-    with worker.span("prepare.fn", unit="helper"):
-        pass
-    tracer.absorb(worker.spans)
-    events = tracer.to_chrome_trace()["traceEvents"]
-    assert any(
-        event.get("name") == "prepare.fn"
-        for event in events
-        if event.get("ph") == "X"
-    )
-
-
-def test_absorb_reparents_batch_roots_under_given_span():
-    tracer = make_tracer()
-    with tracer.span("sched.wave", unit="0") as wave:
-        wave_uid = wave.uid
-    worker = make_tracer()
-    with worker.span("sched.worker", unit="f"):
-        with worker.span("prepare.fn", unit="f"):
-            pass
-    with worker.span("sched.worker", unit="g"):
-        pass
-    tracer.absorb(worker.spans, parent=wave_uid)
-
-    by_key = {(s.name, s.unit): s for s in tracer.spans}
-    # Both batch roots hang off the dispatching wave span...
-    assert by_key[("sched.worker", "f")].parent == wave_uid
-    assert by_key[("sched.worker", "g")].parent == wave_uid
-    # ...while the intra-batch child keeps its worker-local parent.
-    assert (
-        by_key[("prepare.fn", "f")].parent == by_key[("sched.worker", "f")].uid
-    )
-
-
-def test_absorb_preserves_nesting_depth_and_timestamps():
-    """Regression: a three-deep worker tree must keep its exact depth and
-    monotonic start/end ordering after absorption and re-parenting."""
-    tracer = make_tracer()
-    with tracer.span("sched.wave", unit="1") as wave:
-        wave_uid = wave.uid
-
-    worker = make_tracer()
-    with worker.span("sched.worker", unit="f"):
-        with worker.span("prepare.fn", unit="f"):
-            with worker.span("pta.run", unit="f"):
-                pass
-    tracer.absorb(worker.spans, parent=wave_uid)
-
-    by_uid = {s.uid: s for s in tracer.spans}
-
-    def depth(span):
-        steps = 0
-        while span.parent is not None:
-            span = by_uid[span.parent]
-            steps += 1
-        return steps
-
-    by_name = {s.name: s for s in tracer.spans}
-    assert depth(by_name["sched.wave"]) == 0
-    assert depth(by_name["sched.worker"]) == 1
-    assert depth(by_name["prepare.fn"]) == 2
-    assert depth(by_name["pta.run"]) == 3
-    # Every child starts no earlier and ends no later than its parent
-    # (ManualClock ticks monotonically; absorb must not reorder time).
-    for span in tracer.spans:
-        if span.parent is not None and span.name != "sched.worker":
-            parent = by_uid[span.parent]
-            assert parent.start <= span.start
-            assert span.end <= parent.end
-    # Remapped uids are fresh — strictly above every pre-absorb uid.
-    assert all(
-        s.uid > wave_uid for s in tracer.spans if s.name != "sched.wave"
-    )
-
-
-def test_absorb_without_parent_leaves_roots_free():
-    tracer = make_tracer()
-    worker = make_tracer()
-    with worker.span("sched.worker", unit="f"):
-        pass
-    tracer.absorb(worker.spans)
-    assert tracer.spans[0].parent is None
-
-
 def test_tracer_trace_id_is_stable_and_overridable():
     tracer = make_tracer()
     minted = tracer.trace_id

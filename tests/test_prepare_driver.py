@@ -10,9 +10,6 @@ wall time feeds ``engine.seconds{phase=prepare}``.
 """
 
 import json
-import os
-import subprocess
-import sys
 
 import pytest
 
@@ -25,7 +22,6 @@ from repro.lang.parser import parse_program
 from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 from repro.robust.diagnostics import REASON_BUDGET, STAGE_PREPARE, STAGE_PTA
 from repro.robust.faults import install_faults, reset_faults
-from repro.sched import JOBS_ENV
 from repro.synth.generator import GeneratorConfig, generate_program
 
 PROGRAM = """
@@ -47,8 +43,7 @@ EDITED_OTHER = "fn other(n) { m = n + 2; return m; }"
 
 @pytest.fixture(autouse=True)
 def _clean_state(monkeypatch):
-    for var in (JOBS_ENV, CACHE_DIR_ENV):
-        monkeypatch.delenv(var, raising=False)
+    monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
     reset_faults()
     set_registry(MetricsRegistry())
     yield
@@ -188,7 +183,6 @@ def test_tight_budget_degrades_the_same_functions_in_every_mode(
     for mode, flags in (
         ("serial", []),
         ("cold-cache", ["--cache-dir", str(tmp_path / "cache")]),
-        ("jobs2", ["--jobs", "2"]),
     ):
         set_registry(MetricsRegistry())
         assert main(base + flags) == 3
@@ -204,12 +198,12 @@ def test_tight_budget_degrades_the_same_functions_in_every_mode(
 # ----------------------------------------------------------------------
 # The driver publishes its wall time as engine.seconds{phase=prepare}
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("mode", ["serial", "jobs2", "incremental"])
+@pytest.mark.parametrize("mode", ["serial", "incremental"])
 def test_seconds_prepare_is_populated(mode):
     if mode == "incremental":
         engine = IncrementalAnalyzer().analyze(PROGRAM)
     else:
-        engine = Pinpoint.from_source(PROGRAM, jobs=2 if mode == "jobs2" else 1)
+        engine = Pinpoint.from_source(PROGRAM)
     seconds = get_registry().counter("engine.seconds")
     prepare = seconds.value(phase="prepare")
     assert prepare > 0
@@ -223,27 +217,9 @@ def test_seconds_prepare_is_populated(mode):
     assert seconds.value(phase="prepare") == prepare
 
 
-def test_serial_preparation_never_imports_the_process_pool():
-    """Serial preparation starts no worker process: it never forks, and
-    never imports ``multiprocessing``."""
-    script = (
-        "import os, sys\n"
-        "forks = []\n"
-        "os.register_at_fork(before=lambda: forks.append(1))\n"
-        "from repro import IncrementalAnalyzer, Pinpoint\n"
-        f"source = {PROGRAM!r}\n"
-        "Pinpoint.from_source(source, jobs=1)\n"
-        "IncrementalAnalyzer().analyze(source)\n"
-        "print(len(forks), 'multiprocessing' in sys.modules)\n"
-    )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(os.path.dirname(__file__), "..", "src")]
-        + env.get("PYTHONPATH", "").split(os.pathsep)
-    )
-    env.pop(JOBS_ENV, None)
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "False"]
+def test_from_source_accepts_and_ignores_jobs():
+    """``jobs`` stays on ``from_source`` only for callers that still pass
+    it; preparation runs in this process either way."""
+    serial = _findings(Pinpoint.from_source(PROGRAM))
+    assert _findings(Pinpoint.from_source(PROGRAM, jobs=2)) == serial
+    assert get_registry().get("sched.jobs") is None

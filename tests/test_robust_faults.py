@@ -79,6 +79,13 @@ def test_plan_rejects_unknown_site():
         FaultPlan("frobnicate")
 
 
+@pytest.mark.parametrize("spec", ["sched:helper", "kill-worker:0"])
+def test_plan_rejects_the_worker_sites(spec):
+    # Preparation runs in one process: there is no worker to kill.
+    with pytest.raises(ValueError, match="unknown fault site"):
+        FaultPlan(spec)
+
+
 def test_plan_rejects_bad_count():
     with pytest.raises(ValueError, match="bad fault count"):
         FaultPlan("smt*soon")

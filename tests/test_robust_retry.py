@@ -3,8 +3,6 @@
 Contract under test: cache I/O retries back off exponentially, capped,
 with hash-derived (never random) jitter, give up after the policy's
 budget, and every retry shows up in the ``sched.retries`` counter.
-(The scheduler's solo re-runs of crashed workers are tested in
-``test_sched_parallel.py``.)
 """
 
 import errno

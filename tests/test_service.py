@@ -4,7 +4,7 @@ The two contracts under test:
 
 - **Byte-identity** — daemon results (cold, warm, and post-edit) carry
   exactly the ``reports``/``diagnostics`` one-shot ``repro check
-  --json`` emits for the same program, across hash seeds and ``--jobs``.
+  --json`` emits for the same program, across hash seeds.
 - **Overload degrades, never crashes** — a full admission queue answers
   429 + ``Retry-After`` while accepted jobs and the daemon itself keep
   working; bad inputs fail the one job, not the process.
@@ -67,9 +67,7 @@ fn knob() {
 KNOB_EDIT = "fn knob() { return 41; }"
 
 
-def _one_shot(
-    tmp_path, source, *, seed="0", jobs=None, name="subject.pin", fault=""
-):
+def _one_shot(tmp_path, source, *, seed="0", name="subject.pin", fault=""):
     """`repro check --json --all` in a subprocess; returns the document."""
     path = tmp_path / name
     path.write_text(source)
@@ -80,10 +78,7 @@ def _one_shot(
     )
     env["PYTHONHASHSEED"] = seed
     env.pop("REPRO_CACHE_DIR", None)
-    env.pop("REPRO_JOBS", None)
     argv = [sys.executable, "-m", "repro", "check", str(path), "--all", "--json"]
-    if jobs:
-        argv += ["--jobs", str(jobs)]
     if fault:
         argv += ["--fault", fault]
     proc = subprocess.run(argv, capture_output=True, text=True, env=env)
@@ -118,9 +113,9 @@ def test_cold_warm_edit_byte_identical_to_one_shot(server, tmp_path):
     assert warm["incremental"]["analyzed"] == 0
     assert warm["incremental"]["reused"] == warm["incremental"]["functions"]
 
-    # One-shot reference, across hash seeds and a parallel prepare.
-    for seed, jobs in (("0", None), ("1", None), ("4242", 2)):
-        reference = _one_shot(tmp_path, SOURCE, seed=seed, jobs=jobs)
+    # One-shot reference, across hash seeds.
+    for seed in ("0", "1", "4242"):
+        reference = _one_shot(tmp_path, SOURCE, seed=seed)
         assert _canon(cold) == _canon(reference)
 
     # Single-function edit: analyzed exactly the edited function, and
@@ -130,10 +125,8 @@ def test_cold_warm_edit_byte_identical_to_one_shot(server, tmp_path):
     assert edited["incremental"]["analyzed"] == 1
     edited_source = SOURCE.replace("fn knob() {\n    return 0;\n}", KNOB_EDIT)
     assert KNOB_EDIT in edited_source
-    for seed, jobs in (("0", None), ("7", 2)):
-        reference = _one_shot(
-            tmp_path, edited_source, seed=seed, jobs=jobs, name="edited.pin"
-        )
+    for seed in ("0", "7"):
+        reference = _one_shot(tmp_path, edited_source, seed=seed, name="edited.pin")
         assert _canon(edited) == _canon(reference)
 
     # An injected preparation fault quarantines `helper` in the daemon
@@ -150,6 +143,43 @@ def test_cold_warm_edit_byte_identical_to_one_shot(server, tmp_path):
             tmp_path, source, name="faulted.pin", fault="prepare:helper"
         )
         assert _canon(document) == _canon(reference)
+
+
+#: `b`'s use-after-free sits on lines 8 and 9 of LINES_SOURCE; an edit
+#: of `b` that keeps them parses on its own with `fn` on line 1.
+LINES_SOURCE = """fn a(c) {
+    x = c + 1;
+    return x;
+}
+
+fn b() {
+    p = malloc();
+    free(p);
+    y = *p;
+    return y;
+}
+"""
+
+LINES_EDIT = """fn b() {
+    p = malloc();
+    free(p);
+    y = *p;
+    return y + 1;
+}"""
+
+
+def test_edit_reports_the_edited_function_at_its_own_lines(server, tmp_path):
+    client = ServiceClient(server.port)
+    client.check(LINES_SOURCE, session="lines")
+    edited = client.edit("lines", LINES_EDIT)
+    spliced = LINES_SOURCE[: LINES_SOURCE.index("fn b()")] + LINES_EDIT + "\n"
+    reference = _one_shot(tmp_path, spliced, name="spliced.pin")
+    assert [
+        (r["source"]["line"], r["sink"]["line"])
+        for r in reference["reports"]
+        if r["checker"] == "use-after-free"
+    ] == [(8, 9)]
+    assert _canon(edited) == _canon(reference)
 
 
 def test_results_endpoint_and_no_wait_flow(server):
@@ -307,10 +337,10 @@ def test_job_without_client_trace_mints_trace_id():
         assert len(job["trace_id"]) == 16  # minted at accept time
 
 
-def test_metrics_expose_dispatch_and_attr_series_during_parallel_run():
+def test_metrics_expose_wave_series_during_run():
     """The daemon's /metrics surface serves the process registry, so a
-    ``--jobs 2`` run in flight in the same process exposes its
-    ``sched.dispatch.*`` and ``attr.*`` series live."""
+    run in flight in the same process exposes its ``sched.waves`` and
+    ``attr.wave_seconds`` series live."""
     import threading
 
     from repro import Pinpoint, UseAfterFreeChecker
@@ -322,9 +352,9 @@ def test_metrics_expose_dispatch_and_attr_series_during_parallel_run():
     prepared = threading.Event()
     failure = []
 
-    def run_parallel():
+    def run():
         try:
-            engine = Pinpoint.from_source(SOURCE, jobs=2)
+            engine = Pinpoint.from_source(SOURCE)
             engine.check(UseAfterFreeChecker())
             prepared.set()
             # Hold the run "open" until the poller has seen the series:
@@ -337,19 +367,13 @@ def test_metrics_expose_dispatch_and_attr_series_during_parallel_run():
     try:
         with ServiceServer(ServiceConfig(workers=1)) as server:
             client = ServiceClient(server.port)
-            worker = threading.Thread(target=run_parallel)
+            worker = threading.Thread(target=run)
             worker.start()
             try:
                 assert prepared.wait(timeout=60)
                 assert not failure, failure
                 deadline = time.monotonic() + 30
-                needed = (
-                    "repro_sched_dispatch_result_bytes_total",
-                    "repro_sched_dispatch_decode_seconds_total",
-                    "repro_attr_wave_seconds",
-                    "repro_attr_work_seconds",
-                    "repro_attr_utilization",
-                )
+                needed = ("repro_sched_waves", "repro_attr_wave_seconds")
                 while True:
                     text = client.metrics_text()
                     if all(series in text for series in needed):
@@ -360,6 +384,8 @@ def test_metrics_expose_dispatch_and_attr_series_during_parallel_run():
                     )
                     time.sleep(0.05)
                 assert worker.is_alive(), "run must still be in flight"
+                for gone in ("repro_sched_dispatch", "repro_attr_utilization"):
+                    assert gone not in text, gone
             finally:
                 release.set()
                 worker.join(timeout=30)
