@@ -438,8 +438,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 @hold_full_collections()
 def cmd_profile(args: argparse.Namespace) -> int:
     """Run the checkers with tracing on and print where the time,
-    memory and SMT effort went: the wave loop's wall, then per pass and
-    per function (paper Figs. 7-10; :mod:`repro.obs.attr`).  ``history diff``
+    memory and SMT effort went: per pass, per function and in the SMT
+    solver (paper Figs. 7-10; :mod:`repro.obs.attr`).  ``history diff``
     compares two profiles recorded with ``--history-dir``."""
     _setup_obs(args, force_trace=True)
     source = _read(args.file)
@@ -1378,8 +1378,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile = sub.add_parser(
         "profile",
-        help="run the checkers and print where the time went: the wave "
-        "loop's wall, then the hottest passes and functions",
+        help="run the checkers and print where the time went: the "
+        "hottest passes, functions and SMT consumers",
         parents=[obs, monitor, cache_flag, engine, oneshot],
     )
     profile.add_argument("file", help="program file ('-' for stdin)")

@@ -377,9 +377,12 @@ def parse_program_tolerant(
     return program, errors
 
 
-def parse_function(source: str) -> ast.FuncDef:
-    """Parse a single function definition."""
-    program = parse_program(source)
-    if len(program.functions) != 1:
-        raise ParseError("expected exactly one function", 1)
-    return program.functions[0]
+def parse_function(source: str, first_line: int = 1) -> ast.FuncDef:
+    """Parse exactly one function definition whose first line is
+    numbered ``first_line``."""
+    functions = parse_program(source, first_line).functions
+    if len(functions) != 1:
+        raise ParseError(
+            f"expected exactly one function, got {len(functions)}", first_line
+        )
+    return functions[0]

@@ -16,17 +16,17 @@ SMT):
   nesting-safe tracemalloc meter, and the resident-set high-water mark
   CLI run records carry;
 - **profiling** (:mod:`repro.obs.profiling` + :mod:`repro.obs.attr`):
-  the one ``repro profile`` report — the wave loop's measured wall and
-  per-pass / per-function tables (``--json`` for the machine twin);
+  the one ``repro profile`` report — per-pass, per-function and SMT
+  tables (``--json`` for the machine twin);
 - **run history** (:mod:`repro.obs.history`): schema-versioned run
   records in an append-only store (``--history-dir`` /
   ``$REPRO_HISTORY_DIR``) with rolling-baseline regression detection
   (``repro history trend --check``);
 - **live monitor** (:mod:`repro.obs.progress` +
-  :mod:`repro.obs.monitor`): progress events from stage/wave boundaries
-  served over HTTP (``/healthz`` ``/metrics`` ``/status`` ``/events``)
-  by ``repro check --monitor-port`` (``--linger`` keeps serving after
-  the run);
+  :mod:`repro.obs.monitor`): stage and checker events and per-function
+  prepare counts, served over HTTP (``/healthz`` ``/metrics``
+  ``/status`` ``/events``) by ``repro check --monitor-port``
+  (``--linger`` keeps serving after the run);
 - **atomic exports** (:mod:`repro.obs.export`): temp-file+rename writes
   shared by every artifact above.
 

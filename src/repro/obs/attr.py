@@ -5,9 +5,7 @@ evaluation (Figs. 7-10) asks of a slow run:
 
 - **passes and functions** — per-pass and per-function self time with
   SMT-query attribution (:mod:`repro.obs.profiling`);
-- **the wave loop** — the wall of ``prepare_program``'s loop over the
-  call-graph waves (the ``attr.wave_seconds`` gauge); ``--trace`` shows every
-  ``sched.wave`` span with the functions prepared under it.
+- **SMT** — query count, solve-time quantiles and the heaviest consumers.
 
 Every figure is measured, none modelled, and a profiled run is timed by
 the clock (no tracemalloc), so it costs what a plain one does.
@@ -22,19 +20,13 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.obs.profiling import pass_table, unit_table
 from repro.obs.trace import Tracer
 
-#: Document schema tag, bumped on incompatible shape changes.
-SCHEMA = "repro.profile/4"
-
-
-def _gauge_value(registry: MetricsRegistry, name: str) -> float:
-    metric = registry.get(name)
-    if isinstance(metric, Gauge):
-        return metric.value()
-    return 0.0
+#: Document schema tag, bumped on incompatible shape changes.  5: no
+#: ``parallel`` block (4 held the prepare loop's wall there).
+SCHEMA = "repro.profile/5"
 
 
 # ----------------------------------------------------------------------
@@ -52,19 +44,12 @@ def cost_breakdown(
 
     ``wall_seconds`` is the run's clock time and ``peak_mb`` its
     resident-set high-water mark (:func:`repro.obs.measure.peak_rss_mb`;
-    left out of the document when None).  The ``parallel`` block holds
-    the wave loop's measured wall, ``wave_seconds``.
+    left out of the document when None).
     """
     spans = list(tracer.spans)
     traced_seconds = sum(s.duration for s in spans if s.parent is None)
 
-    parallel = {
-        "wave_seconds": round(_gauge_value(registry, "attr.wave_seconds"), 6),
-    }
-
-    # Wave spans carry bookkeeping units (wave indices), not functions —
-    # keep them out of the per-function ranking.
-    units = unit_table([s for s in spans if s.name != "sched.wave"])
+    units = unit_table(spans)
     functions = [
         {
             "unit": row.unit,
@@ -104,7 +89,6 @@ def cost_breakdown(
         "spans": len(spans),
         "wall_seconds": round(wall_seconds, 6),
         "traced_seconds": round(traced_seconds, 6),
-        "parallel": parallel,
         "functions": functions,
         "passes": [
             {
@@ -150,13 +134,12 @@ def _table(headers: List[str], rows: List[List[str]]) -> str:
 
 def render_profile(document: Dict[str, Any], top: int = 10) -> str:
     """Human-readable ``repro profile`` report for a :func:`cost_breakdown`
-    document: the summary and wave-loop lines, then the pass, function
-    and SMT tables."""
+    document: the summary line, then the pass, function and SMT
+    tables."""
     label = document.get("label", "")
     title = f"repro profile — {label}" if label else "repro profile"
     lines: List[str] = [title, "=" * len(title)]
 
-    parallel = document.get("parallel", {})
     smt = document.get("smt", {})
     traced = document.get("traced_seconds", 0.0)
     bits = [
@@ -169,8 +152,6 @@ def render_profile(document: Dict[str, Any], top: int = 10) -> str:
     if smt.get("queries"):
         bits.append(f"{smt['queries']} SMT queries")
     lines.append(", ".join(bits))
-    if parallel.get("wave_seconds"):
-        lines.append(f"wave loop: {_fmt_seconds(parallel['wave_seconds'])} wall")
     lines.append("")
 
     lines.append(f"hottest passes (top {top}, by self time)")

@@ -2,8 +2,8 @@
 
 Every ``repro check`` / ``selfcheck`` / bench run can persist a compact,
 schema-versioned **run record** — source fingerprint, config, wall
-time, per-stage timings, peak RSS, cache traffic, scheduler wave
-counts, degradation diagnostics, a findings digest, and key histogram
+time, per-stage timings, peak RSS, cache traffic and I/O retries,
+degradation diagnostics, a findings digest, and key histogram
 quantiles — into an append-only store under ``--history-dir`` /
 ``$REPRO_HISTORY_DIR``:
 
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.obs.export import append_line, atomic_write, ensure_parent_dir
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 
 #: Bump when a record field changes meaning; readers skip newer schemas
 #: and trend baselines only compare records of one schema.  2:
@@ -127,14 +127,6 @@ def _counter_total(registry: MetricsRegistry, name: str, **labels) -> float:
     return metric.total()
 
 
-def _gauge_value(registry: MetricsRegistry, name: str) -> float:
-    metric = registry.get(name)
-    if not isinstance(metric, Gauge):
-        return 0.0
-    items = metric.items()
-    return items[-1][1] if items else 0.0
-
-
 def collect_run_record(
     registry: MetricsRegistry,
     *,
@@ -193,7 +185,6 @@ def collect_run_record(
             "writes": int(_counter_total(registry, "cache.writes")),
         },
         "sched": {
-            "waves": int(_gauge_value(registry, "sched.waves")),
             # How hard did the cache I/O retry policy have to work?
             "retries": int(_counter_total(registry, "sched.retries")),
         },

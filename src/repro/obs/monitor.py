@@ -14,8 +14,8 @@ all read-only:
 ``/status``
     JSON progress snapshot from the global
     :class:`~repro.obs.progress.ProgressTracker`: current stage,
-    scheduler wave counts, functions prepared/cached/quarantined,
-    degradation totals.
+    functions prepared/cached/quarantined, checkers done, degradation
+    totals.
 ``/events``
     The progress event log.  Default is a Server-Sent-Events stream
     (``text/event-stream``) that follows the run live; ``?follow=0``

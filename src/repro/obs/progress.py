@@ -2,8 +2,8 @@
 
 A process-global :class:`ProgressTracker` receives coarse progress
 signals from the pipeline — stage transitions (parse → prepare → seg →
-checker), wave boundaries from the prepare driver, checker completions —
-and turns them into
+checker), per-function counts from ``prepare_program``, checker
+completions — and turns them into
 
 - a point-in-time :meth:`~ProgressTracker.snapshot` (the monitor's
   ``/status`` endpoint), and
@@ -48,8 +48,6 @@ class ProgressTracker:
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
         self.exit_code: Optional[int] = None
-        self.waves_done = 0
-        self.waves_total = 0
         self.functions_total = 0
         self.functions_prepared = 0
         self.functions_cached = 0
@@ -96,31 +94,21 @@ class ProgressTracker:
         with self._lock:
             self.functions_total = int(total)
 
-    def wave_progress(
-        self,
-        done: int,
-        total: int,
-        prepared: int = 0,
-        cached: int = 0,
-        quarantined: int = 0,
-    ) -> None:
-        """One scheduler wave finished (counts are per-wave increments)."""
+    def function_done(self, cached: bool = False, quarantined: bool = False) -> None:
+        """``prepare_program`` finished one function: admitted
+        (prepared) or ``quarantined``, and served from the store when
+        ``cached``.  Counts only, no event: the event ring holds
+        ``MAX_EVENTS`` entries and a large subject has ten times as many
+        functions."""
         if not self.enabled:
             return
         with self._lock:
-            self.waves_done = done
-            self.waves_total = total
-            self.functions_prepared += prepared
-            self.functions_cached += cached
-            self.functions_quarantined += quarantined
-        self._emit(
-            "wave",
-            wave=done,
-            waves=total,
-            prepared=prepared,
-            cached=cached,
-            quarantined=quarantined,
-        )
+            if quarantined:
+                self.functions_quarantined += 1
+            else:
+                self.functions_prepared += 1
+            if cached:
+                self.functions_cached += 1
 
     def checker_done(self, name: str, reports: int) -> None:
         if not self.enabled:
@@ -165,7 +153,6 @@ class ProgressTracker:
                 )
                 if self.started_at is not None
                 else 0.0,
-                "waves": {"done": self.waves_done, "total": self.waves_total},
                 "functions": {
                     "total": self.functions_total,
                     "prepared": self.functions_prepared,

@@ -6,36 +6,26 @@ of Fig. 6).  What that produces depends only on the function's AST and
 those signatures, so ``prepare_program`` is the only loop that does it:
 :func:`repro.core.pipeline.prepare_source`/``prepare_module`` and
 :meth:`repro.core.incremental.IncrementalAnalyzer.analyze_program` all
-call it.  Per call-graph wave it
+call it.  It walks ``CallGraph.bottom_up_order()`` — every callee
+outside a function's SCC comes before the function — and for each
+function
 
-- looks each function up in ``store`` by the content address of
+- looks it up in ``store`` by the content address of
   :mod:`repro.cache.keys` (a :class:`~repro.cache.store.SummaryStore`
   under ``--cache-dir``, or the incremental analyzer's
   :class:`~repro.cache.store.MemoryTier` in front of one);
-- prepares the misses with :func:`_prepare_one` — per-function stage
-  1-3 work: connector transformation, intraprocedural points-to, SEG
-  construction;
-- writes the fresh, full-precision results back to ``store`` at the
-  wave barrier.
+- on a miss, prepares it with :func:`prepare_function` — connector
+  transformation, intraprocedural points-to and, when there is a store
+  to write it to, SEG construction;
+- runs the IR verifier (and, with ``pta_tier="fs"``, the pta audit)
+  before its connector signature becomes visible to its callers;
+- writes a fresh, full-precision result back to ``store`` at once, so
+  a run killed part-way leaves every function it finished in the store
+  and a rerun with the same ``--cache-dir`` recomputes only the rest.
 
-A run killed part-way leaves every wave it finished in the store, so
-rerunning with the same ``--cache-dir`` recomputes only the rest.
-
-Determinism is preserved by construction:
-
-- wave order is used only for preparation; the merged module's
-  ``functions``/``order`` follow the exact serial ``bottom_up_order``,
-  so the engine's summary/checker pass sees the same world in the same
-  order whatever the store served;
-- diagnostics are buffered per function and replayed in serial order
-  during final assembly, so the diagnostics list is the same for every
-  store state;
-- verification (and the admit/quarantine decision it implies) runs at
-  the wave barrier because a rejected function must not publish its
-  connector signature to later waves.  With verification on and
-  ``pta_tier="fs"``, the same gate audits each function's fs artifacts
-  against an fi preparation of it; one that fails keeps the fi
-  artifacts.
+One order serves preparation, budget, diagnostics and the module's
+``functions``/``order``, so the engine's summary/checker pass sees the
+same world in the same order whatever the store served.
 
 Failure semantics: a Python exception while preparing a function becomes
 a ``prepare``-stage quarantine diagnostic.  SEG-construction failures
@@ -52,8 +42,7 @@ result.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.cache.keys import key_digest, prepare_cache_key
 from repro.core.pipeline import (
@@ -79,26 +68,8 @@ from repro.robust.diagnostics import (
 from repro.robust.faults import fault_point
 from repro.robust.heap import hold_full_collections
 from repro.robust.quarantine import FATAL
-from repro.sched.waves import scc_waves
 
 _log = get_logger("sched")
-
-
-@dataclass
-class _Outcome:
-    """Buffered per-function result, recorded into the module (and its
-    diagnostics) only during the serial-order assembly pass."""
-
-    kind: str  # "prepared" | "quarantined"
-    result: Optional[PreparedFunction] = None
-    seg: Any = None
-    cached: bool = False
-    detail: str = ""
-    line: int = 0
-    violations: List[Any] = field(default_factory=list)
-    # pta-rule violations of fs artifacts; recorded, never quarantining.
-    flow_violations: List[Any] = field(default_factory=list)
-    admitted: bool = True
 
 
 @hold_full_collections()
@@ -111,7 +82,7 @@ def prepare_program(
     store=None,
     pta_tier: str = "fi",
 ) -> PreparedModule:
-    """Prepare a parsed program bottom-up over its call-graph waves.
+    """Prepare a parsed program bottom-up over its call graph.
 
     ``store`` is anything with :class:`~repro.cache.store.SummaryStore`'s
     ``get``/``put``; with one, the module also records each function's
@@ -132,10 +103,10 @@ def prepare_program(
 
     started = time.perf_counter()
     verify_mode = resolve_mode(verify)
-    registry = get_registry()
     prepared = PreparedModule()
     if diagnostics is not None:
         prepared.diagnostics = diagnostics
+    log = prepared.diagnostics
     if budget is not None:
         budget.start()
 
@@ -143,148 +114,84 @@ def prepare_program(
         callgraph = CallGraph(program)
     prepared.callgraph = callgraph
     prepared.pta_tier = pta_tier
-    serial_order = callgraph.bottom_up_order()
+    order = callgraph.bottom_up_order()
     ast_by_name = {f.name: f for f in program.functions}
     scc_of = callgraph.scc_of
-
-    waves = scc_waves(callgraph)
-    registry.gauge("sched.waves", "Call-graph waves of the last run").set(
-        len(waves)
-    )
     progress = get_progress()
-    progress.set_stage("prepare", functions=len(serial_order), waves=len(waves))
-    progress.set_functions_total(len(serial_order))
+    progress.set_stage("prepare", functions=len(order))
+    progress.set_functions_total(len(order))
 
     signatures: Dict[str, Any] = {}
-    outcomes: Dict[str, _Outcome] = {}
     digests = prepared.digests
-
-    # The wave loop's wall feeds the attr.wave_seconds gauge below.
-    total_wave_seconds = 0.0
-    for wave_index, wave in enumerate(waves):
-        names = [name for scc in wave for name in scc]
-        wave_started = time.perf_counter()
-        usable_of: Dict[str, Dict[str, Any]] = {}
-        with trace("sched.wave", unit=str(wave_index)) as span:
-            cached = 0
-            for name in names:
-                func_ast = ast_by_name[name]
-                # Only this function's own callees: lookups and the
-                # cache key go by callee name.
-                usable = usable_of[name] = {
-                    callee: signatures[callee]
-                    for callee in callgraph.callees[name]
-                    if callee in signatures and scc_of[callee] != scc_of[name]
-                }
-                if store is not None:
-                    digests[name] = key_digest(
-                        prepare_cache_key(
-                            func_ast,
-                            usable,
-                            callgraph.callees[name],
-                            pta_tier=pta_tier,
-                        )
-                    )
-                    hit = store.get(digests[name])
-                    if hit is not None:
-                        _stored, result, seg = hit
-                        outcomes[name] = _Outcome(
-                            "prepared", result=result, seg=seg, cached=True
-                        )
-                        cached += 1
-                        continue
-                outcomes[name] = _prepare_one(
-                    name, func_ast, usable, prepared.linear, budget,
-                    pta_tier, with_seg=store is not None,
-                )
-            span.set(
-                functions=len(names), cached=cached, prepared=len(names) - cached
-            )
-
-            # Wave-boundary admission gate: a function must pass the
-            # IR verifier before its connector signature becomes
-            # visible to later waves, and fs artifacts must pass the
-            # pta rules or fall back to fi.  Diagnostics are
-            # recorded later, in serial order, during assembly.
-            for name in names:
-                out = outcomes[name]
-                if out.kind != "prepared":
-                    continue
-                if verify_mode != MODE_OFF:
-                    result = out.result
-                    with timed_verify("ir"), trace("verify.ir", unit=name):
-                        out.violations = verify_function_ir(
-                            result.function,
-                            result.control_deps,
-                            dom=result.gates.dom,
-                        )
-                    if _has_error(out.violations):
-                        out.admitted = False
-                        continue
-                    if pta_tier == "fs":
-                        _audit_flow_tier(
-                            out, ast_by_name[name], usable_of[name],
-                            prepared.linear,
-                        )
-                result = out.result
-                signatures[name] = result.signature
-                # The one write-back site.  A budget-degraded result
-                # or an fi fallback must not land under the address
-                # of the full-precision, requested-tier result.
-                if (
-                    store is not None
-                    and not out.cached
-                    and not result.points_to.degraded
-                    and result.pta_tier == pta_tier
-                ):
-                    store.put(digests[name], name, result, out.seg)
-
-        total_wave_seconds += time.perf_counter() - wave_started
-
-        wave_outcomes = [outcomes[name] for name in names]
-        progress.wave_progress(
-            done=wave_index + 1,
-            total=len(waves),
-            prepared=sum(
-                1
-                for out in wave_outcomes
-                if out.kind == "prepared" and out.admitted
-            ),
-            cached=sum(1 for out in wave_outcomes if out.cached),
-            quarantined=sum(
-                1
-                for out in wave_outcomes
-                if out.kind != "prepared" or not out.admitted
-            ),
-        )
-
-    registry.gauge(
-        "attr.wave_seconds", "Wall seconds spent inside the wave loop"
-    ).set(round(total_wave_seconds, 6))
-
-    # Serial-order assembly: identical functions/order/diagnostics for
-    # every store state.
-    log = prepared.diagnostics
-    for name in serial_order:
-        out = outcomes[name]
+    for name in order:
         func_ast = ast_by_name[name]
-        if out.kind == "quarantined":
-            log.record(
-                STAGE_PREPARE,
-                name,
-                REASON_QUARANTINED,
-                detail=out.detail,
-                line=func_ast.line or out.line,
+        # Only this function's own callees: lookups and the cache key go
+        # by callee name.
+        usable = {
+            callee: signatures[callee]
+            for callee in callgraph.callees[name]
+            if callee in signatures and scc_of[callee] != scc_of[name]
+        }
+        hit = None
+        if store is not None:
+            digests[name] = key_digest(
+                prepare_cache_key(
+                    func_ast, usable, callgraph.callees[name], pta_tier=pta_tier
+                )
             )
-            continue
-        if out.violations:
-            errors = record_violations(out.violations, log)
-            if errors:
-                prepared.verify_failures[name] = ("cfg", out.result.function)
+            hit = store.get(digests[name])
+        if hit is not None:
+            _stored, result, seg = hit
+        else:
+            try:
+                with trace("prepare.fn", unit=name):
+                    fault_point("prepare", name)
+                    result = prepare_function(
+                        func_ast, usable, prepared.linear, budget=budget,
+                        pta_tier=pta_tier,
+                    )
+            except FATAL:
+                raise
+            except Exception as error:
+                log.record(
+                    STAGE_PREPARE,
+                    name,
+                    REASON_QUARANTINED,
+                    detail=f"{type(error).__name__}: {error}",
+                    line=func_ast.line or getattr(error, "line", 0) or 0,
+                )
+                progress.function_done(quarantined=True)
                 continue
-        # On an error the gate already swapped in the fi artifacts.
-        record_violations(out.flow_violations, log)
-        if out.result.points_to.degraded:
+            seg = _build_seg(result) if store is not None else None
+
+        # A function must pass the IR verifier before its connector
+        # signature becomes visible to its callers, and fs artifacts
+        # must pass the pta rules or fall back to fi.
+        if verify_mode != MODE_OFF:
+            with timed_verify("ir"), trace("verify.ir", unit=name):
+                violations = verify_function_ir(
+                    result.function, result.control_deps, dom=result.gates.dom
+                )
+            if record_violations(violations, log):
+                prepared.verify_failures[name] = ("cfg", result.function)
+                progress.function_done(cached=hit is not None, quarantined=True)
+                continue
+            if pta_tier == "fs":
+                result, seg = _audit_flow_tier(
+                    result, seg, func_ast, usable, prepared.linear, log
+                )
+        signatures[name] = result.signature
+        # The one write-back site.  A budget-degraded result or an fi
+        # fallback must not land under the address of the
+        # full-precision, requested-tier result.
+        if (
+            hit is None
+            and store is not None
+            and not result.points_to.degraded
+            and result.pta_tier == pta_tier
+        ):
+            store.put(digests[name], name, result, seg)
+        if result.points_to.degraded:
             log.record(
                 STAGE_PTA,
                 name,
@@ -292,42 +199,57 @@ def prepare_program(
                 detail="points-to conditions degraded to TRUE",
                 line=func_ast.line,
             )
-        prepared.functions[name] = out.result
+        prepared.functions[name] = result
         prepared.order.append(name)
-        if out.seg is not None:
-            prepared.segs[name] = out.seg
-        if out.cached:
+        if seg is not None:
+            prepared.segs[name] = seg
+        if hit is not None:
             prepared.cached.add(name)
+        progress.function_done(cached=hit is not None)
     publish_results(result.points_to for result in prepared.functions.values())
 
     # Shared by every checker run on the module: published once, here.
-    registry.counter("engine.seconds", "Engine time by phase (seconds)").inc(
-        time.perf_counter() - started, phase="prepare"
-    )
+    get_registry().counter(
+        "engine.seconds", "Engine time by phase (seconds)"
+    ).inc(time.perf_counter() - started, phase="prepare")
     _log.info(
         "module prepared",
         functions=len(prepared.functions),
-        quarantined=len(serial_order) - len(prepared.functions),
-        waves=len(waves),
+        quarantined=len(order) - len(prepared.functions),
         cached=len(prepared.cached),
     )
     return prepared
 
 
-def _has_error(violations: List[Any]) -> bool:
-    from repro.verify import SEVERITY_ERROR, severity_of
+def _build_seg(result: PreparedFunction):
+    """The function's SEG, built eagerly so the artifact can be stored
+    whole; None when construction fails."""
+    from repro.seg.builder import build_seg
 
-    return any(severity_of(v.rule) == SEVERITY_ERROR for v in violations)
+    try:
+        return build_seg(result)
+    except FATAL:
+        raise
+    except Exception:
+        # The engine rebuilds under its own `seg` quarantine, so a
+        # deterministic failure reproduces with identical diagnostics.
+        return None
 
 
 def _audit_flow_tier(
-    out: _Outcome, func_ast: ast.FuncDef, usable: Dict[str, Any], linear
-) -> None:
+    result: PreparedFunction,
+    seg,
+    func_ast: ast.FuncDef,
+    usable: Dict[str, Any],
+    linear,
+    log: DiagnosticLog,
+):
     """Run the ``pta-strong-update-proof`` and ``pta-tier-subset`` rules
     on one function's fs artifacts, against an fi preparation of the
-    same function.  On an error the function keeps the fi artifacts, so
-    the fs tier can lose precision back to fi but never coverage."""
-    from repro.verify import timed_verify, verify_flow_tier
+    same function, and record what they find.  Returns the artifacts the
+    function keeps: on an error the fi ones, so the fs tier can lose
+    precision back to fi but never coverage."""
+    from repro.verify import record_violations, timed_verify, verify_flow_tier
 
     with timed_verify("pta"), trace("verify.pta", unit=func_ast.name):
         # budget=None: the reference must not depend on how much of a
@@ -335,47 +257,7 @@ def _audit_flow_tier(
         fi_result = prepare_function(
             func_ast, usable, linear, budget=None, pta_tier="fi"
         )
-        out.flow_violations = verify_flow_tier(out.result, fi_result)
-    if _has_error(out.flow_violations):
-        out.result, out.seg = fi_result, None
-
-
-# ----------------------------------------------------------------------
-def _prepare_one(
-    name: str,
-    func_ast: ast.FuncDef,
-    usable: Dict[str, Any],
-    linear,
-    budget: Optional[ResourceBudget],
-    pta_tier: str,
-    with_seg: bool,
-) -> _Outcome:
-    """Prepare one function.  ``with_seg`` also builds its SEG eagerly
-    so the artifact can be stored whole."""
-    try:
-        with trace("prepare.fn", unit=name):
-            fault_point("prepare", name)
-            result = prepare_function(
-                func_ast, usable, linear, budget=budget, pta_tier=pta_tier
-            )
-    except FATAL:
-        raise
-    except Exception as error:
-        return _Outcome(
-            "quarantined",
-            detail=f"{type(error).__name__}: {error}",
-            line=getattr(error, "line", 0) or 0,
-        )
-    seg = None
-    if with_seg:
-        from repro.seg.builder import build_seg
-
-        try:
-            seg = build_seg(result)
-        except FATAL:
-            raise
-        except Exception:
-            # The engine rebuilds under its own `seg` quarantine, so a
-            # deterministic failure reproduces with identical diagnostics.
-            seg = None
-    return _Outcome("prepared", result=result, seg=seg)
+        violations = verify_flow_tier(result, fi_result)
+    if record_violations(violations, log):
+        return fi_result, None
+    return result, seg

@@ -60,8 +60,7 @@ class Job:
     # payload's "trace" object), else minted at accept time: the job's
     # ``service.job`` span joins this trace id and parents under the
     # client's span, so a daemon-side run slots into the same distributed
-    # trace as the caller's — the same contract the scheduler's wave →
-    # worker dispatch keeps.
+    # trace as the caller's.
     trace_id: str = ""
     parent_span_id: Optional[int] = None
     status: str = STATUS_QUEUED

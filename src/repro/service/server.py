@@ -56,7 +56,7 @@ from typing import Any, Dict, List, Optional
 from repro.core.engine import EngineConfig
 from repro.core.incremental import apply_function_edit
 from repro.core.report import aggregate_results, report_as_dict
-from repro.lang.parser import ParseError, parse_program
+from repro.lang.parser import ParseError, parse_function, parse_program
 from repro.obs.metrics import get_registry
 from repro.obs.monitor import STREAM_POLL_SECONDS, MonitorServer, _MonitorHandler
 from repro.obs.trace import trace
@@ -70,7 +70,7 @@ from repro.service.jobs import (
     Job,
     JobTable,
 )
-from repro.service.session import Session, SessionCache, parse_single_function
+from repro.service.session import Session, SessionCache
 
 #: Request bodies past this are refused with 413 before being parsed.
 MAX_BODY_BYTES = 10 * 1024 * 1024
@@ -253,8 +253,8 @@ class ServiceServer:
                 "(run /v1/check with this session name first)",
             }
         try:
-            func = parse_single_function(text, session.program)
-        except (ParseError, ValueError) as exc:
+            func = parse_function(text)
+        except ParseError as exc:
             return {"http": 400, "error": f"bad edit payload: {exc}"}
         wanted = payload.get("function")
         if wanted and wanted != func.name:
@@ -263,12 +263,19 @@ class ServiceServer:
                 "error": f"edit names function {wanted!r} but text "
                 f"defines {func.name!r}",
             }
-        if not any(f.name == func.name for f in session.program.functions):
+        old = next((f for f in session.program.functions if f.name == func.name), None)
+        if old is None:
             return {
                 "http": 404,
                 "error": f"session {session_name!r} has no function "
                 f"{func.name!r} (use /v1/check to add functions)",
             }
+        if old.line != func.line:
+            # Number the payload so its `fn` keyword lands on the line of
+            # the definition it replaces: the edited function's reports
+            # then name the lines a one-shot check of the spliced
+            # program names.
+            func = parse_function(text, old.line - func.line + 1)
         checkers = self._resolve_checkers(payload.get("checkers", "all"))
         if checkers is None:
             return {"http": 400, "error": "unknown checker in 'checkers'"}

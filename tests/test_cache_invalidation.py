@@ -14,7 +14,7 @@ The cache key scheme (repro.cache.keys) promises:
   never call the edited function.
 
 Both cache tiers must agree: the in-memory IncrementalAnalyzer and the
-on-disk SummaryStore used by the wave scheduler.
+on-disk SummaryStore used by prepare_program.
 """
 
 import dataclasses
@@ -126,7 +126,7 @@ def test_disk_store_interface_edit_invalidates_transitively(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# On-disk tier through the wave scheduler (the --cache-dir path)
+# On-disk tier through prepare_program (the --cache-dir path)
 # ----------------------------------------------------------------------
 def _scheduler_run(source, store):
     set_registry(MetricsRegistry())

@@ -268,16 +268,19 @@ def test_check_stats_quantile_line(uaf_file, capsys):
 
 
 def test_profile_text_reports_critical_path(uaf_file, capsys):
-    """The report's one wave summary is the measured wave-loop wall; the
-    critical-path model and the worker figures are gone."""
+    """The report is the summary line and the measured tables; the
+    critical-path model, the worker figures and the wave-loop line are
+    gone."""
     code = main(["profile", uaf_file, "--top", "5"])
     assert code == 0
     out = capsys.readouterr().out
     assert "repro profile" in out
-    (line,) = [l for l in out.splitlines() if l.startswith("wave loop: ")]
-    assert re.fullmatch(r"wave loop: \S+ wall", line), line
+    assert re.match(r"\d+ spans, \S+ traced, \S+ wall", out.splitlines()[2])
     assert "hottest functions" in out
-    for gone in ("critical path", "dispatch overhead", "utilization", "worker"):
+    for gone in (
+        "critical path", "dispatch overhead", "utilization", "worker",
+        "wave loop",
+    ):
         assert gone not in out
 
 
@@ -290,10 +293,9 @@ def test_profile_json_document_matches_run_record(uaf_file, tmp_path, capsys):
     printed = json.loads(capsys.readouterr().out)
     (record,) = HistoryStore(hist).records()
     written = record["profile"]
-    assert printed["schema"] == "repro.profile/4"
-    parallel = printed["parallel"]
-    assert set(parallel) == {"wave_seconds"}
-    assert 0 < parallel["wave_seconds"] <= printed["wall_seconds"]
+    assert printed["schema"] == "repro.profile/5"
+    assert "parallel" not in printed
+    assert 0 < printed["traced_seconds"] <= printed["wall_seconds"]
     # The run record carries the same document the CLI printed.
     assert written == printed
 
@@ -335,14 +337,14 @@ def test_history_diff_reads_a_profile_with_worker_fields(
     del old["run_id"]
     old["config"] = dict(old["config"], jobs=2)
     old["sched"] = dict(
-        old["sched"], jobs=2, tasks=4, utilization=0.57,
+        old["sched"], waves=2, jobs=2, tasks=4, utilization=0.57,
         dispatch={"result_bytes": 4096, "decode_seconds": 0.002},
     )
     old["profile"] = dict(
         old["profile"],
         schema="repro.profile/3",
         parallel=dict(
-            old["profile"]["parallel"], jobs=2, work_seconds=0.01,
+            wave_seconds=0.004, jobs=2, work_seconds=0.01,
             utilization=0.57, decode_seconds=0.002, result_bytes=4096,
         ),
     )

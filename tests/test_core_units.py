@@ -1,6 +1,8 @@
 """Unit tests for core support modules: contexts, summaries, reports,
 call graph, and the dot exporters."""
 
+import itertools
+
 import pytest
 
 from repro.core.context import Context, ContextAllocator, clone_term, rename_var
@@ -230,6 +232,59 @@ def test_callgraph_scc_detection():
     assert sorted(map(sorted, graph.sccs())) == [["even", "odd"], ["main"]]
     assert graph.scc_of["even"] == graph.scc_of["odd"]
     assert graph.scc_of["main"] != graph.scc_of["even"]
+
+
+# prepare_program walks bottom_up_order() alone: it must place every
+# callee outside a function's SCC first (tests/test_sched_waves.py), keep
+# each SCC's members together and sorted, and come out the same from
+# every build.
+DIAMOND = """
+fn leaf_a(p) { x = *p; return x; }
+fn leaf_b(p) { *p = 1; return 0; }
+fn mid(p) { a = leaf_a(p); b = leaf_b(p); return a + b; }
+fn main() { p = malloc(); r = mid(p); free(p); return r; }
+"""
+
+EVEN_ODD = """
+fn even(n) { if (n > 0) { r = odd(n - 1); return r; } return 1; }
+fn odd(n) { if (n > 0) { r = even(n - 1); return r; } return 0; }
+fn main(n) { e = even(n); return e; }
+"""
+
+ORDER_CASES = ["diamond", "even-odd", "generated-2k"]
+
+
+def _order_case(case):
+    if case == "diamond":
+        return DIAMOND
+    if case == "even-odd":
+        return EVEN_ODD
+    from repro.synth.generator import GeneratorConfig, generate_program
+
+    return generate_program(GeneratorConfig(seed=1, target_lines=2000)).source
+
+
+@pytest.mark.parametrize("case", ORDER_CASES)
+def test_bottom_up_order_keeps_scc_members_adjacent_and_sorted(case):
+    graph = CallGraph(parse_program(_order_case(case)))
+    runs = [
+        list(members)
+        for _, members in itertools.groupby(
+            graph.bottom_up_order(), key=graph.scc_of.__getitem__
+        )
+    ]
+    # One run of adjacent names per SCC, in name order.
+    assert len(runs) == len(graph.sccs())
+    assert all(run == sorted(run) for run in runs)
+    if case == "even-odd":
+        assert ["even", "odd"] in runs
+
+
+@pytest.mark.parametrize("case", ORDER_CASES)
+def test_bottom_up_order_is_the_same_across_builds(case):
+    source = _order_case(case)
+    first = CallGraph(parse_program(source)).bottom_up_order()
+    assert CallGraph(parse_program(source)).bottom_up_order() == first
 
 
 def test_callgraph_ignores_external_calls():

@@ -1,6 +1,7 @@
 """Crash durability through the content-addressed artifact store.
 
-A run killed mid-wave leaves every wave it finished in its
+``prepare_program`` stores each function as soon as it is finished, so
+a run killed part-way leaves every function it finished in its
 ``--cache-dir`` store.  Rerunning with the same ``--cache-dir`` serves
 those functions from the store, recomputes only the rest, and reports
 findings and diagnostics byte-identical to an uninterrupted run.  A
@@ -47,8 +48,25 @@ PROGRAM_EDITED = PROGRAM.replace(
     "fn helper(p) { x = *p; y = x + 0; return y; }",
 )
 
-#: Wave plan of PROGRAM: leaves first, then their caller, then main.
-WAVE0 = {"helper", "touch"}
+#: PROGRAM's bottom-up order is helper, touch, chain, main: a run that
+#: dies in its third preparation (`chain`) has finished the two leaves.
+LEAVES = {"helper", "touch"}
+
+#: Three leaves under `main`, prepared in the order leaf_a, leaf_b,
+#: leaf_c, main: all three leaves sit at the same call-graph depth.
+THREE_LEAVES = """
+fn leaf_a(p) { x = *p; return x; }
+fn leaf_b(p) { *p = 2; return 0; }
+fn leaf_c(p) { free(p); return 0; }
+fn main() {
+    p = malloc();
+    a = leaf_a(p);
+    b = leaf_b(p);
+    c = leaf_c(p);
+    d = *p;
+    return a + b + c + d;
+}
+"""
 
 
 @pytest.fixture(autouse=True)
@@ -83,7 +101,7 @@ def _stored_names(cache_dir):
 
 
 # ----------------------------------------------------------------------
-# A run that dies part-way keeps the waves it finished
+# A run that dies part-way keeps the functions it finished
 # ----------------------------------------------------------------------
 #: Runs ``repro check`` with ``prepare_function`` patched to end the
 #: process abruptly (no unwinding, no flush) at its ``DIE_AT``-th call.
@@ -134,22 +152,41 @@ def _semantic(stdout):
 
 
 def _die_part_way(tmp_path):
-    """Run ``check --cache-dir`` in a child that dies in wave 1; return
-    (program path, cache dir, the dead child's result)."""
+    """Run ``check --cache-dir`` in a child that dies preparing `chain`;
+    return (program path, cache dir, the dead child's result)."""
     program = tmp_path / "prog.pin"
     program.write_text(PROGRAM)
     cache_dir = str(tmp_path / "cache")
-    # The third preparation is wave 1's `chain`: wave 0 is written at
-    # its barrier before the process dies.
+    # The third preparation is `chain`'s: both leaves are stored by then.
     dead = _check_in_child([str(program), "--cache-dir", cache_dir], die_at=3)
     return program, cache_dir, dead
 
 
-def test_killed_run_leaves_finished_waves_in_the_store(tmp_path):
+def test_killed_run_stores_the_leaves_it_finished(tmp_path):
     _program, cache_dir, dead = _die_part_way(tmp_path)
     assert dead.returncode == 70, dead.stderr
     assert dead.stdout == ""
-    assert _stored_names(cache_dir) == WAVE0
+    assert _stored_names(cache_dir) == LEAVES
+
+
+def test_killed_run_keeps_every_function_it_finished(tmp_path):
+    program = tmp_path / "leaves.pin"
+    program.write_text(THREE_LEAVES)
+    cache_dir = str(tmp_path / "cache")
+    # Dies preparing leaf_c: leaf_a and leaf_b are stored, although
+    # leaf_c sits at their depth of the call graph.
+    dead = _check_in_child([str(program), "--cache-dir", cache_dir], die_at=3)
+    assert dead.returncode == 70, dead.stderr
+    assert _stored_names(cache_dir) == {"leaf_a", "leaf_b"}
+
+    reference = _check_in_child([str(program)])
+    assert reference.returncode == 1, reference.stderr
+    rerun = _check_in_child([str(program), "--cache-dir", cache_dir])
+    assert rerun.returncode == reference.returncode
+    assert _semantic(rerun.stdout) == _semantic(reference.stdout)
+    metrics = json.loads(rerun.stdout)["metrics"]
+    assert metrics["cache.hits"]["value"] == 2
+    assert metrics["cache.misses"]["value"] == metrics["cache.writes"]["value"] == 2
 
 
 def test_resume_after_killed_run_matches_uninterrupted(tmp_path):
@@ -162,19 +199,19 @@ def test_resume_after_killed_run_matches_uninterrupted(tmp_path):
     assert rerun.returncode == reference.returncode
     assert _semantic(rerun.stdout) == _semantic(reference.stdout)
     metrics = json.loads(rerun.stdout)["metrics"]
-    assert metrics["cache.hits"]["value"] == len(WAVE0)
+    assert metrics["cache.hits"]["value"] == len(LEAVES)
     assert metrics["cache.misses"]["value"] == metrics["cache.writes"]["value"] == 2
 
 
 # ----------------------------------------------------------------------
-# A SIGKILL-shaped interruption: only wave 0 reached the store
+# A SIGKILL-shaped interruption: only the leaves reached the store
 # ----------------------------------------------------------------------
-def _keep_only_wave0(cache_dir):
-    """Delete every store entry outside wave 0: what a run SIGKILLed
-    right after wave 0 leaves on disk."""
+def _keep_only_leaves(cache_dir):
+    """Delete every store entry but the leaves': what a run SIGKILLed
+    right after preparing the leaves keeps on disk."""
     store = SummaryStore(cache_dir)
     for digest in store.entries():
-        if store.get(digest)[0] not in WAVE0:
+        if store.get(digest)[0] not in LEAVES:
             os.unlink(store._path(digest))
 
 
@@ -183,14 +220,14 @@ def test_rerun_recomputes_only_lost_functions(tmp_path):
 
     cache_dir = str(tmp_path / "cache")
     _snapshot(PROGRAM, cache_dir=cache_dir)
-    _keep_only_wave0(cache_dir)
+    _keep_only_leaves(cache_dir)
 
     set_registry(MetricsRegistry())
     rerun = _snapshot(PROGRAM, cache_dir=cache_dir)
     assert rerun == reference
-    # The two wave-0 entries were served from the store; exactly the two
+    # The two leaf entries were served from the store; exactly the two
     # lost functions (chain, main) were recomputed and written back.
-    assert _counter("cache.hits") == len(WAVE0)
+    assert _counter("cache.hits") == len(LEAVES)
     assert _counter("cache.misses") == 2
     assert _counter("cache.writes") == 2
 

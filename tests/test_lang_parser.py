@@ -134,6 +134,9 @@ def test_line_numbers():
     func = parse_function(source)
     assert func.body.stmts[0].line == 2
     assert func.body.stmts[1].line == 3
+    func = parse_function(source, first_line=10)
+    assert func.line == 10
+    assert [stmt.line for stmt in func.body.stmts] == [11, 12]
 
 
 def test_parse_errors():
@@ -145,6 +148,10 @@ def test_parse_errors():
         parse_program("fn f() { @ }")
     with pytest.raises(ParseError):
         parse_program("garbage")
+    # parse_function takes exactly one definition.
+    for source in ("fn a() { } fn b() { }", "// none"):
+        with pytest.raises(ParseError, match="expected exactly one function"):
+            parse_function(source)
 
 
 def test_line_count_proxy():

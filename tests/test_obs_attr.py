@@ -1,8 +1,9 @@
 """Cost attribution: the profile document.
 
-The acceptance contract of the attribution layer: the document's
-``parallel`` block is what ``prepare_program`` measured, the wave loop's
-wall, and that wall fits inside the run's wall time.
+The acceptance contract of the attribution layer: every figure in the
+``repro.profile/5`` document is measured from the run's spans and
+registry, and the document carries no block ``prepare_program`` no
+longer has (the forked workers' figures, the call-graph waves).
 """
 
 import json
@@ -46,39 +47,34 @@ def make_tracer(tick=1.0):
 # The breakdown document (synthetic run)
 # ----------------------------------------------------------------------
 def _synthetic_run():
-    """A hand-built two-wave run: tracer + registry + wall."""
+    """A hand-built run of two prepared functions: tracer + registry +
+    wall."""
     tracer = make_tracer(tick=0.5)
-    with tracer.span("sched.wave", unit="0") as w0:
-        w0.set(functions=2, prepared=2, cached=0)
-    with tracer.span("sched.wave", unit="1") as w1:
-        w1.set(functions=1, prepared=1, cached=0)
-    registry = MetricsRegistry()
-    registry.gauge("attr.wave_seconds", "w").set(1.0)
-    return tracer, registry, 1.2
+    with tracer.span("prepare.fn", unit="leaf"):
+        pass
+    with tracer.span("prepare.fn", unit="main"):
+        pass
+    return tracer, MetricsRegistry(), 1.2
 
 
 #: Sections of ``repro.profile/2`` that modelled one task per worker,
-#: and ``parallel`` fields of ``repro.profile/2`` and ``/3`` that
-#: described forked workers; a document must carry none of them.
+#: and the ``parallel`` block of ``/2`` to ``/4`` (worker figures, then
+#: the wave loop's wall); a document must carry none of them.
 REMOVED_SECTIONS = (
     "accounted_seconds", "shares", "overhead", "critical_path",
-    "critical_path_seconds", "waves", "task_sums",
-)
-REMOVED_PARALLEL = (
-    "critical_path_seconds", "overhead_ratio", "speedup_bound", "jobs",
-    "work_seconds", "utilization", "decode_seconds", "result_bytes",
+    "critical_path_seconds", "waves", "task_sums", "parallel",
 )
 
 
 def test_cost_breakdown_parallel_and_waves():
-    """The ``parallel`` block is read from the registry as measured; the
-    waves stay spans in the trace, not a document section."""
+    """Neither a ``parallel`` block nor the waves: the document holds
+    what the spans and the registry measured."""
     tracer, registry, wall = _synthetic_run()
     doc = cost_breakdown(tracer, registry, wall, 10.0, source_label="synth")
-    assert doc["schema"] == "repro.profile/4"
+    assert doc["schema"] == "repro.profile/5"
     assert doc["peak_mb"] == 10.0
-    assert doc["parallel"] == {"wave_seconds": 1.0}
     assert not set(REMOVED_SECTIONS) & set(doc)
+    assert [row["unit"] for row in doc["functions"]] == ["leaf", "main"]
     assert "peak_mb" not in cost_breakdown(tracer, registry, wall)
 
 
@@ -87,26 +83,22 @@ def test_render_profile_mentions_key_sections():
     doc = cost_breakdown(tracer, registry, wall, 10.0, source_label="synth")
     text = render_profile(doc)
     assert "repro profile — synth" in text
-    # One wave-loop line under the summary, before the tables.
-    assert "wave loop: 1.00s wall" in text.splitlines()
-    assert text.index("wave loop:") < text.index("hottest passes")
-    assert "hottest functions" in text
+    # The summary line, then the tables.
+    assert text.splitlines()[2].startswith("2 spans, ")
+    assert text.index("hottest passes") < text.index("hottest functions")
     for gone in ("critical path", "slowest waves", "dispatch overhead",
                  "parallel efficiency", "speedup bound", "utilization",
-                 "worker"):
+                 "worker", "wave loop"):
         assert gone not in text
-    # No wave loop ran (no scheduler gauges): no wave-loop line.
-    assert "wave loop:" not in render_profile(
-        cost_breakdown(make_tracer(), MetricsRegistry())
-    )
 
 
 # ----------------------------------------------------------------------
 # End to end: a real run
 # ----------------------------------------------------------------------
 def test_why_slow_split_consistent_with_wall():
-    """A real run: the wave loop fits inside the run's wall time and the
-    document is JSON-safe."""
+    """A real run: the traced time fits inside the run's wall time,
+    every function shows up with its prepare time, and the document is
+    JSON-safe."""
     import time
 
     tracer = set_tracer(Tracer(enabled=True))
@@ -115,26 +107,30 @@ def test_why_slow_split_consistent_with_wall():
     engine.check(UseAfterFreeChecker())
     wall = time.perf_counter() - started
     doc = cost_breakdown(tracer, get_registry(), wall, source_label="test")
-    parallel = doc["parallel"]
-    assert 0 < parallel["wave_seconds"] <= wall
+    assert 0 < doc["traced_seconds"] <= wall
+    assert {row["unit"] for row in doc["functions"]} >= {
+        "helper", "touch", "chain", "main",
+    }
+    assert "prepare.fn" in {row["name"] for row in doc["passes"]}
     assert not set(REMOVED_SECTIONS) & set(doc)
-    assert not set(REMOVED_PARALLEL) & set(parallel)
     assert json.loads(json.dumps(doc)) == doc  # JSON-safe document
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_attr_gauges_present_without_tracing(jobs):
     # ``from_source`` accepts and ignores ``jobs``: both values run the
-    # one in-process wave loop, and neither brings back a worker gauge.
+    # one in-process prepare loop, and neither brings back a worker or
+    # wave gauge.
     set_tracer(Tracer(enabled=False))
     set_registry(MetricsRegistry())
     engine = Pinpoint.from_source(PROGRAM, jobs=jobs)
     engine.check(UseAfterFreeChecker())
     registry = get_registry()
-    assert registry.get("attr.wave_seconds").value() > 0
+    assert registry.counter("engine.seconds").value(phase="prepare") > 0
     for gone in (
         "attr.critical_path_seconds", "attr.overhead_ratio",
         "attr.work_seconds", "attr.utilization", "sched.jobs",
-        "sched.tasks", "sched.dispatch.result_bytes",
+        "sched.tasks", "sched.dispatch.result_bytes", "sched.waves",
+        "attr.wave_seconds",
     ):
         assert registry.get(gone) is None, gone

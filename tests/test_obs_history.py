@@ -132,7 +132,7 @@ def test_collect_run_record_empty_registry():
     )
     assert rec["stages"] == {}
     assert rec["quantiles"] == {}
-    assert rec["sched"] == {"waves": 0, "retries": 0}
+    assert rec["sched"] == {"retries": 0}
 
 
 # ----------------------------------------------------------------------
@@ -633,9 +633,11 @@ def test_history_reads_records_with_the_dropped_dispatch_keys(
     and a ``repro.profile/1`` document with ``task_sums``.  Records from
     before the wave-loop-only profile carry ``sched.critical_path_seconds``
     and ``sched.overhead_ratio``, and a ``repro.profile/2`` document with
-    ``shares``, ``critical_path``, ``waves`` and ``overhead``.  Diff and
-    trend read them next to new records, and a high ``overhead_ratio``
-    gates nothing."""
+    ``shares``, ``critical_path``, ``waves`` and ``overhead``.  Records
+    from before the one bottom-up prepare loop carry ``sched.waves`` and
+    a ``repro.profile/4`` document whose ``parallel`` block holds the
+    wave loop's wall.  Diff and trend read them next to new records, and
+    a high ``overhead_ratio`` gates nothing."""
     argv = ["profile", uaf_file, "--json"]
     main(argv + ["--history-dir", str(tmp_path / "seed")])
     (seed,) = HistoryStore(str(tmp_path / "seed")).records()
@@ -675,14 +677,24 @@ def test_history_reads_records_with_the_dropped_dispatch_keys(
                     "straggler_seconds": 0.01, "barrier_waste_seconds": 0.24}],
             overhead={"decode_seconds": 0.1, "result_bytes": 1000,
                       "barrier_waste_seconds": 0.237, "total_seconds": 0.1},
-            parallel=dict(seed["profile"]["parallel"], critical_path_seconds=0.017,
+            parallel=dict(wave_seconds=0.004, critical_path_seconds=0.017,
                           overhead_ratio=0.1, speedup_bound=17.5),
+        ),
+    )
+    wave_loop = dict(
+        old,
+        sched=dict(seed["sched"], waves=2),
+        profile=dict(
+            seed["profile"],
+            schema="repro.profile/4",
+            parallel={"wave_seconds": 0.004},
         ),
     )
     hist = str(tmp_path / "hist")
     store = HistoryStore(hist)
     store.append(old)
     store.append(modelled)
+    store.append(wave_loop)
     main(argv + ["--history-dir", hist])
     # The latest run's overhead ratio is 9.5x the prior median, which the
     # deleted overhead gate would have failed.
@@ -692,7 +704,7 @@ def test_history_reads_records_with_the_dropped_dispatch_keys(
     capsys.readouterr()
 
     for old_id, new_id in (("r00001", "r00002"), ("r00002", "r00003"),
-                           ("r00002", "r00004")):
+                           ("r00003", "r00004"), ("r00002", "r00005")):
         span = [old_id, new_id, "--history-dir", hist]
         assert main(["history", "diff", *span]) == 0
         out = capsys.readouterr().out
@@ -709,7 +721,7 @@ def test_history_reads_records_with_the_dropped_dispatch_keys(
     )
     out = capsys.readouterr().out
     assert code == 0, out
-    assert "vs median of 3 prior runs" in out
+    assert "vs median of 4 prior runs" in out
 
 
 def test_profile_records_the_tier_that_ran(uaf_file, tmp_path, capsys):

@@ -82,7 +82,7 @@ def test_disabled_tracker_is_inert():
     t = tracker(enabled=False)
     t.begin_run("check", "x")
     t.set_stage("prepare")
-    t.wave_progress(1, 2, prepared=5)
+    t.function_done(cached=True)
     t.checker_done("uaf", 3)
     t.finish(0)
     snap = t.snapshot()
@@ -97,14 +97,19 @@ def test_tracker_lifecycle_snapshot():
     t.begin_run("check", "prog.pin")
     t.set_stage("prepare", functions=4)
     t.set_functions_total(4)
-    t.wave_progress(1, 2, prepared=2, cached=1)
-    t.wave_progress(2, 2, prepared=1, cached=1, quarantined=1)
+    events = t.events_after(0)
+    t.function_done()
+    t.function_done(cached=True)
+    t.function_done(cached=True)
+    t.function_done(quarantined=True)
+    # Counts only: a function never costs a slot in the event ring.
+    assert t.events_after(0) == events
     t.checker_done("use-after-free", 2)
     snap = t.snapshot()
     assert snap["command"] == "check"
     assert snap["label"] == "prog.pin"
     assert snap["running"] is True
-    assert snap["waves"] == {"done": 2, "total": 2}
+    assert "waves" not in snap
     assert snap["functions"] == {
         "total": 4,
         "prepared": 3,
@@ -122,13 +127,15 @@ def test_tracker_lifecycle_snapshot():
 def test_begin_run_resets_previous_state():
     t = tracker()
     t.begin_run("check", "a")
-    t.wave_progress(3, 3, prepared=9)
+    t.function_done(cached=True)
+    t.function_done(quarantined=True)
     t.finish(0)
     t.begin_run("check", "b")
     snap = t.snapshot()
     assert snap["label"] == "b"
-    assert snap["waves"] == {"done": 0, "total": 0}
-    assert snap["functions"]["prepared"] == 0
+    assert snap["functions"] == {
+        "total": 0, "prepared": 0, "cached": 0, "quarantined": 0,
+    }
     assert snap["running"] is True
 
 
@@ -194,7 +201,7 @@ def test_disabled_tick_overhead_guard():
     t = ProgressTracker()
     start = time.perf_counter()
     for i in range(100_000):
-        t.wave_progress(i, 100_000, prepared=1)
+        t.function_done(cached=True)
     elapsed = time.perf_counter() - start
     assert elapsed < 2.0, f"100k disabled progress calls took {elapsed:.2f}s"
 
@@ -341,6 +348,9 @@ def test_serve_all_endpoints_respond_during_run(uaf_file):
 
 
 def test_serve_records_wave_progress(uaf_file):
+    """Prepare progress is counted per function: ``/status`` holds the
+    prepared/cached/quarantined counts, and no waves field or ``wave``
+    event is left of the deleted call-graph waves."""
     monitor, result, thread = _run_cli_with_monitor(
         ["check", uaf_file, "--monitor-port", "0", "--linger"]
     )
@@ -354,14 +364,16 @@ def test_serve_records_wave_progress(uaf_file):
         assert snap["running"] is False
         assert snap["stage"] == "done"
         assert snap["exit_code"] == 1
-        assert snap["waves"]["total"] >= 1
-        assert snap["waves"]["done"] == snap["waves"]["total"]
-        assert snap["functions"]["total"] >= 1
+        # The one-function subject: prepared, none cached or quarantined.
+        assert snap["functions"] == {
+            "total": 1, "prepared": 1, "cached": 0, "quarantined": 0,
+        }
+        assert "waves" not in snap
         kinds = [
             json.loads(line)["kind"]
             for line in fetch(monitor.url + "/events?follow=0")[1].splitlines()
         ]
-        assert "wave" in kinds
+        assert "wave" not in kinds
         assert kinds[-1] == "run.finish"
     finally:
         monitor.stop()

@@ -232,7 +232,7 @@ def test_tier_is_plain_fi_or_fs():
     assert engine.pta_tier == engine.module.pta_tier == "fs"
 
 
-# ------------------------------------------------------ wave-gate audit
+# ------------------------------------------------ prepare_program audit
 def test_wave_gate_audits_every_fs_function(monkeypatch):
     import repro.verify
 

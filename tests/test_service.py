@@ -212,6 +212,29 @@ def test_edit_of_unknown_function_is_404(server):
     assert excinfo.value.status == 404
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "fn knob() { return 1; }\nfn extra() { return 2; }",
+        "// no definition",
+        "fn knob( { return 1; }",
+    ],
+    ids=["two-definitions", "no-definition", "malformed"],
+)
+def test_bad_edit_payload_is_400_and_keeps_the_session(server, text):
+    client = ServiceClient(server.port)
+    client.check(SOURCE, session="keep")
+    program = server.sessions.peek("keep").program
+    with pytest.raises(ServiceError) as excinfo:
+        client.edit("keep", text)
+    assert excinfo.value.status == 400
+    assert excinfo.value.payload["error"].startswith("bad edit payload: ")
+    # Rejected before any job ran: the session keeps its last good
+    # program and still takes a good edit.
+    assert server.sessions.peek("keep").program is program
+    assert client.edit("keep", KNOB_EDIT)["status"] == "done"
+
+
 def test_parse_error_fails_the_job_not_the_daemon(server):
     client = ServiceClient(server.port)
     accepted = client.check("fn broken( {", session="bad", wait=True)
@@ -339,8 +362,9 @@ def test_job_without_client_trace_mints_trace_id():
 
 def test_metrics_expose_wave_series_during_run():
     """The daemon's /metrics surface serves the process registry, so a
-    run in flight in the same process exposes its ``sched.waves`` and
-    ``attr.wave_seconds`` series live."""
+    run in flight in the same process exposes its ``engine.seconds`` and
+    ``pta.facts`` series live, and none of the deleted call-graph wave
+    series (``sched.waves``, ``attr.wave_seconds``)."""
     import threading
 
     from repro import Pinpoint, UseAfterFreeChecker
@@ -373,7 +397,7 @@ def test_metrics_expose_wave_series_during_run():
                 assert prepared.wait(timeout=60)
                 assert not failure, failure
                 deadline = time.monotonic() + 30
-                needed = ("repro_sched_waves", "repro_attr_wave_seconds")
+                needed = ("repro_engine_seconds", "repro_pta_facts")
                 while True:
                     text = client.metrics_text()
                     if all(series in text for series in needed):
@@ -384,7 +408,10 @@ def test_metrics_expose_wave_series_during_run():
                     )
                     time.sleep(0.05)
                 assert worker.is_alive(), "run must still be in flight"
-                for gone in ("repro_sched_dispatch", "repro_attr_utilization"):
+                for gone in (
+                    "repro_sched_dispatch", "repro_attr_utilization",
+                    "repro_sched_waves", "repro_attr_wave_seconds",
+                ):
                     assert gone not in text, gone
             finally:
                 release.set()
