@@ -50,9 +50,10 @@ def open_store(cache_dir: Optional[str]) -> Optional["SummaryStore"]:
 class SummaryStore:
     """Persistent map: key digest -> pickled per-function artifacts.
 
-    The payload is ``(name, PreparedFunction, SEG | None)`` pickled as
-    one object so cross-references between the SSA function and the SEG
-    survive the round trip via the pickle memo.
+    The payload is ``(name, PreparedFunction, SEG)`` (older entries may
+    hold None for the SEG) pickled as one object so cross-references
+    between the SSA function and the SEG survive the round trip via the
+    pickle memo.
     """
 
     def __init__(self, root: str, version: int = SCHEMA_VERSION) -> None:
@@ -92,7 +93,7 @@ class SummaryStore:
         self._counter("cache.hits", "Artifact-store lookups that hit").inc()
         return payload
 
-    def put(self, digest: str, name: str, prepared: Any, seg: Any = None) -> bool:
+    def put(self, digest: str, name: str, prepared: Any, seg: Any) -> bool:
         """Atomically persist one entry; False (and no trace) on error.
 
         Transient filesystem errors (``ENOSPC``, an NFS hiccup) retry
@@ -262,7 +263,7 @@ class MemoryTier:
             self._touched[digest] = entry
         return entry
 
-    def put(self, digest: str, name: str, prepared: Any, seg: Any = None) -> None:
+    def put(self, digest: str, name: str, prepared: Any, seg: Any) -> None:
         self._touched[digest] = (name, prepared, seg)
         if self.backing is not None:
             self.backing.put(digest, name, prepared, seg)
@@ -270,13 +271,6 @@ class MemoryTier:
     def end_run(self) -> None:
         """Drop every entry the last run did not touch."""
         self._entries, self._touched = self._touched, {}
-
-    def discard(self, digest: str) -> None:
-        self._entries.pop(digest, None)
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._touched.clear()
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -54,15 +54,12 @@ from repro.robust.diagnostics import (
     REASON_REDUCED_PRECISION,
     STAGE_CHECKER,
     STAGE_SEARCH,
-    STAGE_SEG,
     STAGE_SMT,
     DiagnosticLog,
 )
-from repro.robust.faults import fault_point
 from repro.robust.heap import hold_full_collections
 from repro.robust.quarantine import FATAL, Quarantine
 import repro.verify as verify_mod
-from repro.seg.builder import build_seg
 from repro.seg.conditions import ConditionBuilder, Constraint, TRUE_CONSTRAINT
 from repro.seg.graph import SEG, def_key, vertex_var
 from repro.smt import terms as T
@@ -174,13 +171,12 @@ class _Origin:
 
 
 class PinpointFunction:
-    """Per-function analysis state: SEG + :class:`ConditionBuilder`."""
+    """Per-function analysis state: the SEG the prepare driver built and
+    verified for the function, and a :class:`ConditionBuilder` over it."""
 
-    def __init__(self, prepared: PreparedFunction, seg: Optional[SEG] = None) -> None:
+    def __init__(self, prepared: PreparedFunction, seg: SEG) -> None:
         self.prepared = prepared
-        # A prebuilt SEG (scheduler worker or artifact cache) is adopted
-        # as-is; build_seg is deterministic, so both paths agree.
-        self.seg: SEG = seg if seg is not None else build_seg(prepared)
+        self.seg = seg
         # One builder per engine: its DD cache cuts loops where the first
         # lookup entered them, so a shared one would make conditions
         # depend on the order earlier runs asked in.
@@ -226,9 +222,11 @@ class PinpointFunction:
 class Pinpoint:
     """Facade: prepare once, run any number of checkers.
 
-    A function whose SEG construction fails is quarantined (dropped with
-    a diagnostic); a checker run that crashes returns a degraded
-    :class:`CheckResult` instead of raising.  An optional
+    The prepare driver builds and verifies every function's SEG; a
+    function it quarantined there has no SEG, so the engine skips it,
+    though calls to it still count as calls to a defined function.  A
+    checker run that crashes returns a degraded :class:`CheckResult`
+    instead of raising.  An optional
     :class:`~repro.robust.budget.ResourceBudget` bounds wall clock and
     search effort; past it, candidates are decided at reduced precision
     rather than not at all.
@@ -247,6 +245,7 @@ class Pinpoint:
         budget: Optional[ResourceBudget] = None,
         memo: Optional["CheckMemo"] = None,
     ) -> None:
+        start = time.perf_counter()
         self.module = module
         self.config = config or EngineConfig()
         self.budget = budget or ResourceBudget()
@@ -254,49 +253,15 @@ class Pinpoint:
         self.diagnostics = module.diagnostics
         self.pta_tier = module.pta_tier
         self.memo = memo
-        self.functions: Dict[str, PinpointFunction] = {}
-        # Artifacts quarantined by the verifier — ('cfg', Function) from
-        # the IR pass, ('seg', SEG) from here — for --dump-on-verify-fail.
-        self.verify_failures: Dict[str, tuple] = dict(module.verify_failures)
+        # The driver's verifier rejects, for --dump-on-verify-fail.
+        self.verify_failures = module.verify_failures
         self.verify_mode = verify_mod.resolve_mode(self.config.verify)
-        get_progress().set_stage("seg", functions=len(module.order))
-        start = time.perf_counter()
-        for name in module.order:
-            zone = Quarantine(self.diagnostics, STAGE_SEG, name)
-            with zone:
-                # The fault point fires even with a prebuilt SEG so
-                # injected `seg` faults behave identically under
-                # --cache-dir.
-                fault_point("seg", name)
-                pf = PinpointFunction(module[name], seg=module.segs.get(name))
-            if zone.tripped:
-                continue
-            if self.verify_mode != verify_mod.MODE_OFF:
-                with verify_mod.timed_verify("seg"), obs_trace(
-                    "verify.seg", unit=name
-                ):
-                    violations = verify_mod.verify_seg(pf.seg, module[name])
-                if violations:
-                    errors = verify_mod.record_violations(
-                        violations, self.diagnostics
-                    )
-                    if errors:
-                        self.verify_failures[name] = ("seg", pf.seg)
-                        continue
-            self.functions[name] = pf
-        if self.verify_mode == verify_mod.MODE_FULL:
-            with verify_mod.timed_verify("call"), obs_trace(
-                "verify.call", unit="<module>"
-            ):
-                violations = verify_mod.verify_call_interfaces(module)
-            if violations:
-                errors = verify_mod.record_violations(violations, self.diagnostics)
-                for violation in errors:
-                    dropped = self.functions.pop(violation.unit, None)
-                    if dropped is not None:
-                        self.verify_failures.setdefault(
-                            violation.unit, ("seg", dropped.seg)
-                        )
+        # Functions the driver quarantined at their SEG have none.
+        self.functions: Dict[str, PinpointFunction] = {
+            name: PinpointFunction(module[name], module.segs[name])
+            for name in module.order
+            if name in module.segs
+        }
         # The function set is final here; every checker run reports these.
         self._seg_size = (
             sum(f.seg.vertex_count() for f in self.functions.values()),
@@ -309,9 +274,9 @@ class Pinpoint:
         # Each function's processing rank (see _CheckerRun._ranks).
         self.ranks = {name: rank for rank, name in enumerate(module.order)}
         self._scan_keys: Optional[Dict[str, tuple]] = None
-        # SEG work is shared by every checker run on this engine, so it
-        # is published once here, not per checker (the prepare driver
-        # publishes the shared ``prepare`` phase the same way).
+        # Set-up is shared by every checker run on this engine, so it is
+        # published once here, in the `seg` phase the prepare driver
+        # publishes SEG construction in.
         get_registry().counter(
             "engine.seconds", "Engine time by phase (seconds)"
         ).inc(time.perf_counter() - start, phase="seg")
@@ -444,10 +409,6 @@ class CheckMemo:
     def scans(self, checker: str) -> Dict[str, tuple]:
         """Function -> (scan key, local sources) for ``checker``."""
         return self._scans.setdefault(checker, {})
-
-    def clear(self) -> None:
-        self._tables.clear()
-        self._scans.clear()
 
     def prune(self, live: Set[str]) -> None:
         """Drop the records and scans of functions no longer in the

@@ -26,7 +26,7 @@ when an edited caller (or ``--verify full``) reads it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.cache.store import MemoryTier
 from repro.core.engine import CheckMemo, EngineConfig, Pinpoint
@@ -64,8 +64,6 @@ class IncrementalAnalyzer:
         self.config = config or EngineConfig()
         self.store = store
         self._tier = MemoryTier(store)
-        # Function name -> content address, from the last run.
-        self._digests: Dict[str, str] = {}
         # Check records, per checker and function, which warm re-checks
         # replay instead of re-searching unchanged functions (see
         # :class:`repro.core.engine.CheckRecord`).  The memory tier
@@ -105,23 +103,12 @@ class IncrementalAnalyzer:
             pta_tier=self.config.pta_tier,
         )
         self._tier.end_run()
-        self._digests = prepared.digests
         reused = len(prepared.cached)
         self.last_stats = IncrementalStats(
             analyzed=len(prepared.digests) - reused, reused=reused
         )
         self.check_memo.prune(set(prepared.digests))
         return Pinpoint(prepared, self.config, budget, memo=self.check_memo)
-
-    def invalidate(self, name: Optional[str] = None) -> None:
-        """Drop one function's cached artifacts, or everything.  Check
-        records go in either case: a caller's record refers to its
-        callees' summaries, so one function's record cannot go alone."""
-        if name is None:
-            self._tier.clear()
-        elif name in self._digests:
-            self._tier.discard(self._digests[name])
-        self.check_memo.clear()
 
 
 def apply_function_edit(

@@ -107,13 +107,13 @@ class PreparedModule:
     # module (parse recovery, per-function preparation failures).  The
     # engine folds these into every CheckResult.
     diagnostics: DiagnosticLog = field(default_factory=DiagnosticLog)
-    # Functions quarantined by the IR verifier, kept around (keyed by
-    # name, valued ('cfg', Function)) so --dump-on-verify-fail can
-    # render the offending artifact.
+    # Functions quarantined by the verifiers, kept around (keyed by
+    # name, valued ('cfg', Function) or ('seg', SEG)) so
+    # --dump-on-verify-fail can render the offending artifact.
     verify_failures: Dict[str, tuple] = field(default_factory=dict)
-    # SEGs built ahead of the engine (for the artifact store, or loaded
-    # from it).  The engine consumes these
-    # instead of rebuilding; absence just means "build it yourself".
+    # The SEG of every function that passed every check.  A function of
+    # ``functions`` without one was quarantined at its SEG: the checkers
+    # skip it, but it stays a defined callee.
     segs: Dict[str, object] = field(default_factory=dict)
     # Points-to precision tier every function was prepared at ("fi" or
     # "fs"); a function whose fs artifacts fail the pta verifier rules

@@ -1,7 +1,7 @@
 """Live run-progress state for the analysis monitor.
 
 A process-global :class:`ProgressTracker` receives coarse progress
-signals from the pipeline — stage transitions (parse → prepare → seg →
+signals from the pipeline — stage transitions (parse → prepare →
 checker), per-function counts from ``prepare_program``, checker
 completions — and turns them into
 

@@ -78,13 +78,20 @@ class PointsToResult:
     strong_updates: int = 0
     weak_updates: int = 0
     strong_uids: Tuple[int, ...] = ()
+    _fact_count: Optional[int] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def pts(self, var: str) -> Tuple[Tuple[MemObject, Term], ...]:
         return self.points_to.get(var, ())
 
     def fact_count(self) -> int:
-        """Points-to facts: (variable, object, condition) entries."""
-        return sum(len(entries) for entries in self.points_to.values())
+        """Points-to facts: (variable, object, condition) entries,
+        counted once: :meth:`PointsToAnalysis.run` counts the finished
+        result (one from an older store entry counts on first use)."""
+        if self._fact_count is None:
+            self._fact_count = sum(map(len, self.points_to.values()))
+        return self._fact_count
 
 
 def publish_results(results: Iterable[PointsToResult]) -> None:

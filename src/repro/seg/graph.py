@@ -80,6 +80,9 @@ class SEG:
     # Anchors populated by the builder, consumed by checkers/engine.
     call_sites: List[cfg.Call] = field(default_factory=list)
     return_instr: Optional[cfg.Ret] = None
+    _edge_count: Optional[int] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     def add_vertex(self, key: VertexKey) -> VertexKey:
@@ -101,7 +104,11 @@ class SEG:
                 yield edge
 
     def edge_count(self) -> int:
-        return sum(len(edges) for edges in self.out_edges.values())
+        """Data edges, counted once: the builder counts the finished
+        graph (a SEG from an older store entry counts on first use)."""
+        if self._edge_count is None:
+            self._edge_count = sum(map(len, self.out_edges.values()))
+        return self._edge_count
 
     def vertex_count(self) -> int:
         return len(self.vertices)

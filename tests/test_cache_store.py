@@ -74,7 +74,7 @@ def test_put_get_roundtrip(store):
 
 
 def test_corrupt_entry_is_evicted_as_a_miss(store):
-    store.put(DIGEST, "helper", "artifact")
+    store.put(DIGEST, "helper", "artifact", "seg")
     path = store._path(DIGEST)
     with open(path, "wb") as handle:
         handle.write(b"\x80\x04 this is not a pickle")
@@ -93,7 +93,7 @@ def test_wrong_shape_payload_is_evicted(store):
 
 
 def test_unpicklable_artifact_fails_softly(store, tmp_path):
-    assert not store.put(DIGEST, "helper", lambda: None)
+    assert not store.put(DIGEST, "helper", lambda: None, "seg")
     assert store.get(DIGEST) is None
     # The temp file was cleaned up: nothing but directories remain.
     leftovers = [
@@ -107,7 +107,7 @@ def test_unpicklable_artifact_fails_softly(store, tmp_path):
 def test_entries_and_clear(store):
     digests = [f"{i:02x}" + "0" * 62 for i in range(3)]
     for digest in digests:
-        store.put(digest, "f", digest)
+        store.put(digest, "f", digest, "seg")
     assert store.entries() == sorted(digests)
     assert store.clear() == 3
     assert store.entries() == []
@@ -115,7 +115,7 @@ def test_entries_and_clear(store):
 
 
 def test_stats_shape(store):
-    store.put(DIGEST, "helper", "artifact")
+    store.put(DIGEST, "helper", "artifact", "seg")
     stats = store.stats()
     assert stats["entries"] == 1
     assert stats["bytes"] > 0
@@ -128,16 +128,16 @@ def test_stats_shape(store):
 def test_stale_schema_versions_pruned_on_open(tmp_path):
     root = str(tmp_path / "cache")
     old = SummaryStore(root, version=SCHEMA_VERSION + 1)
-    old.put(DIGEST, "helper", "artifact-from-the-future")
+    old.put(DIGEST, "helper", "artifact-from-the-future", "seg")
     fresh = SummaryStore(root)
     assert fresh.pruned_versions == 1
     assert not os.path.isdir(os.path.join(root, f"v{SCHEMA_VERSION + 1}"))
     assert fresh.get(DIGEST) is None
     # Same-version entries survive a reopen untouched.
-    fresh.put(DIGEST, "helper", "current")
+    fresh.put(DIGEST, "helper", "current", "seg")
     again = SummaryStore(root)
     assert again.pruned_versions == 0
-    assert again.get(DIGEST) == ("helper", "current", None)
+    assert again.get(DIGEST) == ("helper", "current", "seg")
 
 
 # ----------------------------------------------------------------------
@@ -204,3 +204,21 @@ def test_cache_key_sees_interface_changes():
     assert signature_fingerprint(Sig(())) != signature_fingerprint(
         Sig(("p_aux",))
     )
+
+
+def test_entry_without_kept_sizes_counts_them_on_first_read(store):
+    # Entries written before SEGs and points-to results kept their sizes
+    # hold neither count; the first read after loading counts them.
+    from repro.core.pipeline import prepare_source
+
+    module = prepare_source("fn f(p) { *p = 1; x = *p; free(p); return x; }")
+    prepared, seg = module["f"], module.segs["f"]
+    edges, facts = seg.edge_count(), prepared.points_to.fact_count()
+    assert edges and facts
+    del seg.__dict__["_edge_count"]
+    del prepared.points_to.__dict__["_fact_count"]
+    assert store.put(DIGEST, "f", prepared, seg)
+    _name, loaded, loaded_seg = store.get(DIGEST)
+    assert "_edge_count" not in vars(loaded_seg)
+    assert loaded_seg.edge_count() == edges
+    assert loaded.points_to.fact_count() == facts

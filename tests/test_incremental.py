@@ -108,17 +108,6 @@ def test_function_removed():
     assert len(engine.check(UseAfterFreeChecker())) == 1
 
 
-def test_invalidate_forces_reanalysis():
-    analyzer = IncrementalAnalyzer()
-    analyzer.analyze(BASE)
-    analyzer.invalidate("other")
-    analyzer.analyze(BASE)
-    assert analyzer.last_stats.analyzed == 1
-    analyzer.invalidate()
-    analyzer.analyze(BASE)
-    assert analyzer.last_stats.analyzed == 3
-
-
 def test_incremental_speedup_on_large_program():
     import time
 

@@ -294,6 +294,54 @@ def test_points_to_counters_are_published_once_per_run(monkeypatch):
     )
 
 
+def test_warm_body_edit_sums_sizes_of_the_edited_function_only():
+    # Each SEG keeps its edge count and each points-to result its fact
+    # count, so a warm edit sums the sizes of the re-prepared function
+    # alone.  Re-summed, they walk all 251 functions' edges and facts.
+    analyzer, edited, name = _warm_body_edit_session()
+    walked = []
+
+    class Walked(dict):
+        """An index that records each walk over its values."""
+
+        def values(self):
+            walked.append(self.owner)
+            return super().values()
+
+    def watch(index, owner):
+        watched = Walked(index)
+        watched.owner = owner
+        return watched
+
+    # The memory tier serves these same objects to the warm run; the
+    # edited function gets new ones.
+    reused = list(analyzer._tier._entries.values())
+    assert len(reused) == 251
+    for function, prepared, seg in reused:
+        seg.out_edges = watch(seg.out_edges, ("edges", function))
+        points_to = prepared.points_to
+        points_to.points_to = watch(points_to.points_to, ("facts", function))
+    from repro.obs.metrics import get_registry
+
+    registry = get_registry()
+    facts_before = registry.counter("pta.facts").total()
+    engine = analyzer.analyze_program(edited)
+    engine.check(UseAfterFreeChecker())
+    assert analyzer.last_stats.analyzed == 1
+    assert walked == []
+    # The kept counts are the counts.
+    assert engine.seg_size()[1] == sum(
+        len(edges)
+        for pf in engine.functions.values()
+        for edges in pf.seg.out_edges.values()
+    )
+    assert registry.counter("pta.facts").total() - facts_before == sum(
+        len(entries)
+        for pf in engine.functions.values()
+        for entries in pf.prepared.points_to.points_to.values()
+    )
+
+
 def test_prepare_function_walks_the_cfg_once(monkeypatch):
     # Reverse postorder is cached on the function: lowering adds every
     # block and edge, and nothing after it adds either.

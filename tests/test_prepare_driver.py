@@ -6,7 +6,8 @@ One-shot runs (``Pinpoint.from_source``) and incremental sessions
 reports *and* diagnostics under fault injection, step budgets and IR
 verification.  The driver's single store write-back must keep
 budget-degraded artifacts out of the content-addressed store, and its
-wall time feeds ``engine.seconds{phase=prepare}``.
+wall time feeds ``engine.seconds``: SEG construction as ``seg``, the rest
+as ``prepare``.
 """
 
 import json
@@ -215,6 +216,58 @@ def test_seconds_prepare_is_populated(mode):
     phases = [labels for labels, _ in seconds.items() if labels["phase"] == "prepare"]
     assert phases == [{"phase": "prepare"}]
     assert seconds.value(phase="prepare") == prepare
+
+
+def test_driver_builds_every_seg_without_a_store():
+    from repro.sched.scheduler import prepare_program
+
+    module = prepare_program(parse_program(PROGRAM))
+    assert set(module.segs) == set(module.functions) == {"helper", "main", "other"}
+    engine = Pinpoint(module)
+    assert all(engine.functions[name].seg is module.segs[name] for name in module.segs)
+
+
+#: Added to every SEG construction by the stage-time test below.
+SEG_DELAY = 0.05
+
+
+@pytest.mark.parametrize("mode", ["plain", "cold-cache", "incremental"])
+def test_seg_stage_times_seg_construction_in_every_mode(
+    mode, monkeypatch, tmp_path
+):
+    # The driver builds every SEG, with or without a store, and times it
+    # as the `seg` phase: a fixed delay in build_seg lands there, not in
+    # `prepare`, and the phases still fit in the wall time.
+    import sys
+    import time
+
+    from repro.seg import builder
+
+    original = builder.build_seg
+    built = []
+
+    def slow(prepared):
+        built.append(prepared.name)
+        time.sleep(SEG_DELAY)
+        return original(prepared)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(module, "build_seg", None) is original:
+            monkeypatch.setattr(module, "build_seg", slow)
+    started = time.perf_counter()
+    if mode == "plain":
+        Pinpoint.from_source(PROGRAM)
+    elif mode == "cold-cache":
+        Pinpoint.from_source(PROGRAM, cache_dir=str(tmp_path / "cache"))
+    else:
+        IncrementalAnalyzer().analyze(PROGRAM)
+    wall = time.perf_counter() - started
+    assert sorted(built) == ["helper", "main", "other"]
+    delay = SEG_DELAY * len(built)
+    seconds = get_registry().counter("engine.seconds")
+    assert seconds.value(phase="seg") >= delay
+    assert seconds.value(phase="prepare") < delay
+    assert seconds.value(phase="prepare") + seconds.value(phase="seg") <= wall
 
 
 def test_from_source_accepts_and_ignores_jobs():

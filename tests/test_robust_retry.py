@@ -97,7 +97,7 @@ def test_with_retries_does_not_retry_deterministic_errors():
 def test_store_put_retries_through_injected_disk_full(tmp_path):
     install_faults("disk-full*2")
     store = SummaryStore(str(tmp_path / "cache"))
-    assert store.put("ab" * 32, "fn", {"artifact": 1}) is True
+    assert store.put("ab" * 32, "fn", {"artifact": 1}, "seg") is True
     assert store.get("ab" * 32) is not None
     assert _retries_total() >= 2
 
@@ -105,6 +105,6 @@ def test_store_put_retries_through_injected_disk_full(tmp_path):
 def test_store_put_degrades_when_disk_stays_full(tmp_path):
     install_faults("disk-full")  # unlimited: every attempt fails
     store = SummaryStore(str(tmp_path / "cache"))
-    assert store.put("cd" * 32, "fn", {"artifact": 1}) is False
+    assert store.put("cd" * 32, "fn", {"artifact": 1}, "seg") is False
     reset_faults()
     assert store.get("cd" * 32) is None  # nothing half-written

@@ -281,8 +281,8 @@ def test_mutation_call_aux_pairing():
 # Summary lints
 # ----------------------------------------------------------------------
 def lint(summaries):
-    module, _segs = build()
-    pf = PinpointFunction(module["callee"])
+    module, segs = build()
+    pf = PinpointFunction(module["callee"], segs["callee"])
     return {violation.rule for violation in lint_summaries(summaries, pf)}
 
 

@@ -1,13 +1,13 @@
-"""Tests for verify-mode resolution, engine-side quarantine wiring, and
-the ``repro selfcheck`` differential harness."""
+"""Tests for verify-mode resolution, the prepare driver's quarantine
+wiring, and the ``repro selfcheck`` differential harness."""
 
 import pytest
 
 from repro.core.engine import EngineConfig, Pinpoint
-from repro.core.pipeline import prepare_source
 from repro.ir import cfg
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.robust.diagnostics import DiagnosticLog, STAGE_VERIFY
+from repro.seg.graph import SEG
 from repro.verify import (
     MODE_FAST,
     MODE_OFF,
@@ -92,45 +92,69 @@ def test_record_violations_severity_and_dedup():
 
 
 # ----------------------------------------------------------------------
-# Engine wiring: violating functions are quarantined, not fatal
+# Driver wiring: violating functions are quarantined, not fatal
 # ----------------------------------------------------------------------
-def test_engine_quarantines_seg_verify_failure():
-    module = prepare_source(SOURCE)
-    # Break the Fig. 3 contract after preparation: the signature now
-    # advertises an Aux formal the function body does not have.
-    module["callee"].signature.aux_params.append(("ghost", 1))
-    engine = Pinpoint(module, EngineConfig(verify="fast"))
+def corrupt_before_seg(monkeypatch, name, corrupt):
+    """Apply ``corrupt`` to ``name``'s prepared function where the
+    prepare driver builds its SEG: after its signature is published, so
+    its callers are prepared against the intact signature."""
+    from repro.sched import scheduler
+
+    build = scheduler.build_seg
+
+    def corrupting(prepared):
+        if prepared.name == name:
+            corrupt(prepared)
+        return build(prepared)
+
+    monkeypatch.setattr(scheduler, "build_seg", corrupting)
+
+
+def add_ghost_aux_formal(prepared):
+    # Break the Fig. 3 contract: the body now has an Aux formal its
+    # signature does not advertise.
+    prepared.function.aux_params.append("ghost.1")
+
+
+def add_ghost_receiver(prepared):
+    call = next(
+        instr
+        for instr in prepared.function.all_instrs()
+        if isinstance(instr, cfg.Call) and instr.callee == "callee"
+    )
+    call.extra_receivers.append("ghost_recv.1")
+
+
+def test_engine_quarantines_seg_verify_failure(monkeypatch):
+    corrupt_before_seg(monkeypatch, "callee", add_ghost_aux_formal)
+    engine = Pinpoint.from_source(SOURCE, EngineConfig(verify="fast"))
     assert "callee" not in engine.functions
     assert "main" in engine.functions  # only the offender is dropped
+    assert "callee" in engine.module  # still a defined callee
     assert "callee" in engine.verify_failures
     kind, artifact = engine.verify_failures["callee"]
     assert kind == "seg"
+    assert isinstance(artifact, SEG)
     diags = [d for d in engine.diagnostics if d.stage == STAGE_VERIFY]
     assert diags and diags[0].unit == "callee"
     assert diags[0].reason == "invariant-violation:aux-pairing"
 
 
-def test_engine_full_mode_drops_caller_on_call_mismatch():
-    module = prepare_source(SOURCE)
-    call = next(
-        instr
-        for instr in module["main"].function.all_instrs()
-        if isinstance(instr, cfg.Call) and instr.callee == "callee"
-    )
-    call.extra_receivers.append("ghost_recv.1")
-    engine = Pinpoint(module, EngineConfig(verify="full"))
+def test_engine_full_mode_drops_caller_on_call_mismatch(monkeypatch):
+    corrupt_before_seg(monkeypatch, "main", add_ghost_receiver)
+    engine = Pinpoint.from_source(SOURCE, EngineConfig(verify="full"))
     assert "main" not in engine.functions
     assert "callee" in engine.functions
+    assert engine.verify_failures["main"][0] == "seg"
     diags = [d for d in engine.diagnostics if d.stage == STAGE_VERIFY]
     assert any(
         d.reason == "invariant-violation:call-aux-pairing" for d in diags
     )
 
 
-def test_verify_off_ignores_corruption():
-    module = prepare_source(SOURCE)
-    module["callee"].signature.aux_params.append(("ghost", 1))
-    engine = Pinpoint(module, EngineConfig(verify="off"))
+def test_verify_off_ignores_corruption(monkeypatch):
+    corrupt_before_seg(monkeypatch, "callee", add_ghost_aux_formal)
+    engine = Pinpoint.from_source(SOURCE, EngineConfig(verify="off"))
     assert "callee" in engine.functions
     assert not engine.verify_failures
 
