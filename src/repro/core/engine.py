@@ -25,6 +25,7 @@ import hashlib
 import time
 import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.context import Context, ContextAllocator, clone_term, ctx_bvar, ctx_ivar
@@ -177,14 +178,19 @@ class PinpointFunction:
     def __init__(self, prepared: PreparedFunction, seg: SEG) -> None:
         self.prepared = prepared
         self.seg = seg
-        # One builder per engine: its DD cache cuts loops where the first
-        # lookup entered them, so a shared one would make conditions
-        # depend on the order earlier runs asked in.
-        self.conditions = ConditionBuilder(self.seg, prepared.function)
         # Statement uid -> (block label, index) for happens-after checks,
         # read here so a cold run builds it during engine set-up.
         self.position: Dict[int, Tuple[str, int]] = prepared.statement_index
         self._reach_cache: Dict[str, Set[str]] = {}
+
+    @cached_property
+    def conditions(self) -> ConditionBuilder:
+        """The function's condition builder, made on first read, so a
+        function whose record a session replays never makes one.  One
+        builder per engine: its DD cache cuts loops where the first
+        lookup entered them, so a shared one would make conditions depend
+        on the order earlier runs asked in."""
+        return ConditionBuilder(self.seg, self.prepared.function)
 
     def happens_after(self, first_uid: int, second_uid: int) -> bool:
         """May ``second`` execute after ``first``?  (CFG reachability;
@@ -233,9 +239,8 @@ class Pinpoint:
 
     A ``memo`` (a session's, see
     :class:`~repro.core.incremental.IncrementalAnalyzer`) lets checker
-    runs replay the record of every function whose prepared artifacts,
-    by ``module.digests``, and whose callees' records are unchanged since
-    it was stored."""
+    runs replay the record of every function whose check key
+    (:meth:`check_keys`) is unchanged since the record was stored."""
 
     @hold_full_collections()
     def __init__(
@@ -274,6 +279,7 @@ class Pinpoint:
         # Each function's processing rank (see _CheckerRun._ranks).
         self.ranks = {name: rank for rank, name in enumerate(module.order)}
         self._scan_keys: Optional[Dict[str, tuple]] = None
+        self._check_keys: Optional[Dict[str, str]] = None
         # Set-up is shared by every checker run on this engine, so it is
         # published once here, in the `seg` phase the prepare driver
         # publishes SEG construction in.
@@ -361,6 +367,75 @@ class Pinpoint:
             }
         return self._scan_keys
 
+    def check_keys(self) -> Dict[str, str]:
+        """Each function's check key, which every checker's session
+        records are stored under.  Built once per engine, on the first
+        session check.
+
+        A function's check-phase output is a pure function of
+
+        - the engine configuration,
+        - its own prepared artifacts (the prepare digest), and
+        - for each call site: whether the callee is defined, and — when
+          the callee is processed earlier, so its summaries are visible —
+          the callee's own check key (covering the summaries' content
+          transitively).
+
+        A function without a digest or a SEG has no key, and neither has
+        a function calling one processed earlier.  A defined callee
+        processed *later* (a same-SCC member later in the rotation)
+        contributes no summaries, only its "defined" bit, so an opaque
+        marker suffices.  The memo keeps each function's hashed parts,
+        so only a function whose parts changed is hashed again."""
+        if self._check_keys is None:
+            config = self.config
+            setting = "|".join(
+                (
+                    str(config.max_call_depth),
+                    str(config.use_linear_filter),
+                    str(config.use_smt),
+                    str(config.max_paths_per_source),
+                    self.verify_mode,
+                    self.pta_tier,
+                )
+            )
+            module = self.module
+            ranks = self.ranks
+            hashed = self.memo.hashed
+            keys: Dict[str, str] = {}
+            for name in module.order:
+                digest = module.digests.get(name)
+                if digest is None or name not in self.functions:
+                    continue
+                rank = ranks[name]
+                parts = [setting, digest]
+                for callee in sorted(module.callgraph.callees[name]):
+                    callee_rank = ranks.get(callee)
+                    if callee == name:
+                        # Self-recursive call: during its own processing
+                        # a function sees only its in-progress summaries.
+                        parts.append("self")
+                    elif callee_rank is None:
+                        parts.append(f"ext:{callee}")
+                    elif callee_rank > rank:
+                        parts.append(f"opaque:{callee}")
+                    elif callee in keys:
+                        parts.append(keys[callee])
+                    else:
+                        break
+                else:
+                    kept = hashed.get(name)
+                    if kept is None or kept[0] != parts:
+                        kept = hashed[name] = (
+                            parts,
+                            hashlib.sha256(
+                                "\x1f".join(parts).encode("utf-8")
+                            ).hexdigest(),
+                        )
+                    keys[name] = kept[1]
+            self._check_keys = keys
+        return self._check_keys
+
     # ------------------------------------------------------------------
     @hold_full_collections()
     def check(self, checker: Checker) -> CheckResult:
@@ -396,12 +471,15 @@ class CheckMemo:
     every demanded function.  With the memo, unchanged functions replay
     their records and only the edit-invalidated cone is searched for
     real.  The memo also keeps each function's source scan (see
-    :meth:`Pinpoint.scan_keys`), which decides the demand set.
+    :meth:`Pinpoint.scan_keys`), which decides the demand set, and its
+    check key with the parts it hashes (see :meth:`Pinpoint.check_keys`).
     """
 
     def __init__(self) -> None:
         self._tables: Dict[str, Dict[str, CheckRecord]] = {}
         self._scans: Dict[str, Dict[str, tuple]] = {}
+        # Function -> (hashed parts, check key).
+        self.hashed: Dict[str, Tuple[List[str], str]] = {}
 
     def table(self, checker: str) -> Dict[str, CheckRecord]:
         return self._tables.setdefault(checker, {})
@@ -411,9 +489,9 @@ class CheckMemo:
         return self._scans.setdefault(checker, {})
 
     def prune(self, live: Set[str]) -> None:
-        """Drop the records and scans of functions no longer in the
-        program."""
-        for table in (*self._tables.values(), *self._scans.values()):
+        """Drop the records, scans and keys of functions no longer in
+        the program."""
+        for table in (*self._tables.values(), *self._scans.values(), self.hashed):
             for name in [n for n in table if n not in live]:
                 del table[name]
 
@@ -584,12 +662,14 @@ class _CheckerRun:
         # Time spent deciding candidates (linear filter + SMT); finish()
         # publishes it as ``solving`` and the rest of the run as ``search``.
         self._solving_seconds = 0.0
-        # The session's records for this checker, and the check keys of
-        # the functions processed so far (see _memo_key).  Off whenever
-        # results could be time-dependent: a limited budget may degrade
-        # mid-run.
+        # The session's records for this checker and the engine's check
+        # keys.  Off whenever results could be time-dependent: a limited
+        # budget may degrade mid-run.
         self._memo: Optional[Dict[str, CheckRecord]] = None
-        self._memo_keys: Dict[str, str] = {}
+        self._keys: Dict[str, str] = {}
+        # Functions of this run that store no record: crashed, or calling
+        # one that did.
+        self._unrecorded: Set[str] = set()
         # Each function's local sources, or the exception its scan
         # raised (see _demand), and how many functions the run skips.
         self._sources: Dict[str, object] = {}
@@ -598,36 +678,40 @@ class _CheckerRun:
         if engine.memo is not None and not self.budget.limited:
             self._memo = engine.memo.table(checker.name)
             self._scans = engine.memo.scans(checker.name)
-            config = self.config
-            self._memo_config = "|".join(
-                (
-                    checker.name,
-                    str(config.max_call_depth),
-                    str(config.use_linear_filter),
-                    str(config.use_smt),
-                    str(config.max_paths_per_source),
-                    engine.verify_mode,
-                    engine.pta_tier,
-                    str(self.absence_mode),
-                )
-            )
+            self._keys = engine.check_keys()
 
     # ------------------------------------------------------------------
     def execute(self) -> CheckResult:
         self._search_start = time.perf_counter()
         self.budget.start()
         demand = self._demand()
+        functions = self.engine.functions
+        callees = self.module.callgraph.callees
         for name in self.module.order:
-            if name not in demand:
+            if name not in demand or name not in functions:
+                continue  # undemanded, or quarantined at SEG construction
+            key = self._keys.get(name)
+            if self._unrecorded and not self._unrecorded.isdisjoint(callees[name]):
+                # A callee stored no record in this run, so neither does
+                # this function: its record would refer to the callee's.
+                self._unrecorded.add(name)
+                key = None
+            record = self._memo.get(name) if key is not None else None
+            if record is not None and record.key == key:
+                # The session's record of it: replayed, not searched.
+                record.home.run = weakref.ref(self)
+                self._cache["hit"] += 1
+                self.summaries[name] = record.summaries
+                self._merge(record)
                 continue
             zone = Quarantine(self.diagnostics, STAGE_CHECKER, name)
             with zone:
-                self._process_function(name)
+                self._process_function(functions[name], key)
             if zone.tripped:
                 self.stats.quarantined_units += 1
                 # It stored no record, so its callers store none either:
                 # theirs would refer to its summaries.
-                self._memo_keys.pop(name, None)
+                self._unrecorded.add(name)
         return self.finish()
 
     def _demand(self) -> Set[str]:
@@ -732,61 +816,10 @@ class _CheckerRun:
     # ------------------------------------------------------------------
     # One function: a record, processed or replayed, merged into the run
     # ------------------------------------------------------------------
-    def _memo_key(self, name: str) -> Optional[str]:
-        """The check key of ``name``, or None when it is not memoizable.
-
-        A function's check-phase output is a pure function of
-
-        - the checker + engine configuration,
-        - its own prepared artifacts (the prepare digest), and
-        - for each call site: whether the callee is defined, and — when
-          the callee was processed earlier, so its summaries were
-          visible — the callee's own check key (covering the summaries'
-          content transitively).
-
-        A callee processed earlier without a key (unmemoizable,
-        quarantined at SEG, or crashed in this run) leaves this function
-        without one too.  A defined callee processed *later* (a same-SCC
-        member later in the rotation) contributed no summaries, only its
-        "defined" bit, so an opaque marker suffices.
-        """
-        digest = self.module.digests.get(name)
-        if digest is None:
-            return None
-        rank = self._ranks[name]
-        parts = [self._memo_config, digest]
-        for callee in sorted(self.module.callgraph.callees[name]):
-            callee_rank = self._ranks.get(callee)
-            if callee == name:
-                # Self-recursive call: during its own processing a
-                # function sees only its in-progress summaries.
-                parts.append("self")
-            elif callee_rank is None:
-                parts.append(f"ext:{callee}")
-            elif callee_rank > rank:
-                parts.append(f"opaque:{callee}")
-            elif callee in self._memo_keys:
-                parts.append(self._memo_keys[callee])
-            else:
-                return None
-        return hashlib.sha256("\x1f".join(parts).encode("utf-8")).hexdigest()
-
-    def _process_function(self, name: str) -> None:
-        """Process ``name`` into a record and merge it into the run, or
-        merge the session's stored record of it when its key matches."""
-        pf = self.engine.functions.get(name)
-        if pf is None:
-            return  # quarantined at SEG construction
-        key = self._memo_key(name) if self._memo is not None else None
-        if key is not None:
-            self._memo_keys[name] = key
-            record = self._memo.get(name)
-            if record is not None and record.key == key:
-                record.home.run = weakref.ref(self)
-                self._cache["hit"] += 1
-                self.summaries[name] = record.summaries
-                self._merge(record)
-                return
+    def _process_function(self, pf: PinpointFunction, key: Optional[str]) -> None:
+        """Process one function into a record, merge it into the run and,
+        with a ``key``, store it in the session's memo."""
+        name = pf.prepared.name
         record = self.record = CheckRecord(name, key, _Home(self))
         self.summaries[name] = record.summaries
         # Each function numbers its contexts with its own allocator, so

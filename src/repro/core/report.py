@@ -149,11 +149,13 @@ class EngineStats:
         # __len__), so ``registry or get_registry()`` would ignore it.
         if registry is None:
             registry = get_registry()
-        for name, value in self.as_dict().items():
+        # The fields themselves, not a copy: as_dict() deep-copies.
+        for spec in dataclasses.fields(self):
+            value = getattr(self, spec.name)
             if isinstance(value, str):
                 continue  # e.g. pta_tier: not a number, not a counter
             registry.counter(
-                f"engine.{name}", f"EngineStats field {name!r}"
+                f"engine.{spec.name}", f"EngineStats field {spec.name!r}"
             ).inc(value, checker=checker)
         registry.counter(
             "engine.summaries.hit", "Callee summaries found at call sites"

@@ -10,10 +10,12 @@ node under it, in place once it is built.  An edit is a new ``FuncDef``
 (the daemon's ``/v1/edit`` parses one from the edited text, and
 :func:`repro.core.incremental.apply_function_edit` splices it into a new
 :class:`Program`).  So the facts derived from a definition -- its
-fingerprint (:func:`repro.cache.keys.ast_fingerprint`) and its callees
-(:func:`repro.ir.lower.called_names`) -- are computed on first use and
-kept in its ``derived`` field for every later analysis of the same
-object; a warm one-function edit derives them for that one function.
+fingerprint (:func:`repro.cache.keys.ast_fingerprint`), its callees
+(:func:`repro.ir.lower.called_names`) and its prepare digest, kept
+with the other inputs it hashes (:mod:`repro.sched.scheduler`) -- are
+computed on first use and kept in its ``derived`` field for every
+later analysis of the same object; a warm one-function edit derives
+them for that one function.
 """
 
 from __future__ import annotations

@@ -134,11 +134,7 @@ def prepare_program(
         }
         hit = None
         if store is not None:
-            digests[name] = key_digest(
-                prepare_cache_key(
-                    func_ast, usable, callgraph.callees[name], pta_tier=pta_tier
-                )
-            )
+            digests[name] = _digest(func_ast, usable, pta_tier)
             hit = store.get(digests[name])
         if hit is not None:
             # An entry written before SEGs were always stored may hold
@@ -244,6 +240,23 @@ def prepare_program(
         cached=len(prepared.cached),
     )
     return prepared
+
+
+def _digest(func_ast: ast.FuncDef, usable: Dict[str, Any], pta_tier: str) -> str:
+    """The function's content address (:mod:`repro.cache.keys`).
+
+    It is kept in ``func_ast.derived`` with what it hashes besides the
+    definition: the points-to tier and the usable callee signatures
+    (``usable`` holds only the function's own callees).  Signatures,
+    like definitions, are not edited once published, so an unchanged
+    function costs one comparison of the same objects, and any changed
+    input recomputes the digest."""
+    inputs = (pta_tier, usable)
+    kept = func_ast.derived.get("digest")
+    if kept is None or kept[0] != inputs:
+        key = prepare_cache_key(func_ast, usable, usable, pta_tier=pta_tier)
+        kept = func_ast.derived["digest"] = (inputs, key_digest(key))
+    return kept[1]
 
 
 def _checked_seg(

@@ -327,3 +327,145 @@ def test_reparse_after_deltas_matches_cold_run():
     warm = _check_all(analyzer.analyze(source))
     assert analyzer.last_stats.analyzed == 0
     assert warm == _check_all(Pinpoint.from_program(parse_program(source)))
+
+
+class _SinksRaise(UseAfterFreeChecker):
+    """use-after-free, except that ``sinks`` raises for ``victim``."""
+
+    def __init__(self, victim):
+        self.victim = victim
+
+    def sinks(self, prepared, seg):
+        if prepared.name == self.victim:
+            raise RuntimeError("injected sink failure")
+        return super().sinks(prepared, seg)
+
+
+def test_crash_in_a_run_leaves_its_ancestors_without_a_record():
+    from repro import Pinpoint
+    from repro.core.report import report_as_dict
+    from repro.lang.parser import parse_program
+
+    def outcome(result):
+        return (
+            [report_as_dict(report) for report in result],
+            [diag.as_dict() for diag in result.diagnostics],
+            result.stats.as_dict(),
+        )
+
+    def check(engine, checker):
+        previous = get_registry()
+        registry = set_registry(MetricsRegistry())
+        try:
+            result = engine.check(checker)
+        finally:
+            set_registry(previous)
+        counters = {
+            kind: registry.get(f"engine.check_cache.{kind}") for kind in ("hit", "miss")
+        }
+        return result, {
+            kind: counter.total() if counter else 0
+            for kind, counter in counters.items()
+        }
+
+    analyzer = IncrementalAnalyzer()
+    _check_all(analyzer.analyze(CALLS_BASE))
+    # A body edit of ``leaf`` changes the keys of ``leaf`` and of its
+    # ancestors ``mid``, ``top`` and ``main``; ``other`` keeps its key.
+    edited = CALLS_BASE.replace("free(p); return 0;", "free(p); return 1;")
+    engine = analyzer.analyze(edited)
+    crashed, counts = check(engine, _SinksRaise("mid"))
+    assert [d.unit for d in crashed.diagnostics] == ["mid"]
+    # ``mid`` crashed, so neither it nor its callers store a record.
+    assert counts == {"hit": 1, "miss": 1}
+    keys = engine.check_keys()
+    table = analyzer.check_memo.table("use-after-free")
+    assert {name for name in keys if table[name].key == keys[name]} == {
+        "leaf",
+        "other",
+    }
+    warm, counts = check(analyzer.analyze(edited), UseAfterFreeChecker())
+    assert counts == {"hit": 2, "miss": 3}
+    cold = Pinpoint.from_program(parse_program(edited)).check(UseAfterFreeChecker())
+    assert outcome(warm) == outcome(cold)
+
+
+def test_respliced_definition_gets_a_new_digest_and_check_key():
+    # ``main``'s original definition object keeps the digest it was
+    # given; spliced back after its callee ``helper`` changed interface,
+    # it must be keyed again.
+    from repro import Pinpoint
+    from repro.core.incremental import apply_function_edit
+    from repro.lang.parser import parse_program
+
+    def analyze(program):
+        engine = analyzer.analyze_program(program)
+        return engine, _check_all(engine)
+
+    analyzer = IncrementalAnalyzer()
+    program = parse_program(BASE)
+    original = program.function("main")
+    engine, _ = analyze(program)
+    digest, key = engine.module.digests["main"], engine.check_keys()["main"]
+    body_edit = BASE.replace("z = other(3);", "z = other(4);")
+    program = apply_function_edit(
+        program, parse_program(body_edit).function("main")
+    )
+    analyze(program)
+    program = apply_function_edit(
+        program, parse_program(INTERFACE_EDIT).function("helper")
+    )
+    analyze(program)
+    program = apply_function_edit(program, original)
+    engine, warm = analyze(program)
+    assert program.function("main") is original
+    assert engine.module.digests["main"] != digest
+    assert engine.check_keys()["main"] != key
+    assert warm == _check_all(Pinpoint.from_program(parse_program(INTERFACE_EDIT)))
+
+
+def test_analyzers_with_different_configs_share_definitions_safely():
+    # Three sessions over the same definition objects: the digests kept
+    # on a definition must not carry one session's points-to tier into
+    # another, and each session must match its own cold run.
+    from repro import EngineConfig, Pinpoint
+    from repro.cache.store import MemoryTier
+    from repro.core.incremental import apply_function_edit
+    from repro.lang.parser import parse_program
+    from repro.sched.scheduler import prepare_program
+    from repro.synth.precision import generate_precision_suite, suite_source
+
+    configs = [
+        EngineConfig(),
+        EngineConfig(max_call_depth=1, max_paths_per_source=1),
+        EngineConfig(pta_tier="fs"),
+    ]
+    analyzers = [IncrementalAnalyzer(config) for config in configs]
+    source = suite_source(generate_precision_suite())
+    program = parse_program(source)
+    # Line-preserving body edits, each spliced in as one definition.
+    edits = [
+        ("bug_direct_uaf", "*p = c;", "*p = c + 1;"),
+        ("fp_null_branch", "return r;", "return r + 1;"),
+    ]
+    for step in range(len(edits) + 1):
+        if step:
+            name, old, new = edits[step - 1]
+            start = source.index(f"fn {name}(")
+            assert old in source[start:]
+            source = source[:start] + source[start:].replace(old, new, 1)
+            program = apply_function_edit(
+                program, parse_program(source).function(name)
+            )
+        outputs = []
+        for analyzer, config in zip(analyzers, configs):
+            engine = analyzer.analyze_program(program)
+            fresh = prepare_program(
+                parse_program(source), store=MemoryTier(), pta_tier=config.pta_tier
+            )
+            assert engine.module.digests == fresh.digests
+            warm = _check_all(engine)
+            cold = _check_all(Pinpoint.from_program(parse_program(source), config))
+            assert warm == cold, (step, config)
+            outputs.append(repr(warm[0]))
+        assert len(set(outputs)) == len(configs)

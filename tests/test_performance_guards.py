@@ -199,10 +199,11 @@ def test_warm_body_edit_lowers_only_the_edited_function(monkeypatch):
     assert [args[0].name for args in calls] == [name]
 
 
-def _warm_body_edit_session():
+def _warm_body_edit_session(checkers=()):
     """A session on the 2k-line subject of ``repro generate --lines 2000
-    --seed 1 --taint`` and a one-function body edit of the benchmark's
-    shape (``bench_edit = 0;`` prepended), not yet analyzed."""
+    --seed 1 --taint``, checked by ``checkers``, and a one-function body
+    edit of the benchmark's shape (``bench_edit = 0;`` prepended), not
+    yet analyzed."""
     from repro.core.incremental import IncrementalAnalyzer, apply_function_edit
     from repro.lang import ast
     from repro.lang.parser import parse_program
@@ -213,7 +214,9 @@ def _warm_body_edit_session():
         ).source
     )
     analyzer = IncrementalAnalyzer()
-    analyzer.analyze_program(program)
+    engine = analyzer.analyze_program(program)
+    for checker in checkers:
+        engine.check(checker())
     old = program.functions[7]
     stmt = ast.AssignStmt(
         target="bench_edit", value=ast.Num(value=0, line=old.line), line=old.line
@@ -340,6 +343,71 @@ def test_warm_body_edit_sums_sizes_of_the_edited_function_only():
         for pf in engine.functions.values()
         for entries in pf.prepared.points_to.points_to.values()
     )
+
+
+def test_warm_body_edit_hashes_only_what_it_changed(monkeypatch):
+    # Each prepare digest is kept with its inputs, each check key is
+    # computed once per engine for all six checkers and rehashed only
+    # when its parts changed, and condition builders are made on first
+    # read.  Recomputed, a body edit makes 251 prepare digests, 813
+    # check-key hashes (one per checker and demanded function) and 251
+    # builders.
+    import hashlib
+
+    import repro.core.engine as engine_mod
+    from repro.cli import CHECKERS
+    from repro.seg.conditions import ConditionBuilder
+
+    analyzer, edited, name = _warm_body_edit_session(CHECKERS.values())
+    digests = _count_calls(monkeypatch, "repro.cache.keys", "key_digest")
+    built = []
+    init = ConditionBuilder.__init__
+
+    def counting_init(self, seg, function, *args, **kwargs):
+        built.append(function.name)
+        init(self, seg, function, *args, **kwargs)
+
+    live = set()
+    process = engine_mod._CheckerRun._process_prepared
+
+    def processing(self, pf):
+        live.add(pf.prepared.name)
+        return process(self, pf)
+
+    monkeypatch.setattr(ConditionBuilder, "__init__", counting_init)
+    monkeypatch.setattr(engine_mod._CheckerRun, "_process_prepared", processing)
+    engine = analyzer.analyze_program(edited)
+    assert analyzer.last_stats.analyzed == 1
+    assert len(digests) == 1
+
+    hashed = []
+    sha256 = hashlib.sha256
+
+    def counting_sha256(data=b"", **kwargs):
+        hashed.append(data)
+        return sha256(data, **kwargs)
+
+    monkeypatch.setattr(hashlib, "sha256", counting_sha256)
+    for checker in CHECKERS.values():
+        engine.check(checker())
+    monkeypatch.undo()
+
+    # A check key hashes the function's prepare digest as its second part.
+    owner = {digest: fn for fn, digest in engine.module.digests.items()}
+    keyed = [owner[data.split(b"\x1f")[1].decode()] for data in hashed]
+    callers = engine.module.callgraph.callers
+    ancestors, stack = {name}, [name]
+    while stack:
+        for caller in callers[stack.pop()]:
+            if caller not in ancestors:
+                ancestors.add(caller)
+                stack.append(caller)
+    assert name in keyed
+    assert len(keyed) == len(set(keyed))
+    assert set(keyed) <= ancestors
+    # Only a function searched live reads its builder.
+    assert set(built) <= live
+    assert len(live) < len(engine.functions)
 
 
 def test_prepare_function_walks_the_cfg_once(monkeypatch):
